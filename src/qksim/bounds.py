@@ -17,7 +17,7 @@ sentinel is evaluated as the m -> infinity limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,25 +41,9 @@ class BoundReport:
     delta: float
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "m": "inf" if math.isinf(self.m) else int(self.m),
-            "num_qubits": self.num_qubits,
-            "p": self.p,
-            "c1": self.c1,
-            "c_q": self.c_q,
-            "c2": self.c2,
-            "term_ideal": self.term_ideal,
-            "term_noise": self.term_noise,
-            "breakdown_p": self.breakdown_p,
-            "delta": self.delta,
-        }
+        out = asdict(self)
+        out["m"] = "inf" if math.isinf(self.m) else int(self.m)
         return out
-
-
-def _c_q(q: np.ndarray) -> float:
-    """Spectral norm of Q^-1; for PSD Q this is 1 / lambda_min."""
-    return linalg.spectral_norm(linalg.inv_ridge(q, 0.0))
 
 
 def c2_constant(
@@ -113,7 +97,7 @@ def theorem1_bound(
         c2=c2,
         term_ideal=math.sqrt(c1 / n),
         term_noise=term_noise,
-        breakdown_p=breakdown_threshold(qm, n, num_qubits),
+        breakdown_p=_breakdown_p(n, c_q, num_qubits),
         delta=delta,
     )
 
@@ -122,7 +106,12 @@ def breakdown_threshold(q: np.ndarray | object, n: int, num_qubits: int) -> floa
     """Effective rate beyond which the noise term is unconditionally infinite:
     p > 1 / (n c_Q (1 + 2^-(N+1)))."""
     qm = linalg.check_symmetric(q, "Q")
-    c_q = _c_q(qm)
+    # c_Q = ||Q^-1||_2, which for PSD Q is 1 / lambda_min
+    c_q = linalg.spectral_norm(linalg.inv_ridge(qm, 0.0))
+    return _breakdown_p(n, c_q, num_qubits)
+
+
+def _breakdown_p(n: int, c_q: float, num_qubits: int) -> float:
     return 1.0 / (n * c_q * (1.0 + 2.0 ** (-(num_qubits + 1))))
 
 
@@ -144,14 +133,7 @@ class SaturationReport:
     sqrt_lower: float
 
     def to_dict(self) -> dict:
-        return {
-            "s2": self.s2,
-            "s_frob": self.s_frob,
-            "lower_ok": self.lower_ok,
-            "sqrt_s2": self.sqrt_s2,
-            "eps_mean": self.eps_mean,
-            "sqrt_lower": self.sqrt_lower,
-        }
+        return asdict(self)
 
 
 def saturation_diagnostic(
@@ -188,16 +170,7 @@ class HoeffdingReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "m": self.m,
-            "delta_gap": self.delta_gap,
-            "trials": self.trials,
-            "empirical_rate": self.empirical_rate,
-            "bound": self.bound,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def hoeffding_violation_test(

@@ -22,7 +22,7 @@ comparison on concrete pairs and reports the outcome as observed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,9 +45,7 @@ def clip(w: np.ndarray | object) -> np.ndarray:
     dec = linalg.eig_sym(w)
     if dec.eigenvalues[-1] >= 0.0:  # already PSD: exact fixed point
         return linalg.as_matrix(w).copy()
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    v = dec.eigenvectors
-    return linalg.sym_matrix(v @ np.diag(lam) @ v.T)
+    return dec.reconstruct(np.clip(dec.eigenvalues, 0.0, None))
 
 
 def flip(w: np.ndarray | object) -> np.ndarray:
@@ -55,9 +53,7 @@ def flip(w: np.ndarray | object) -> np.ndarray:
     dec = linalg.eig_sym(w)
     if dec.eigenvalues[-1] >= 0.0:
         return linalg.as_matrix(w).copy()
-    lam = np.abs(dec.eigenvalues)
-    v = dec.eigenvectors
-    return linalg.sym_matrix(v @ np.diag(lam) @ v.T)
+    return dec.reconstruct(np.abs(dec.eigenvalues))
 
 
 def shift(w: np.ndarray | object) -> np.ndarray:
@@ -75,9 +71,7 @@ def nearest_psd(w: np.ndarray | object, delta: float = 0.0) -> np.ndarray:
     dec = linalg.eig_sym(w)
     if dec.eigenvalues[-1] >= delta:
         return linalg.as_matrix(w).copy()
-    lam = np.maximum(dec.eigenvalues, delta)
-    v = dec.eigenvectors
-    return linalg.sym_matrix(v @ np.diag(lam) @ v.T)
+    return dec.reconstruct(np.maximum(dec.eigenvalues, delta))
 
 
 def apply_method(
@@ -114,14 +108,7 @@ class CalibrationReport:
     passed_lemma: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dist_before": self.dist_before,
-            "dist_after": self.dist_after,
-            "min_eig_before": self.min_eig_before,
-            "min_eig_after": self.min_eig_after,
-            "passed_lemma": self.passed_lemma,
-        }
+        return asdict(self)
 
 
 def calibrate_and_report(
@@ -147,9 +134,8 @@ def calibrate_and_report(
 
     passed: bool | None = None
     if method in (CLIP, FLIP, SHIFT):
-        q_lam_min = float(np.min(np.linalg.eigvalsh(qm)))
-        q_psd = q_lam_min >= -1e-9 * max(1.0, float(np.max(np.linalg.eigvalsh(qm))))
-        applicable = q_psd
+        q_lam = np.linalg.eigvalsh(qm)
+        applicable = float(np.min(q_lam)) >= -1e-9 * max(1.0, float(np.max(q_lam)))
         if method == SHIFT:
             applicable = applicable and abs(
                 float(np.trace(wm)) - wm.shape[0]

@@ -1,27 +1,27 @@
 """Configuration-driven experiment harness and command-line interface.
 
 ``run_sweep`` walks the Cartesian grid (train size, shots, noise rate,
-calibration method, seed).  For every (train size, seed) cell it builds a
-pooled dataset, engineers advantage labels on the pooled ideal kernels,
-splits, and then pushes each grid coordinate through the
-noise/shot/calibration/training pipeline; an RBF grid-search baseline runs
-once per cell.  Output records are sorted by coordinate and serialize
+calibration method, seed) in three nested stages.  For every (train size,
+seed) cell it builds a pooled dataset, engineers advantage labels on the
+pooled ideal kernels, splits, and runs the RBF grid-search baseline; for
+every (shots, noise rate) it samples the noisy train and cross kernels and
+evaluates the bound terms; per calibration method it only calibrates,
+trains and scores.  Output records are sorted by coordinate and serialize
 byte-identically across reruns.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error (partial
-results are still written when possible).  ``QKSIM_THREADS`` controls the
-sweep worker count; everything else is pinned by the config and seeds.
+results are still written when possible).  Everything is pinned by the
+config and seeds.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import csv
 import dataclasses
+import io
 import json
 import math
-import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,7 +185,6 @@ class ResultRecord:
     term_noise: float | None = None
     breakdown_p: float | None = None
     error: str | None = None
-    wall_time_ms: float | None = None  # in-memory only, never serialized
 
     def sort_key(self):
         kind_rank = 0 if self.kind == QUANTUM else 1
@@ -205,11 +204,8 @@ class ResultRecord:
         )
 
 
-# serialized column order; wall_time_ms deliberately excluded so reruns of
-# the same config emit byte-identical files
-RESULT_FIELDS = [
-    f.name for f in dataclasses.fields(ResultRecord) if f.name != "wall_time_ms"
-]
+# serialized column order
+RESULT_FIELDS = [f.name for f in dataclasses.fields(ResultRecord)]
 
 
 def _format_cell(value) -> str:
@@ -245,12 +241,13 @@ def emit_results(records: list[ResultRecord], path, fmt: str = "csv") -> None:
     path = Path(path)
     try:
         if fmt == "csv":
-            lines = [",".join(RESULT_FIELDS)]
-            for rec in records:
-                lines.append(
-                    ",".join(_format_cell(getattr(rec, name)) for name in RESULT_FIELDS)
-                )
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(RESULT_FIELDS)
+                for rec in records:
+                    writer.writerow(
+                        _format_cell(getattr(rec, name)) for name in RESULT_FIELDS
+                    )
         elif fmt == "json":
             rows = [
                 {name: _json_cell(getattr(rec, name)) for name in RESULT_FIELDS}
@@ -289,7 +286,8 @@ def _parse_cell(name: str, text):
 
 def load_results(path) -> list[ResultRecord]:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
     records = []
     if path.suffix == ".json" or text.lstrip().startswith("["):
         for row in json.loads(text):
@@ -299,10 +297,9 @@ def load_results(path) -> list[ResultRecord]:
                 )
             )
         return records
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    for line in lines[1:]:
-        cells = line.split(",")
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    header = rows[0]
+    for cells in rows[1:]:
         kwargs = {name: _parse_cell(name, cell) for name, cell in zip(header, cells)}
         records.append(ResultRecord(**kwargs))
     return records
@@ -320,19 +317,23 @@ class PoolContext:
     geometric_difference: float
 
 
+def _project_features(feats: np.ndarray, num_qubits: int) -> np.ndarray:
+    """PCA-project csv features to ``num_qubits`` columns; fewer is an error."""
+    if feats.shape[1] > num_qubits:
+        return datasets.pca(feats, num_qubits)
+    if feats.shape[1] < num_qubits:
+        raise ConfigError(
+            f"csv has {feats.shape[1]} features, fewer than num_qubits={num_qubits}"
+        )
+    return feats
+
+
 def _load_pool_features(config: SweepConfig, n_pool: int, seed: int) -> np.ndarray:
     if config.dataset["kind"] == "synthetic":
         ds = datasets.generate_synthetic(n_pool, config.num_qubits, seed)
         return ds.features
     ds = datasets.load_csv(config.dataset["path"])
-    feats = ds.features
-    if feats.shape[1] > config.num_qubits:
-        feats = datasets.pca(feats, config.num_qubits)
-    elif feats.shape[1] < config.num_qubits:
-        raise ConfigError(
-            f"csv has {feats.shape[1]} features, fewer than num_qubits="
-            f"{config.num_qubits}"
-        )
+    feats = _project_features(ds.features, config.num_qubits)
     if feats.shape[0] < n_pool:
         raise ConfigError(
             f"csv has {feats.shape[0]} rows, need {n_pool} for this sweep cell"
@@ -341,18 +342,23 @@ def _load_pool_features(config: SweepConfig, n_pool: int, seed: int) -> np.ndarr
     return feats[np.sort(perm[:n_pool])]
 
 
-def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
-    """Pooled features, engineered labels, split, and pool-level diagnostics."""
-    n_pool = n + config.test_size
-    feats = _load_pool_features(config, n_pool, seed)
+def _engineer_labels(feats: np.ndarray, gamma_scale: float, ridge: float):
+    """Ideal and RBF pool kernels and the advantage labels engineered on them."""
     q_all = kernels.gram_ideal(feats)
     var = learner.pooled_variance(feats)
     if var <= 0.0:
         raise ValueError("pool has zero feature variance")
-    gamma = config.relabel_gamma_scale / (feats.shape[1] * var)
-    k_all = kernels.rbf_gram(feats, gamma)
-    labels = datasets.relabel_for_advantage(
-        q_all.matrix, k_all.matrix, ridge=config.ridge
+    k_all = kernels.rbf_gram(feats, gamma_scale / (feats.shape[1] * var))
+    labels = datasets.relabel_for_advantage(q_all.matrix, k_all.matrix, ridge=ridge)
+    return q_all, k_all, labels
+
+
+def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
+    """Pooled features, engineered labels, split, and pool-level diagnostics."""
+    n_pool = n + config.test_size
+    feats = _load_pool_features(config, n_pool, seed)
+    q_all, k_all, labels = _engineer_labels(
+        feats, config.relabel_gamma_scale, config.ridge
     )
     pool_ds = datasets.Dataset(features=feats, labels=labels)
     split_ds = datasets.split(pool_ds, n, config.test_size, seed)
@@ -370,27 +376,35 @@ def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
     )
 
 
-def _quantum_record(
-    config: SweepConfig,
-    pool: PoolContext,
-    n: int,
-    m,
-    p_tilde: float,
-    method: str,
-    seed: int,
-) -> ResultRecord:
-    rec = ResultRecord(
-        kind=QUANTUM,
-        n=n,
-        n_test=config.test_size,
-        m="inf" if m is kernels.INF_SHOTS else int(m),
-        p_tilde=p_tilde,
-        method=method,
-        seed=seed,
-        ridge=config.ridge,
-        geometric_difference=pool.geometric_difference,
-    )
-    started = time.perf_counter()
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _shots_cell(m):
+    return "inf" if m is kernels.INF_SHOTS else int(m)
+
+
+def _attempt(stage, *args):
+    """Run a stage shared by several records; a failure is returned, not raised."""
+    try:
+        return stage(*args)
+    except Exception as exc:
+        return exc
+
+
+def _take(outcome):
+    """A shared stage's value, or its failure raised at this point of use, so
+    a record keeps exactly the fields it filled before the failing step."""
+    if isinstance(outcome, Exception):
+        raise outcome.with_traceback(None)
+    return outcome
+
+
+def _noise_stage(
+    config: SweepConfig, pool: PoolContext, y_train: np.ndarray, m, p_tilde, seed
+) -> tuple:
+    """Sampled train kernel, cross kernel and bound shared by every method at
+    one (shots, noise rate); each is a value or the failure computing it."""
     try:
         noise = kernels.NoiseModel(
             rate_per_layer=p_tilde, layers=config.layers, mixing=config.mixing
@@ -401,9 +415,53 @@ def _quantum_record(
             params={"num_qubits": config.num_qubits},
         )
         noisy = kernels.apply_noise(q_ideal, noise, fix_diagonal=True)
-        sampled = kernels.sample_shots(noisy, m, seed)
+        sampled = kernels.sample_shots(noisy, m, seed).matrix
+    except Exception as exc:  # every record stops here, before cross and bound
+        return exc, exc, exc
+    cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
+    x_train, x_test = pool.features[pool.train_idx], pool.features[pool.test_idx]
+    cross = _attempt(kernels.quantum_cross, x_train, x_test, noise, cross_m, seed)
+    # bound terms need a nonsingular ideal kernel; the configured ridge
+    # regularizes the rank-deficient small-qubit Gram matrices
+    q_ridged = pool.q_train_ideal + config.ridge * np.eye(len(y_train))
+    bound = _attempt(
+        bounds.theorem1_bound,
+        q_ridged,
+        y_train,
+        m,
+        noise,
+        config.num_qubits,
+        config.bound_delta,
+    )
+    return sampled, cross, bound
+
+
+def _quantum_record(
+    config: SweepConfig,
+    pool: PoolContext,
+    shared: tuple,
+    c1,
+    n: int,
+    m,
+    p_tilde: float,
+    method: str,
+    seed: int,
+) -> ResultRecord:
+    rec = ResultRecord(
+        kind=QUANTUM,
+        n=n,
+        n_test=config.test_size,
+        m=_shots_cell(m),
+        p_tilde=p_tilde,
+        method=method,
+        seed=seed,
+        ridge=config.ridge,
+        geometric_difference=pool.geometric_difference,
+    )
+    sampled, cross, bound = shared
+    try:
         calibrated, report = calibrate.calibrate_and_report(
-            pool.q_train_ideal, sampled.matrix, method, delta=config.nearest_delta
+            pool.q_train_ideal, _take(sampled), method, delta=config.nearest_delta
         )
         rec.dist_before = report.dist_before
         rec.dist_after = report.dist_after
@@ -416,27 +474,10 @@ def _quantum_record(
         model = learner.fit_krr(calibrated, y_train, config.ridge)
         _, train_pred = learner.predict(model, calibrated)
         rec.train_accuracy = learner.accuracy(train_pred, y_train.astype(int))
-        cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
-        cross = kernels.quantum_cross(
-            pool.features[pool.train_idx],
-            pool.features[pool.test_idx],
-            noise,
-            cross_m,
-            seed,
-        )
-        _, test_pred = learner.predict(model, cross)
+        _, test_pred = learner.predict(model, _take(cross))
         rec.test_accuracy = learner.accuracy(test_pred, y_test)
-        rec.c1 = learner.model_complexity_c1(pool.q_train_ideal, y_train, config.ridge)
-        # bound terms need a nonsingular ideal kernel; the configured ridge
-        # regularizes the rank-deficient small-qubit Gram matrices
-        bound = bounds.theorem1_bound(
-            pool.q_train_ideal + config.ridge * np.eye(n),
-            y_train,
-            m,
-            noise,
-            config.num_qubits,
-            config.bound_delta,
-        )
+        rec.c1 = _take(c1)
+        bound = _take(bound)
         rec.p = bound.p
         rec.c_q = bound.c_q
         rec.c2 = bound.c2
@@ -444,8 +485,7 @@ def _quantum_record(
         rec.term_noise = bound.term_noise
         rec.breakdown_p = bound.breakdown_p
     except Exception as exc:  # per-record capture: the sweep continues
-        rec.error = f"{type(exc).__name__}: {exc}"
-    rec.wall_time_ms = (time.perf_counter() - started) * 1e3
+        rec.error = _error_text(exc)
     return rec
 
 
@@ -458,7 +498,6 @@ def _rbf_record(config: SweepConfig, pool: PoolContext, n: int, seed: int) -> Re
         seed=seed,
         geometric_difference=pool.geometric_difference,
     )
-    started = time.perf_counter()
     try:
         x_train = pool.features[pool.train_idx]
         y_train = pool.labels[pool.train_idx].astype(float)
@@ -477,57 +516,65 @@ def _rbf_record(config: SweepConfig, pool: PoolContext, n: int, seed: int) -> Re
         rec.test_accuracy = learner.accuracy(test_pred, y_test)
         rec.c1 = learner.model_complexity_c1(k_train.matrix, y_train, best.ridge)
     except Exception as exc:
-        rec.error = f"{type(exc).__name__}: {exc}"
-    rec.wall_time_ms = (time.perf_counter() - started) * 1e3
+        rec.error = _error_text(exc)
     return rec
 
 
-def run_sweep(config: SweepConfig) -> list[ResultRecord]:
-    pools: dict[tuple[int, int], PoolContext | Exception] = {}
-    for n in config.train_sizes:
-        for seed in config.seeds:
-            try:
-                pools[(n, seed)] = build_pool(config, n, seed)
-            except Exception as exc:
-                pools[(n, seed)] = exc
-
-    tasks = []
-    for n in config.train_sizes:
-        for m in config.shots:
-            for p_tilde in config.noise_rates:
-                for method in config.methods:
-                    for seed in config.seeds:
-                        tasks.append((QUANTUM, n, m, p_tilde, method, seed))
-    for n in config.train_sizes:
-        for seed in config.seeds:
-            tasks.append((RBF_BASELINE, n, None, None, None, seed))
-
-    def run_task(task) -> ResultRecord:
-        kind, n, m, p_tilde, method, seed = task
-        pool = pools[(n, seed)]
-        if isinstance(pool, Exception):
-            return ResultRecord(
-                kind=kind,
+def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
+    """All records of one (train size, seed) cell.  The pool and c1 are built
+    once per cell, kernels and bound once per (shots, noise rate), and only
+    calibration and training run per method."""
+    try:
+        pool = build_pool(config, n, seed)
+    except Exception as exc:
+        error = _error_text(exc)
+        records = [
+            ResultRecord(
+                kind=QUANTUM,
                 n=n,
                 n_test=config.test_size,
-                m=None
-                if m is None
-                else ("inf" if m is kernels.INF_SHOTS else int(m)),
+                m=_shots_cell(m),
                 p_tilde=p_tilde,
-                method=method if kind == QUANTUM else "rbf-grid",
+                method=method,
                 seed=seed,
-                error=f"{type(pool).__name__}: {pool}",
+                error=error,
             )
-        if kind == QUANTUM:
-            return _quantum_record(config, pool, n, m, p_tilde, method, seed)
-        return _rbf_record(config, pool, n, seed)
+            for m in config.shots
+            for p_tilde in config.noise_rates
+            for method in config.methods
+        ]
+        records.append(
+            ResultRecord(
+                kind=RBF_BASELINE,
+                n=n,
+                n_test=config.test_size,
+                method="rbf-grid",
+                seed=seed,
+                error=error,
+            )
+        )
+        return records
+    y_train = pool.labels[pool.train_idx].astype(float)
+    c1 = _attempt(learner.model_complexity_c1, pool.q_train_ideal, y_train, config.ridge)
+    records = []
+    for m in config.shots:
+        for p_tilde in config.noise_rates:
+            shared = _noise_stage(config, pool, y_train, m, p_tilde, seed)
+            for method in config.methods:
+                records.append(
+                    _quantum_record(
+                        config, pool, shared, c1, n, m, p_tilde, method, seed
+                    )
+                )
+    records.append(_rbf_record(config, pool, n, seed))
+    return records
 
-    workers = max(1, int(os.environ.get("QKSIM_THREADS", "1")))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            records = list(pool_exec.map(run_task, tasks))
-    else:
-        records = [run_task(t) for t in tasks]
+
+def run_sweep(config: SweepConfig) -> list[ResultRecord]:
+    records = []
+    for n in config.train_sizes:
+        for seed in config.seeds:
+            records.extend(_cell_records(config, n, seed))
     records.sort(key=ResultRecord.sort_key)
     return records
 
@@ -561,10 +608,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_kernel(args) -> int:
     try:
-        ds = datasets.load_csv(args.data)
-        feats = ds.features
-        if feats.shape[1] > args.num_qubits:
-            feats = datasets.pca(feats, args.num_qubits)
+        feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
         gram = kernels.gram_ideal(feats)
         if args.p_tilde > 0.0 or args.shots != "inf":
             noise = kernels.NoiseModel(
@@ -644,16 +688,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_relabel(args) -> int:
     try:
-        ds = datasets.load_csv(args.data)
-        feats = ds.features
-        if feats.shape[1] > args.num_qubits:
-            feats = datasets.pca(feats, args.num_qubits)
-        q_all = kernels.gram_ideal(feats)
-        gamma = args.gamma_scale / (feats.shape[1] * learner.pooled_variance(feats))
-        k_all = kernels.rbf_gram(feats, gamma)
-        labels = datasets.relabel_for_advantage(
-            q_all.matrix, k_all.matrix, ridge=args.ridge
-        )
+        feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
+        _, k_all, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
         out_ds = datasets.Dataset(features=feats, labels=labels)
         datasets.save_csv(
             out_ds,
@@ -662,11 +698,14 @@ def _cmd_relabel(args) -> int:
                 "relabel": {
                     "num_qubits": args.num_qubits,
                     "ridge": args.ridge,
-                    "gamma": gamma,
+                    "gamma": k_all.params["gamma"],
                 },
                 "source": str(args.data),
             },
         )
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

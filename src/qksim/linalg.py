@@ -82,9 +82,11 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
+    def reconstruct(self, eigenvalues: np.ndarray | None = None) -> np.ndarray:
+        """``V diag(lam) V'``, with ``lam`` replaced by ``eigenvalues`` when given."""
+        lam = self.eigenvalues if eigenvalues is None else eigenvalues
         v = self.eigenvectors
-        return sym_matrix(v @ np.diag(self.eigenvalues) @ v.T)
+        return sym_matrix(v @ np.diag(lam) @ v.T)
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
@@ -126,9 +128,7 @@ def mat_sqrt_psd(m: np.ndarray | object) -> np.ndarray:
         raise NotPSDError(
             f"matrix is not PSD: lambda_min={lam[-1]:.3e}, lambda_max={lam[0]:.3e}"
         )
-    root = np.sqrt(np.clip(lam, 0.0, None))
-    v = dec.eigenvectors
-    return sym_matrix(v @ np.diag(root) @ v.T)
+    return dec.reconstruct(np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def inv_ridge(m: np.ndarray | object, ridge: float = 0.0) -> np.ndarray:
@@ -145,8 +145,7 @@ def inv_ridge(m: np.ndarray | object, ridge: float = 0.0) -> np.ndarray:
         raise SingularMatrixError(
             f"singular system: lambda_min + ridge = {shifted[-1]:.3e}"
         )
-    v = dec.eigenvectors
-    return sym_matrix(v @ np.diag(1.0 / shifted) @ v.T)
+    return dec.reconstruct(1.0 / shifted)
 
 
 def spectral_norm(m: np.ndarray | object) -> float:
@@ -182,8 +181,7 @@ def _inv_nonsingular(m: np.ndarray, name: str) -> np.ndarray:
     lam = dec.eigenvalues
     if np.min(np.abs(lam)) <= SINGULAR_TOL * max(1.0, float(np.max(np.abs(lam)))):
         raise SingularMatrixError(f"{name} is singular within tolerance")
-    v = dec.eigenvectors
-    return sym_matrix(v @ np.diag(1.0 / lam) @ v.T)
+    return dec.reconstruct(1.0 / lam)
 
 
 def inverse_perturbation_check(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from qksim import bounds, calibrate, cli, kernels, learner
+
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -109,3 +111,75 @@ def primal_ridge_norm_sq(phi: np.ndarray, y: np.ndarray, ridge: float) -> float:
 def real_embedding(rho: np.ndarray) -> np.ndarray:
     """Real feature vector with <emb(a), emb(b)> = Tr(a b) for Hermitian a, b."""
     return np.concatenate([rho.real.ravel(), rho.imag.ravel()])
+
+
+def sweep_quantum_record(config, pool, n, m, p_tilde, method, seed):
+    """One quantum sweep record with nothing shared between records.
+
+    Composes the public pipeline functions for this record alone, in the
+    order its fields fill: calibration, train accuracy, cross kernel, test
+    accuracy, c1, bound terms.  A failing step leaves the earlier fields set
+    and the error text in ``error``.
+    """
+    rec = cli.ResultRecord(
+        kind=cli.QUANTUM,
+        n=n,
+        n_test=config.test_size,
+        m="inf" if m == kernels.INF_SHOTS else int(m),
+        p_tilde=p_tilde,
+        method=method,
+        seed=seed,
+        ridge=config.ridge,
+        geometric_difference=pool.geometric_difference,
+    )
+    try:
+        noise = kernels.NoiseModel(
+            rate_per_layer=p_tilde, layers=config.layers, mixing=config.mixing
+        )
+        q_ideal = kernels.KernelMatrix(
+            matrix=pool.q_train_ideal,
+            provenance=kernels.IDEAL,
+            params={"num_qubits": config.num_qubits},
+        )
+        noisy = kernels.apply_noise(q_ideal, noise, fix_diagonal=True)
+        sampled = kernels.sample_shots(noisy, m, seed)
+        calibrated, report = calibrate.calibrate_and_report(
+            pool.q_train_ideal, sampled.matrix, method, delta=config.nearest_delta
+        )
+        rec.dist_before = report.dist_before
+        rec.dist_after = report.dist_after
+        rec.min_eig_before = report.min_eig_before
+        rec.min_eig_after = report.min_eig_after
+        rec.passed_lemma = report.passed_lemma
+        y_train = pool.labels[pool.train_idx].astype(float)
+        model = learner.fit_krr(calibrated, y_train, config.ridge)
+        _, train_pred = learner.predict(model, calibrated)
+        rec.train_accuracy = learner.accuracy(train_pred, y_train.astype(int))
+        cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
+        cross = kernels.quantum_cross(
+            pool.features[pool.train_idx],
+            pool.features[pool.test_idx],
+            noise,
+            cross_m,
+            seed,
+        )
+        _, test_pred = learner.predict(model, cross)
+        rec.test_accuracy = learner.accuracy(test_pred, pool.labels[pool.test_idx])
+        rec.c1 = learner.model_complexity_c1(pool.q_train_ideal, y_train, config.ridge)
+        bound = bounds.theorem1_bound(
+            pool.q_train_ideal + config.ridge * np.eye(n),
+            y_train,
+            m,
+            noise,
+            config.num_qubits,
+            config.bound_delta,
+        )
+        rec.p = bound.p
+        rec.c_q = bound.c_q
+        rec.c2 = bound.c2
+        rec.term_ideal = bound.term_ideal
+        rec.term_noise = bound.term_noise
+        rec.breakdown_p = bound.breakdown_p
+    except Exception as exc:
+        rec.error = f"{type(exc).__name__}: {exc}"
+    return rec

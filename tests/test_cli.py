@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qksim import cli, datasets, learner
+import oracles
+from qksim import bounds, cli, datasets, kernels, learner
 
 
 def small_config(**overrides):
@@ -116,6 +118,142 @@ class TestRunSweep:
         assert not (set(seen) & test_rows)
 
 
+def same_value(a, b) -> bool:
+    """Exact equality, with NaN equal to NaN."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in cli.RESULT_FIELDS:
+            va, vb = getattr(a, name), getattr(b, name)
+            assert same_value(va, vb), (name, va, vb, a.sort_key())
+
+
+def reference_sweep(config):
+    """Every record built on its own, with no stage shared between records."""
+    records = []
+    for n in config.train_sizes:
+        for seed in config.seeds:
+            pool = cli.build_pool(config, n, seed)
+            for m in config.shots:
+                for p_tilde in config.noise_rates:
+                    for method in config.methods:
+                        records.append(
+                            oracles.sweep_quantum_record(
+                                config, pool, n, m, p_tilde, method, seed
+                            )
+                        )
+            records.append(cli._rbf_record(config, pool, n, seed))
+    records.sort(key=cli.ResultRecord.sort_key)
+    return records
+
+
+class TestStagedSweep:
+    """Shared stages give the records of the unshared per-record pipeline."""
+
+    @staticmethod
+    def config(cross_shots):
+        # "none" at 5 shots leaves indefinite kernels that fail in the fit
+        return cli.SweepConfig.from_dict(
+            small_config(
+                shots=[5, "inf"],
+                methods=["none", "clip", "shift"],
+                cross_shots=cross_shots,
+            )
+        )
+
+    @pytest.mark.parametrize("cross_shots", ["pipeline", "exact"])
+    def test_matches_per_record_reference(self, cross_shots):
+        config = self.config(cross_shots)
+        records = cli.run_sweep(config)
+        assert_same_records(records, reference_sweep(config))
+        assert any(r.error for r in records)
+        assert any(r.error is None for r in records if r.kind == cli.QUANTUM)
+
+    @pytest.mark.parametrize(
+        "module, name", [(kernels, "quantum_cross"), (bounds, "theorem1_bound")]
+    )
+    def test_shared_stage_failure_keeps_earlier_fields(self, monkeypatch, module, name):
+        def broken(*args, **kwargs):
+            raise ValueError(f"{name} failed, on purpose")
+
+        monkeypatch.setattr(module, name, broken)
+        config = self.config("pipeline")
+        records = cli.run_sweep(config)
+        assert_same_records(records, reference_sweep(config))
+        trained = [
+            r for r in records if r.kind == cli.QUANTUM and r.train_accuracy is not None
+        ]
+        assert trained
+        for rec in trained:
+            assert rec.error == f"ValueError: {name} failed, on purpose"
+            assert rec.dist_before is not None
+            assert rec.breakdown_p is None
+            assert (rec.c1 is not None) == (name == "theorem1_bound")
+
+    def test_failed_pool_fails_every_record_of_its_cell(self, tmp_path):
+        ds = datasets.generate_synthetic(10, 2, 3)
+        path = tmp_path / "small.csv"
+        datasets.save_csv(ds, path)
+        config = cli.SweepConfig.from_dict(
+            small_config(
+                dataset={"kind": "csv", "path": str(path)},
+                train_sizes=[4, 8],
+                test_size=6,
+                methods=["clip", "nearest"],
+            )
+        )
+        records = cli.run_sweep(config)
+        assert all(r.error is None for r in records if r.n == 4)
+        failed = [r for r in records if r.n == 8]
+        assert len(failed) == 2 * 2 * 2 * 2 + 2
+        error = "ConfigError: csv has 10 rows, need 14 for this sweep cell"
+        for rec in failed:
+            assert rec.error == error
+            assert rec.ridge is None and rec.geometric_difference is None
+            assert rec.train_accuracy is None
+
+    def test_each_stage_runs_once_where_it_varies(self, monkeypatch):
+        calls = {"shots": [], "cross": [], "c1": []}
+        sample_shots, quantum_cross = kernels.sample_shots, kernels.quantum_cross
+        model_complexity_c1 = learner.model_complexity_c1
+
+        def spy_shots(qt, m, seed):
+            calls["shots"].append((qt.dim, seed, m, qt.params["p_tilde"]))
+            return sample_shots(qt, m, seed)
+
+        def spy_cross(x_train, x_test, noise, m, seed):
+            calls["cross"].append((len(x_train), seed, m, noise.rate_per_layer))
+            return quantum_cross(x_train, x_test, noise, m, seed)
+
+        def spy_c1(q, y, ridge):
+            if ridge == config.ridge:  # the RBF baseline's c1 uses a grid ridge
+                calls["c1"].append((len(y), np.asarray(q).tobytes()))
+            return model_complexity_c1(q, y, ridge)
+
+        monkeypatch.setattr(kernels, "sample_shots", spy_shots)
+        monkeypatch.setattr(kernels, "quantum_cross", spy_cross)
+        monkeypatch.setattr(learner, "model_complexity_c1", spy_c1)
+        config = cli.SweepConfig.from_dict(
+            small_config(train_sizes=[6, 8], methods=["clip", "flip", "nearest"])
+        )
+        cli.run_sweep(config)
+        coords = {
+            (n, seed, m, p)
+            for n in config.train_sizes
+            for seed in config.seeds
+            for m in config.shots
+            for p in config.noise_rates
+        }
+        for key in ("shots", "cross"):
+            assert sorted(calls[key], key=str) == sorted(coords, key=str)
+        assert len(calls["c1"]) == len(set(calls["c1"])) == 2 * 2
+
+
 class TestEmitResults:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -148,11 +286,39 @@ class TestEmitResults:
                 else:
                     assert va == vb or (va is None and vb is None)
 
-    def test_wall_time_not_serialized(self, tmp_path):
-        rec = cli.ResultRecord(kind="quantum", n=2, n_test=2, wall_time_ms=123.0)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_round_trip_of_awkward_values(self, tmp_path, fmt):
+        records = [
+            cli.ResultRecord(
+                kind=cli.QUANTUM, n=3, n_test=2, m="inf", p_tilde=0.05,
+                method="none", seed=1, c1=math.inf, min_eig_before=-math.inf,
+                c2=math.nan, passed_lemma=False,
+                error="ValueError: shapes (3,) and (4,) not aligned",
+            ),
+            cli.ResultRecord(
+                kind=cli.QUANTUM, n=3, n_test=2, m=10, p_tilde=0.0,
+                method="clip", seed=1, term_noise=math.inf, passed_lemma=True,
+                error='RuntimeError: "quoted", then\na second line',
+            ),
+            cli.ResultRecord(
+                kind=cli.RBF_BASELINE, n=3, n_test=2, method="rbf-grid", seed=1,
+                gamma=0.5, ridge=1e-8, test_accuracy=0.1,
+            ),
+        ]
+        path = tmp_path / f"r.{fmt}"
+        cli.emit_results(records, path, fmt)
+        assert_same_records(cli.load_results(path), records)
+
+    def test_comma_free_rows_are_plain_joins(self, tmp_path):
+        rec = cli.ResultRecord(
+            kind=cli.QUANTUM, n=3, n_test=2, m=5, p_tilde=0.5, method="clip",
+            c1=math.nan, error="SingularMatrixError: singular system",
+        )
         path = tmp_path / "r.csv"
         cli.emit_results([rec], path, "csv")
-        assert "wall_time" not in path.read_text()
+        row = ",".join(cli._format_cell(getattr(rec, f)) for f in cli.RESULT_FIELDS)
+        header = ",".join(cli.RESULT_FIELDS)
+        assert path.read_bytes() == f"{header}\n{row}\n".encode()
 
     def test_column_order_stable(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -229,6 +395,19 @@ class TestCommands:
         )
         assert 0.0 <= summary["train_accuracy"] <= 1.0
         assert model_path.exists()
+
+    @pytest.mark.parametrize("command", ["kernel", "relabel"])
+    def test_too_few_features_is_config_error(self, tmp_path, capsys, command):
+        data = self.write_dataset(tmp_path, d=2)
+        out = tmp_path / "out.csv"
+        code = cli.main([
+            command, "--data", str(data), "--num-qubits", "4", "--out", str(out),
+        ])
+        assert code == 1
+        assert "config error: csv has 2 features, fewer than num_qubits=4" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_relabel_command(self, tmp_path, capsys):
         data = self.write_dataset(tmp_path)
