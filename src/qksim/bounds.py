@@ -60,26 +60,41 @@ def c2_constant(
     return max(lead - tail, 0.0)
 
 
+@dataclass(frozen=True)
+class IdealTerms:
+    """n, c1 = Y' Q^-1 Y and c_Q = ||Q^-1||_2: the terms fixed by Q and Y."""
+
+    n: int
+    c1: float
+    c_q: float
+
+
+def ideal_terms(q: np.ndarray | object, y: np.ndarray) -> IdealTerms:
+    """Invert Q once for every (m, p) evaluated against it."""
+    qm = linalg.check_symmetric(q, "Q")
+    y = np.asarray(y, dtype=float)
+    n = qm.shape[0]
+    if y.shape != (n,):
+        raise ValueError(f"labels must have length {n}")
+    q_inv = linalg.inv_ridge(qm, 0.0)
+    return IdealTerms(n=n, c1=float(y @ q_inv @ y), c_q=linalg.spectral_norm(q_inv))
+
+
 def theorem1_bound(
-    q: np.ndarray | object,
+    q: np.ndarray | IdealTerms,
     y: np.ndarray,
     m,
     noise: NoiseModel,
     num_qubits: int,
     delta: float = 0.05,
 ) -> BoundReport:
-    """Evaluate both bound terms for a PSD training kernel and its labels."""
-    qm = linalg.check_symmetric(q, "Q")
-    y = np.asarray(y, dtype=float)
-    n = qm.shape[0]
-    if y.shape != (n,):
-        raise ValueError(f"labels must have length {n}")
+    """Evaluate both bound terms for a PSD training kernel and its labels;
+    ``q`` may also be its ``ideal_terms(q, y)``, reused across (m, p)."""
     m = parse_shots(m)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    q_inv = linalg.inv_ridge(qm, 0.0)
-    c1 = float(y @ q_inv @ y)
-    c_q = linalg.spectral_norm(q_inv)
+    ideal = q if isinstance(q, IdealTerms) else ideal_terms(q, y)
+    n, c1, c_q = ideal.n, ideal.c1, ideal.c_q
     p = noise.rate
     c2 = c2_constant(n, m, p, c_q, num_qubits, delta)
     if c2 == 0.0:

@@ -243,11 +243,12 @@ def emit_results(records: list[ResultRecord], path, fmt: str = "csv") -> None:
         if fmt == "csv":
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
+                # a lone "\r" is left unquoted, and csv.reader ends the row there
+                quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
                 writer.writerow(RESULT_FIELDS)
                 for rec in records:
-                    writer.writerow(
-                        _format_cell(getattr(rec, name)) for name in RESULT_FIELDS
-                    )
+                    row = [_format_cell(getattr(rec, name)) for name in RESULT_FIELDS]
+                    (quoted if any("\r" in c for c in row) else writer).writerow(row)
         elif fmt == "json":
             rows = [
                 {name: _json_cell(getattr(rec, name)) for name in RESULT_FIELDS}
@@ -401,7 +402,7 @@ def _take(outcome):
 
 
 def _noise_stage(
-    config: SweepConfig, pool: PoolContext, y_train: np.ndarray, m, p_tilde, seed
+    config: SweepConfig, pool: PoolContext, y_train, q_bound, m, p_tilde, seed
 ) -> tuple:
     """Sampled train kernel, cross kernel and bound shared by every method at
     one (shots, noise rate); each is a value or the failure computing it."""
@@ -421,12 +422,9 @@ def _noise_stage(
     cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
     x_train, x_test = pool.features[pool.train_idx], pool.features[pool.test_idx]
     cross = _attempt(kernels.quantum_cross, x_train, x_test, noise, cross_m, seed)
-    # bound terms need a nonsingular ideal kernel; the configured ridge
-    # regularizes the rank-deficient small-qubit Gram matrices
-    q_ridged = pool.q_train_ideal + config.ridge * np.eye(len(y_train))
     bound = _attempt(
         bounds.theorem1_bound,
-        q_ridged,
+        q_bound,
         y_train,
         m,
         noise,
@@ -556,10 +554,16 @@ def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
         return records
     y_train = pool.labels[pool.train_idx].astype(float)
     c1 = _attempt(learner.model_complexity_c1, pool.q_train_ideal, y_train, config.ridge)
+    # bound terms need a nonsingular ideal kernel; the configured ridge
+    # regularizes the rank-deficient small-qubit Gram matrices
+    q_ridged = pool.q_train_ideal + config.ridge * np.eye(len(y_train))
+    q_bound = _attempt(bounds.ideal_terms, q_ridged, y_train)
+    if isinstance(q_bound, Exception):  # theorem1_bound re-raises it after its checks
+        q_bound = q_ridged
     records = []
     for m in config.shots:
         for p_tilde in config.noise_rates:
-            shared = _noise_stage(config, pool, y_train, m, p_tilde, seed)
+            shared = _noise_stage(config, pool, y_train, q_bound, m, p_tilde, seed)
             for method in config.methods:
                 records.append(
                     _quantum_record(
@@ -928,7 +932,3 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -78,14 +78,19 @@ def fit_krr(
         raise ValueError(
             f"kernel dim {km.shape[0]} does not match {y.shape[0]} labels"
         )
+    params = dict(getattr(k, "params", {}) or {})
+    params["provenance"] = getattr(k, "provenance", None)
+    return _fit(linalg.eig_sym(km), y, ridge, params)
+
+
+def _fit(dec: linalg.EigenDecomposition, y, ridge: float, params: dict) -> KernelModel:
+    """Ridge model from the kernel's decomposition, which all ridges can share."""
     try:
-        alpha = linalg.inv_ridge(km, ridge) @ y
+        alpha = dec.inv_ridge(ridge) @ y
     except linalg.SingularMatrixError as exc:
         raise linalg.SingularMatrixError(
             f"{exc}; calibrate the kernel to PSD or increase the ridge"
         ) from exc
-    params = dict(getattr(k, "params", {}) or {})
-    params["provenance"] = getattr(k, "provenance", None)
     return KernelModel(
         dual_coef=alpha, train_labels=y.astype(int), ridge=ridge, params=params
     )
@@ -162,10 +167,10 @@ def grid_search_rbf(
     best: GridSearchResult | None = None
     for gmul in GAMMA_GRID:
         gamma = gmul * scale
-        k_train = kernels.rbf_gram(xtr, gamma)
+        dec = linalg.eig_sym(kernels.rbf_gram(xtr, gamma))
         k_val = kernels.rbf_cross(xtr, xva, gamma)
         for lam in LAMBDA_GRID:
-            model = fit_krr(k_train, ytr, lam)
+            model = _fit(dec, ytr, lam, {})
             _, labels = predict(model, k_val)
             acc = accuracy(labels, yva)
             if (

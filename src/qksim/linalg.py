@@ -78,26 +78,31 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self, eigenvalues: np.ndarray | None = None) -> np.ndarray:
         """``V diag(lam) V'``, with ``lam`` replaced by ``eigenvalues`` when given."""
         lam = self.eigenvalues if eigenvalues is None else eigenvalues
         v = self.eigenvectors
-        return sym_matrix(v @ np.diag(lam) @ v.T)
+        # same bits as v @ diag(lam) @ v.T: the diagonal only adds exact zeros
+        return sym_matrix((v * lam) @ v.T)
+
+    def inv_ridge(self, ridge: float) -> np.ndarray:
+        """Inverse of ``V diag(lam) V' + ridge * I``; see :func:`inv_ridge`."""
+        if ridge < 0:
+            raise ValueError(f"ridge must be nonnegative, got {ridge}")
+        shifted = self.eigenvalues + ridge
+        if float(shifted[-1]) <= SINGULAR_TOL:
+            raise SingularMatrixError(
+                f"singular system: lambda_min + ridge = {shifted[-1]:.3e}"
+            )
+        return self.reconstruct(1.0 / shifted)
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first nonzero component is >= 0."""
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, k] = -col
-    return v
+    nonzero = np.abs(v) > 1e-12
+    first = np.argmax(nonzero, axis=0)
+    lead = v[first, np.arange(v.shape[1])]
+    return np.where(nonzero.any(axis=0) & (lead < 0), -v, v)
 
 
 def eig_sym(m: np.ndarray | object) -> EigenDecomposition:
@@ -137,15 +142,7 @@ def inv_ridge(m: np.ndarray | object, ridge: float = 0.0) -> np.ndarray:
     Raises :class:`SingularMatrixError` when ``lambda_min + ridge`` is not
     safely positive.
     """
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    dec = eig_sym(m)
-    shifted = dec.eigenvalues + ridge
-    if float(shifted[-1]) <= SINGULAR_TOL:
-        raise SingularMatrixError(
-            f"singular system: lambda_min + ridge = {shifted[-1]:.3e}"
-        )
-    return dec.reconstruct(1.0 / shifted)
+    return eig_sym(m).inv_ridge(ridge)
 
 
 def spectral_norm(m: np.ndarray | object) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qksim import bounds, calibrate, cli, kernels, learner
+from qksim import bounds, calibrate, cli, kernels, learner, linalg
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -111,6 +111,47 @@ def primal_ridge_norm_sq(phi: np.ndarray, y: np.ndarray, ridge: float) -> float:
 def real_embedding(rho: np.ndarray) -> np.ndarray:
     """Real feature vector with <emb(a), emb(b)> = Tr(a b) for Hermitian a, b."""
     return np.concatenate([rho.real.ravel(), rho.imag.ravel()])
+
+
+def fix_column_signs_loop(v: np.ndarray) -> np.ndarray:
+    """Flip each column whose first entry above 1e-12 in magnitude is negative."""
+    v = v.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            v[:, k] = -col
+    return v
+
+
+def reconstruct_diag(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``V diag(lam) V'`` through an explicit diagonal matrix."""
+    return linalg.sym_matrix(v @ np.diag(lam) @ v.T)
+
+
+def grid_search_rbf_reference(x_train, y_train, x_val, y_val):
+    """The RBF grid search with one fit_krr -> predict -> accuracy per ridge,
+    so each ridge decomposes the gamma's kernel afresh."""
+    xtr = np.atleast_2d(np.asarray(x_train, dtype=float))
+    xva = np.atleast_2d(np.asarray(x_val, dtype=float))
+    scale = 1.0 / (xtr.shape[1] * learner.pooled_variance(xtr))
+    best = None
+    for gmul in learner.GAMMA_GRID:
+        gamma = gmul * scale
+        k_train = kernels.rbf_gram(xtr, gamma)
+        k_val = kernels.rbf_cross(xtr, xva, gamma)
+        for lam in learner.LAMBDA_GRID:
+            model = learner.fit_krr(k_train, y_train, lam)
+            _, labels = learner.predict(model, k_val)
+            acc = learner.accuracy(labels, y_val)
+            if (
+                best is None
+                or acc > best.accuracy
+                or (acc == best.accuracy and lam < best.ridge)
+                or (acc == best.accuracy and lam == best.ridge and gamma < best.gamma)
+            ):
+                best = learner.GridSearchResult(gamma=gamma, ridge=lam, accuracy=acc)
+    return best
 
 
 def sweep_quantum_record(config, pool, n, m, p_tilde, method, seed):

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from qksim import bounds, cli, datasets, kernels, learner
+from qksim import bounds, cli, datasets, kernels, learner, linalg
 
 
 def small_config(**overrides):
@@ -218,9 +222,10 @@ class TestStagedSweep:
             assert rec.train_accuracy is None
 
     def test_each_stage_runs_once_where_it_varies(self, monkeypatch):
-        calls = {"shots": [], "cross": [], "c1": []}
+        calls = {"shots": [], "cross": [], "c1": [], "q_inv": []}
         sample_shots, quantum_cross = kernels.sample_shots, kernels.quantum_cross
         model_complexity_c1 = learner.model_complexity_c1
+        inv_ridge = linalg.inv_ridge
 
         def spy_shots(qt, m, seed):
             calls["shots"].append((qt.dim, seed, m, qt.params["p_tilde"]))
@@ -235,9 +240,15 @@ class TestStagedSweep:
                 calls["c1"].append((len(y), np.asarray(q).tobytes()))
             return model_complexity_c1(q, y, ridge)
 
+        def spy_inv(m, ridge=0.0):
+            if ridge == 0.0:  # the bound inverts the already ridged ideal kernel
+                calls["q_inv"].append((len(m), np.asarray(m).tobytes()))
+            return inv_ridge(m, ridge)
+
         monkeypatch.setattr(kernels, "sample_shots", spy_shots)
         monkeypatch.setattr(kernels, "quantum_cross", spy_cross)
         monkeypatch.setattr(learner, "model_complexity_c1", spy_c1)
+        monkeypatch.setattr(linalg, "inv_ridge", spy_inv)
         config = cli.SweepConfig.from_dict(
             small_config(train_sizes=[6, 8], methods=["clip", "flip", "nearest"])
         )
@@ -252,6 +263,7 @@ class TestStagedSweep:
         for key in ("shots", "cross"):
             assert sorted(calls[key], key=str) == sorted(coords, key=str)
         assert len(calls["c1"]) == len(set(calls["c1"])) == 2 * 2
+        assert len(calls["q_inv"]) == len(set(calls["q_inv"])) == 2 * 2
 
 
 class TestEmitResults:
@@ -299,6 +311,10 @@ class TestEmitResults:
                 kind=cli.QUANTUM, n=3, n_test=2, m=10, p_tilde=0.0,
                 method="clip", seed=1, term_noise=math.inf, passed_lemma=True,
                 error='RuntimeError: "quoted", then\na second line',
+            ),
+            cli.ResultRecord(
+                kind=cli.QUANTUM, n=3, n_test=2, m=5, p_tilde=0.0,
+                method="flip", seed=2, error="OSError: cr\rx",
             ),
             cli.ResultRecord(
                 kind=cli.RBF_BASELINE, n=3, n_test=2, method="rbf-grid", seed=1,
@@ -408,6 +424,34 @@ class TestCommands:
             capsys.readouterr().err
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda cells: ["nan"] + cells[1:], "matrix has non-finite entries"),
+        (lambda cells: cells[:2], "line 3: expected 4 fields, got 2"),
+    ])
+    def test_relabel_bad_row_is_runtime_error(self, tmp_path, capsys, corrupt, message):
+        data = self.write_dataset(tmp_path, d=3)
+        lines = data.read_text().splitlines()
+        lines[2] = ",".join(corrupt(lines[2].split(",")))
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        code = cli.main([
+            "relabel", "--data", str(data), "--num-qubits", "2", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
+        assert not out.exists()
+
+    def test_runs_as_python_module(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qksim", "check", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "--trials" in done.stdout
 
     def test_relabel_command(self, tmp_path, capsys):
         data = self.write_dataset(tmp_path)

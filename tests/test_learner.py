@@ -3,7 +3,21 @@ import pytest
 
 from qksim import kernels, learner, linalg, qsim
 
-from oracles import primal_ridge_norm_sq, real_embedding, two_pass_variance
+from oracles import (
+    grid_search_rbf_reference,
+    primal_ridge_norm_sq,
+    real_embedding,
+    two_pass_variance,
+)
+
+
+def noisy_circle_data(seed, n, d):
+    """Labels from a circle in the first two coordinates, 20% flipped."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = np.where(np.sum(x[:, :2] ** 2, axis=1) > 1.4, 1.0, -1.0)
+    y[rng.random(n) < 0.2] *= -1.0
+    return x, y
 
 
 class TestFitKrr:
@@ -163,6 +177,74 @@ class TestGridSearchRbf:
         # smallest ridge then the smallest gamma
         assert result.accuracy == 1.0
         assert result.ridge == learner.LAMBDA_GRID[0]
+
+    @pytest.mark.parametrize("seed, n_fit, n_val, d", [
+        (0, 10, 10, 2), (1, 17, 9, 2), (2, 24, 24, 3), (3, 31, 12, 2),
+        (4, 40, 40, 5), (5, 60, 30, 4),
+    ])
+    def test_matches_per_ridge_reference(self, seed, n_fit, n_val, d):
+        x, y = noisy_circle_data(seed, n_fit + n_val, d)
+        args = (x[:n_fit], y[:n_fit], x[n_fit:], y[n_fit:])
+        assert learner.grid_search_rbf(*args) == grid_search_rbf_reference(*args)
+
+    def test_matches_reference_through_ridge_ties(self):
+        x, y = noisy_circle_data(6, 12, 2)
+        args = (x[:8], y[:8], x[8:], y[8:])
+        best = learner.grid_search_rbf(*args)
+        assert best == grid_search_rbf_reference(*args)
+        k_train = kernels.rbf_gram(args[0], best.gamma)
+        k_val = kernels.rbf_cross(args[0], args[2], best.gamma)
+        tied = [
+            lam
+            for lam in learner.LAMBDA_GRID
+            if learner.accuracy(
+                learner.predict(learner.fit_krr(k_train, args[1], lam), k_val)[1],
+                args[3],
+            )
+            == best.accuracy
+        ]
+        assert len(tied) >= 2 and best.ridge == min(tied)
+
+    def test_decomposes_once_per_gamma(self, monkeypatch):
+        calls = []
+        eig_sym = linalg.eig_sym
+
+        def spy(m):
+            calls.append(m)
+            return eig_sym(m)
+
+        monkeypatch.setattr(linalg, "eig_sym", spy)
+        x, y = noisy_circle_data(7, 30, 2)
+        learner.grid_search_rbf(x[:15], y[:15], x[15:], y[15:])
+        assert len(calls) == len(learner.GAMMA_GRID)
+
+    def test_singular_ridge_error_reads_as_fit_krr(self, monkeypatch):
+        monkeypatch.setattr(learner, "LAMBDA_GRID", (0.5, 0.0))
+        x, y = noisy_circle_data(8, 12, 2)
+        x[1] = x[0]
+        y[1] = y[0]
+        scale = 1.0 / (x.shape[1] * learner.pooled_variance(x))
+        k_train = kernels.rbf_gram(x, learner.GAMMA_GRID[0] * scale)
+        with pytest.raises(linalg.SingularMatrixError) as want:
+            learner.fit_krr(k_train, y, 0.0)
+        with pytest.raises(linalg.SingularMatrixError) as ref:
+            grid_search_rbf_reference(x, y, x, y)
+        with pytest.raises(linalg.SingularMatrixError) as got:
+            learner.grid_search_rbf(x, y, x, y)
+        assert str(got.value) == str(ref.value) == str(want.value)
+        assert str(got.value).endswith(
+            "; calibrate the kernel to PSD or increase the ridge"
+        )
+
+    def test_non_finite_features_rejected(self):
+        x, y = noisy_circle_data(9, 10, 2)
+        x[3, 1] = np.nan
+        with pytest.raises(ValueError) as ref:
+            grid_search_rbf_reference(x, y, x, y)
+        with pytest.raises(ValueError) as got:
+            learner.grid_search_rbf(x, y, x, y)
+        assert type(got.value) is type(ref.value) is ValueError
+        assert str(got.value) == str(ref.value) == "matrix has non-finite entries"
 
     def test_zero_variance_rejected(self):
         x = np.ones((4, 2))

@@ -3,6 +3,8 @@ import pytest
 
 from qksim import linalg
 
+from oracles import fix_column_signs_loop, reconstruct_diag
+
 
 def random_symmetric(rng, dim):
     a = rng.normal(size=(dim, dim))
@@ -67,6 +69,46 @@ class TestEigSym:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             linalg.eig_sym(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_sign_fix_matches_column_loop(self):
+        # columns: all zero; lead just under the 1e-12 threshold (skipped)
+        # before a negative and before a positive entry; lead at and just
+        # over it; signed zeros above a negative entry and alone; only
+        # entries under the threshold
+        v = np.array([
+            [0.0, -0.99e-12, -0.99e-12, -1e-12, -1.01e-12, -0.0, -0.0, -0.5e-12],
+            [0.0, -0.5, 0.5, 0.5, 0.5, -0.0, 0.0, 0.5e-12],
+            [0.0, 0.25, -0.25, 0.25, 0.25, -0.3, -0.0, -0.5e-12],
+        ])
+        want = np.array([
+            [0.0, 0.99e-12, -0.99e-12, -1e-12, 1.01e-12, 0.0, -0.0, -0.5e-12],
+            [0.0, 0.5, 0.5, 0.5, -0.5, 0.0, 0.0, 0.5e-12],
+            [0.0, -0.25, -0.25, 0.25, -0.25, 0.3, -0.0, -0.5e-12],
+        ])
+        rng = np.random.default_rng(11)
+        cases = [v] + [
+            np.linalg.eigh(random_symmetric(rng, dim))[1] for dim in (1, 2, 9, 40)
+        ]
+        for case in cases:
+            got = linalg._fix_column_signs(case)
+            ref = fix_column_signs_loop(case)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        got = linalg._fix_column_signs(v)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_reconstruct_matches_diag_product(self):
+        rng = np.random.default_rng(12)
+        for dim in (1, 2, 9, 40, 120):
+            dec = linalg.eig_sym(random_symmetric(rng, dim))
+            lam = dec.eigenvalues.copy()
+            lam[::3] = 0.0
+            for spectrum in (dec.eigenvalues, lam, 1.0 / (np.abs(lam) + 0.5)):
+                assert np.array_equal(
+                    dec.reconstruct(spectrum),
+                    reconstruct_diag(dec.eigenvectors, spectrum),
+                )
 
 
 class TestMatSqrtPsd:
