@@ -9,9 +9,10 @@ evaluates the bound terms; per calibration method it only calibrates,
 trains and scores.  Output records are sorted by coordinate and serialize
 byte-identically across reruns.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error (partial
-results are still written when possible).  Everything is pinned by the
-config and seeds.
+Exit codes: 0 success, 1 configuration error, 2 runtime error.  Every sweep
+config value is checked at load.  A failed sweep coordinate is written as a
+record carrying its error text, with exit 0; exit 2 means no results were
+written.  Everything is pinned by the config and seeds.
 """
 from __future__ import annotations
 
@@ -33,35 +34,33 @@ from .rng import stream
 QUANTUM = "quantum"
 RBF_BASELINE = "rbf"
 
-_CONFIG_DEFAULTS = {
-    "layers": 8,
-    "mixing": kernels.MIX_INVERSE_DIM,
-    "ridge": learner.DEFAULT_QUANTUM_RIDGE,
-    # nearest-projection floor; 0.1 reproduces the reported two-qubit
-    # shot-sweep accuracies on the engineered synthetic data
-    "nearest_delta": 0.1,
-    "relabel_gamma_scale": 1.0,
-    "bound_delta": 0.05,
-    # "pipeline" samples test-train kernel entries with the coordinate's
-    # shot budget; "exact" evaluates them at expectation, isolating how the
-    # train-side calibration generalizes
-    "cross_shots": "pipeline",
-    "output": None,
-}
-_CONFIG_REQUIRED = (
-    "dataset",
-    "num_qubits",
-    "train_sizes",
-    "test_size",
-    "shots",
-    "noise_rates",
-    "methods",
-    "seeds",
-)
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _items(value) -> list:
+    """A config list; a scalar, a string or null is not one."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return list(value)
+
+
+# how each field's JSON value is coerced; the others are checked as they are
+_COERCE = {
+    "num_qubits": int,
+    "train_sizes": lambda v: tuple(int(n) for n in _items(v)),
+    "test_size": int,
+    "shots": lambda v: tuple(kernels.parse_shots(m) for m in _items(v)),
+    "noise_rates": lambda v: tuple(float(p) for p in _items(v)),
+    "methods": lambda v: tuple(str(m) for m in _items(v)),
+    "seeds": lambda v: tuple(int(s) for s in _items(v)),
+    "layers": int,
+    "ridge": float,
+    "nearest_delta": float,
+    "relabel_gamma_scale": float,
+    "bound_delta": float,
+}
 
 
 @dataclass(frozen=True)
@@ -77,25 +76,31 @@ class SweepConfig:
     layers: int = 8
     mixing: str = kernels.MIX_INVERSE_DIM
     ridge: float = learner.DEFAULT_QUANTUM_RIDGE
+    # nearest-projection floor; 0.1 reproduces the reported two-qubit
+    # shot-sweep accuracies on the engineered synthetic data
     nearest_delta: float = 0.1
     relabel_gamma_scale: float = 1.0
     bound_delta: float = 0.05
+    # "pipeline" samples test-train kernel entries with the coordinate's
+    # shot budget; "exact" evaluates them at expectation, isolating how the
+    # train-side calibration generalizes
     cross_shots: str = "pipeline"
     output: str | None = None
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "SweepConfig":
-        known = set(_CONFIG_REQUIRED) | set(_CONFIG_DEFAULTS)
-        unknown = set(raw) - known
+    def from_dict(cls, raw) -> "SweepConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        fields = dataclasses.fields(cls)
+        unknown = set(raw) - {f.name for f in fields}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = [k for k in _CONFIG_REQUIRED if k not in raw]
+        required = [f.name for f in fields if f.default is dataclasses.MISSING]
+        missing = [key for key in required if key not in raw]
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
-        merged = dict(_CONFIG_DEFAULTS)
-        merged.update(raw)
 
-        dataset = merged["dataset"]
+        dataset = raw["dataset"]
         if not isinstance(dataset, dict) or dataset.get("kind") not in (
             "synthetic",
             "csv",
@@ -107,47 +112,44 @@ class SweepConfig:
         if extra_ds:
             raise ConfigError(f"unknown dataset keys: {sorted(extra_ds)}")
 
+        values = {f.name: raw.get(f.name, f.default) for f in fields}
+        for key, coerce in _COERCE.items():
+            try:
+                values[key] = coerce(values[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad {key} entry: {exc}") from exc
+        return cls(**values)
+
+    def __post_init__(self):
         try:
-            shots = tuple(kernels.parse_shots(m) for m in merged["shots"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad shots entry: {exc}") from exc
-        rates = tuple(float(p) for p in merged["noise_rates"])
-        if any(not 0.0 <= p <= 1.0 for p in rates):
-            raise ConfigError("noise_rates must lie in [0, 1]")
-        methods = tuple(str(m) for m in merged["methods"])
-        bad = [m for m in methods if m not in calibrate.METHODS + (calibrate.NONE,)]
+            for p in self.noise_rates:
+                kernels.NoiseModel(p, layers=self.layers, mixing=self.mixing)
+        except ValueError as exc:
+            raise ConfigError(f"bad noise model: {exc}") from exc
+        known = calibrate.METHODS + (calibrate.NONE,)
+        bad = [m for m in self.methods if m not in known]
         if bad:
             raise ConfigError(f"unknown calibration methods: {bad}")
-        seeds = tuple(int(s) for s in merged["seeds"])
-        if not seeds:
+        if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        sizes = tuple(int(n) for n in merged["train_sizes"])
-        if not sizes or any(n < 1 for n in sizes):
+        if not self.train_sizes or any(n < 1 for n in self.train_sizes):
             raise ConfigError("train_sizes must be positive")
-        num_qubits = int(merged["num_qubits"])
-        if not 1 <= num_qubits <= qsim.MAX_QUBITS:
+        if self.test_size < 1:
+            raise ConfigError("test_size must be >= 1")
+        if not 1 <= self.num_qubits <= qsim.MAX_QUBITS:
             raise ConfigError(f"num_qubits must be in [1, {qsim.MAX_QUBITS}]")
-        if merged["cross_shots"] not in ("pipeline", "exact"):
+        if self.cross_shots not in ("pipeline", "exact"):
             raise ConfigError('cross_shots must be "pipeline" or "exact"')
-
-        return cls(
-            dataset=dataset,
-            num_qubits=num_qubits,
-            train_sizes=sizes,
-            test_size=int(merged["test_size"]),
-            shots=shots,
-            noise_rates=rates,
-            methods=methods,
-            seeds=seeds,
-            layers=int(merged["layers"]),
-            mixing=str(merged["mixing"]),
-            ridge=float(merged["ridge"]),
-            nearest_delta=float(merged["nearest_delta"]),
-            relabel_gamma_scale=float(merged["relabel_gamma_scale"]),
-            bound_delta=float(merged["bound_delta"]),
-            cross_shots=str(merged["cross_shots"]),
-            output=merged["output"],
-        )
+        if not self.ridge >= 0.0:
+            raise ConfigError("ridge must be >= 0")
+        if not self.nearest_delta >= 0.0:
+            raise ConfigError("nearest_delta must be >= 0")
+        if not 0.0 < self.bound_delta < 1.0:
+            raise ConfigError("bound_delta must be in (0, 1)")
+        if not self.relabel_gamma_scale > 0.0:
+            raise ConfigError("relabel_gamma_scale must be positive")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError("output must be a path string or null")
 
     @classmethod
     def from_json_file(cls, path) -> "SweepConfig":
@@ -274,15 +276,7 @@ def _parse_cell(name: str, text):
         return text is True or text == "true"
     if name in ("n", "n_test", "seed"):
         return int(text)
-    if isinstance(text, str):
-        if text == "inf":
-            return math.inf
-        if text == "-inf":
-            return -math.inf
-        if text == "nan":
-            return math.nan
-        return float(text)
-    return float(text)
+    return float(text)  # also parses "inf", "-inf" and "nan"
 
 
 def load_results(path) -> list[ResultRecord]:
@@ -314,6 +308,7 @@ class PoolContext:
     labels: np.ndarray
     train_idx: np.ndarray
     test_idx: np.ndarray
+    y_train: np.ndarray
     q_train_ideal: np.ndarray
     geometric_difference: float
 
@@ -372,6 +367,7 @@ def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
         labels=labels,
         train_idx=train_idx,
         test_idx=split_ds.test_indices,
+        y_train=labels[train_idx].astype(float),
         q_train_ideal=q_all.matrix[np.ix_(train_idx, train_idx)],
         geometric_difference=geo,
     )
@@ -381,14 +377,11 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _shots_cell(m):
-    return "inf" if m is kernels.INF_SHOTS else int(m)
-
-
 def _attempt(stage, *args):
-    """Run a stage shared by several records; a failure is returned, not raised."""
+    """Run a stage shared by several records; a failure, its own or that of a
+    stage whose outcome it takes as an argument, is returned, not raised."""
     try:
-        return stage(*args)
+        return stage(*map(_take, args))
     except Exception as exc:
         return exc
 
@@ -401,12 +394,11 @@ def _take(outcome):
     return outcome
 
 
-def _noise_stage(
-    config: SweepConfig, pool: PoolContext, y_train, q_bound, m, p_tilde, seed
-) -> tuple:
+def _noise_stage(config: SweepConfig, pool, terms, m, p_tilde, seed) -> tuple:
     """Sampled train kernel, cross kernel and bound shared by every method at
     one (shots, noise rate); each is a value or the failure computing it."""
     try:
+        pool = _take(pool)
         noise = kernels.NoiseModel(
             rate_per_layer=p_tilde, layers=config.layers, mixing=config.mixing
         )
@@ -424,8 +416,8 @@ def _noise_stage(
     cross = _attempt(kernels.quantum_cross, x_train, x_test, noise, cross_m, seed)
     bound = _attempt(
         bounds.theorem1_bound,
-        q_bound,
-        y_train,
+        terms,
+        pool.y_train,
         m,
         noise,
         config.num_qubits,
@@ -436,7 +428,7 @@ def _noise_stage(
 
 def _quantum_record(
     config: SweepConfig,
-    pool: PoolContext,
+    pool,
     shared: tuple,
     c1,
     n: int,
@@ -449,15 +441,16 @@ def _quantum_record(
         kind=QUANTUM,
         n=n,
         n_test=config.test_size,
-        m=_shots_cell(m),
+        m="inf" if m is kernels.INF_SHOTS else int(m),
         p_tilde=p_tilde,
         method=method,
         seed=seed,
-        ridge=config.ridge,
-        geometric_difference=pool.geometric_difference,
     )
     sampled, cross, bound = shared
     try:
+        pool = _take(pool)
+        rec.ridge = config.ridge
+        rec.geometric_difference = pool.geometric_difference
         calibrated, report = calibrate.calibrate_and_report(
             pool.q_train_ideal, _take(sampled), method, delta=config.nearest_delta
         )
@@ -467,7 +460,7 @@ def _quantum_record(
         rec.min_eig_after = report.min_eig_after
         rec.passed_lemma = report.passed_lemma
 
-        y_train = pool.labels[pool.train_idx].astype(float)
+        y_train = pool.y_train
         y_test = pool.labels[pool.test_idx]
         model = learner.fit_krr(calibrated, y_train, config.ridge)
         _, train_pred = learner.predict(model, calibrated)
@@ -487,18 +480,19 @@ def _quantum_record(
     return rec
 
 
-def _rbf_record(config: SweepConfig, pool: PoolContext, n: int, seed: int) -> ResultRecord:
+def _rbf_record(config: SweepConfig, pool, n: int, seed: int) -> ResultRecord:
     rec = ResultRecord(
         kind=RBF_BASELINE,
         n=n,
         n_test=config.test_size,
         method="rbf-grid",
         seed=seed,
-        geometric_difference=pool.geometric_difference,
     )
     try:
+        pool = _take(pool)
+        rec.geometric_difference = pool.geometric_difference
         x_train = pool.features[pool.train_idx]
-        y_train = pool.labels[pool.train_idx].astype(float)
+        y_train = pool.y_train
         x_test = pool.features[pool.test_idx]
         y_test = pool.labels[pool.test_idx]
         xf, yf, xv, yv = learner.validation_split(x_train, y_train, seed)
@@ -518,52 +512,28 @@ def _rbf_record(config: SweepConfig, pool: PoolContext, n: int, seed: int) -> Re
     return rec
 
 
+def _ideal_c1(config: SweepConfig, pool: PoolContext) -> float:
+    return learner.model_complexity_c1(pool.q_train_ideal, pool.y_train, config.ridge)
+
+
+def _ideal_terms(config: SweepConfig, pool: PoolContext) -> bounds.IdealTerms:
+    # bound terms need a nonsingular ideal kernel; the configured ridge
+    # regularizes the rank-deficient small-qubit Gram matrices
+    q_ridged = pool.q_train_ideal + config.ridge * np.eye(len(pool.train_idx))
+    return bounds.ideal_terms(q_ridged, pool.y_train)
+
+
 def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
     """All records of one (train size, seed) cell.  The pool and c1 are built
     once per cell, kernels and bound once per (shots, noise rate), and only
-    calibration and training run per method."""
-    try:
-        pool = build_pool(config, n, seed)
-    except Exception as exc:
-        error = _error_text(exc)
-        records = [
-            ResultRecord(
-                kind=QUANTUM,
-                n=n,
-                n_test=config.test_size,
-                m=_shots_cell(m),
-                p_tilde=p_tilde,
-                method=method,
-                seed=seed,
-                error=error,
-            )
-            for m in config.shots
-            for p_tilde in config.noise_rates
-            for method in config.methods
-        ]
-        records.append(
-            ResultRecord(
-                kind=RBF_BASELINE,
-                n=n,
-                n_test=config.test_size,
-                method="rbf-grid",
-                seed=seed,
-                error=error,
-            )
-        )
-        return records
-    y_train = pool.labels[pool.train_idx].astype(float)
-    c1 = _attempt(learner.model_complexity_c1, pool.q_train_ideal, y_train, config.ridge)
-    # bound terms need a nonsingular ideal kernel; the configured ridge
-    # regularizes the rank-deficient small-qubit Gram matrices
-    q_ridged = pool.q_train_ideal + config.ridge * np.eye(len(y_train))
-    q_bound = _attempt(bounds.ideal_terms, q_ridged, y_train)
-    if isinstance(q_bound, Exception):  # theorem1_bound re-raises it after its checks
-        q_bound = q_ridged
+    calibration and training run per method.  A failed pool fails them all."""
+    pool = _attempt(build_pool, config, n, seed)
+    c1 = _attempt(_ideal_c1, config, pool)
+    terms = _attempt(_ideal_terms, config, pool)
     records = []
     for m in config.shots:
         for p_tilde in config.noise_rates:
-            shared = _noise_stage(config, pool, y_train, q_bound, m, p_tilde, seed)
+            shared = _noise_stage(config, pool, terms, m, p_tilde, seed)
             for method in config.methods:
                 records.append(
                     _quantum_record(
@@ -588,159 +558,113 @@ def run_sweep(config: SweepConfig) -> list[ResultRecord]:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = SweepConfig.from_json_file(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seeds=(args.seed,))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    config = SweepConfig.from_json_file(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seeds=(args.seed,))
     out = args.out or config.output
     if out is None:
-        print("config error: no output path (config.output or --out)", file=sys.stderr)
-        return 1
-    try:
-        records = run_sweep(config)
-        emit_results(records, out, args.format)
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError("no output path (config.output or --out)")
+    records = run_sweep(config)
+    emit_results(records, out, args.format)
     errors = sum(1 for r in records if r.error)
     print(f"wrote {len(records)} records to {out} ({errors} with errors)")
     return 0
 
 
 def _cmd_kernel(args) -> int:
-    try:
-        feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
-        gram = kernels.gram_ideal(feats)
-        if args.p_tilde > 0.0 or args.shots != "inf":
-            noise = kernels.NoiseModel(
-                rate_per_layer=args.p_tilde, layers=args.layers, mixing=args.mixing
-            )
-            gram = kernels.apply_noise(
-                gram, noise, fix_diagonal=not args.sample_diagonal
-            )
-            gram = kernels.sample_shots(gram, args.shots, args.seed)
-        kernels.save_kernel(gram, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+    feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
+    gram = kernels.gram_ideal(feats)
+    if args.p_tilde > 0.0 or args.shots != "inf":
+        noise = kernels.NoiseModel(
+            rate_per_layer=args.p_tilde, layers=args.layers, mixing=args.mixing
+        )
+        gram = kernels.apply_noise(gram, noise, fix_diagonal=not args.sample_diagonal)
+        gram = kernels.sample_shots(gram, args.shots, args.seed)
+    kernels.save_kernel(gram, args.out)
     print(f"wrote {gram.provenance} kernel ({gram.dim}x{gram.dim}) to {args.out}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    try:
-        w = kernels.load_kernel(args.kernel)
-        if args.reference:
-            q = kernels.load_kernel(args.reference)
-            repaired, report = calibrate.calibrate_and_report(
-                q.matrix, w.matrix, args.method, delta=args.delta
-            )
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            repaired = calibrate.apply_method(w.matrix, args.method, args.delta)
-        out_kernel = kernels.KernelMatrix(
-            matrix=repaired,
-            provenance=kernels.CALIBRATED_PREFIX + args.method,
-            params=dict(w.params, method=args.method, delta=args.delta),
+    w = kernels.load_kernel(args.kernel)
+    if args.reference:
+        q = kernels.load_kernel(args.reference)
+        repaired, report = calibrate.calibrate_and_report(
+            q.matrix, w.matrix, args.method, delta=args.delta
         )
-        kernels.save_kernel(out_kernel, args.out)
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+        print(json.dumps(report.to_dict(), indent=2))
+    else:
+        repaired = calibrate.apply_method(w.matrix, args.method, args.delta)
+    out_kernel = kernels.KernelMatrix(
+        matrix=repaired,
+        provenance=kernels.CALIBRATED_PREFIX + args.method,
+        params=dict(w.params, method=args.method, delta=args.delta),
+    )
+    kernels.save_kernel(out_kernel, args.out)
     print(f"wrote calibrated kernel to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    try:
-        gram = kernels.load_kernel(args.kernel)
-        ds = datasets.load_csv(args.data)
-        if ds.n != gram.dim:
-            print(
-                f"config error: kernel is {gram.dim}x{gram.dim} but data has "
-                f"{ds.n} rows",
-                file=sys.stderr,
-            )
-            return 1
-        y = ds.labels.astype(float)
-        model = learner.fit_krr(gram, y, args.ridge)
-        _, pred = learner.predict(model, gram.matrix)
-        summary = {
-            "train_accuracy": learner.accuracy(pred, ds.labels),
-            "ridge": args.ridge,
-        }
-        if args.cross and args.test_data:
-            cross = linalg.load_matrix_csv(args.cross)
-            test_ds = datasets.load_csv(args.test_data)
-            _, test_pred = learner.predict(model, cross)
-            summary["test_accuracy"] = learner.accuracy(test_pred, test_ds.labels)
-        if args.out:
-            Path(args.out).write_text(model.to_json() + "\n", encoding="utf-8")
-            summary["model"] = str(args.out)
-        print(json.dumps(summary, indent=2))
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+    gram = kernels.load_kernel(args.kernel)
+    ds = datasets.load_csv(args.data)
+    if ds.n != gram.dim:
+        raise ConfigError(f"kernel is {gram.dim}x{gram.dim} but data has {ds.n} rows")
+    y = ds.labels.astype(float)
+    model = learner.fit_krr(gram, y, args.ridge)
+    _, pred = learner.predict(model, gram.matrix)
+    summary = {
+        "train_accuracy": learner.accuracy(pred, ds.labels),
+        "ridge": args.ridge,
+    }
+    if args.cross and args.test_data:
+        cross = linalg.load_matrix_csv(args.cross)
+        test_ds = datasets.load_csv(args.test_data)
+        _, test_pred = learner.predict(model, cross)
+        summary["test_accuracy"] = learner.accuracy(test_pred, test_ds.labels)
+    if args.out:
+        Path(args.out).write_text(model.to_json() + "\n", encoding="utf-8")
+        summary["model"] = str(args.out)
+    print(json.dumps(summary, indent=2))
     return 0
 
 
 def _cmd_relabel(args) -> int:
-    try:
-        feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
-        _, k_all, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
-        out_ds = datasets.Dataset(features=feats, labels=labels)
-        datasets.save_csv(
-            out_ds,
-            args.out,
-            meta={
-                "relabel": {
-                    "num_qubits": args.num_qubits,
-                    "ridge": args.ridge,
-                    "gamma": k_all.params["gamma"],
-                },
-                "source": str(args.data),
+    feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
+    _, k_all, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
+    out_ds = datasets.Dataset(features=feats, labels=labels)
+    datasets.save_csv(
+        out_ds,
+        args.out,
+        meta={
+            "relabel": {
+                "num_qubits": args.num_qubits,
+                "ridge": args.ridge,
+                "gamma": k_all.params["gamma"],
             },
-        )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+            "source": str(args.data),
+        },
+    )
     print(f"wrote relabeled dataset ({out_ds.n} rows) to {args.out}")
     return 0
 
 
 def _cmd_bound(args) -> int:
-    try:
-        gram = kernels.load_kernel(args.kernel)
-        ds = datasets.load_csv(args.data)
-        noise = kernels.NoiseModel(
-            rate_per_layer=args.p_tilde, layers=args.layers, mixing=args.mixing
-        )
-        num_qubits = args.num_qubits or int(gram.params.get("num_qubits", 0))
-        if num_qubits < 1:
-            print(
-                "config error: pass --num-qubits (kernel sidecar lacks it)",
-                file=sys.stderr,
-            )
-            return 1
-        matrix = gram.matrix
-        if args.ridge > 0.0:
-            matrix = matrix + args.ridge * np.eye(gram.dim)
-        report = bounds.theorem1_bound(
-            matrix, ds.labels.astype(float), args.shots, noise, num_qubits, args.delta
-        )
-        print(json.dumps(report.to_dict(), indent=2))
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+    gram = kernels.load_kernel(args.kernel)
+    ds = datasets.load_csv(args.data)
+    noise = kernels.NoiseModel(
+        rate_per_layer=args.p_tilde, layers=args.layers, mixing=args.mixing
+    )
+    num_qubits = args.num_qubits or int(gram.params.get("num_qubits", 0))
+    if num_qubits < 1:
+        raise ConfigError("pass --num-qubits (kernel sidecar lacks it)")
+    matrix = gram.matrix
+    if args.ridge > 0.0:
+        matrix = matrix + args.ridge * np.eye(gram.dim)
+    report = bounds.theorem1_bound(
+        matrix, ds.labels.astype(float), args.shots, noise, num_qubits, args.delta
+    )
+    print(json.dumps(report.to_dict(), indent=2))
     return 0
 
 
@@ -831,13 +755,8 @@ def _check_lines(trials: int, seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_check(args) -> int:
-    try:
-        rows = _check_lines(args.trials, args.seed or 0)
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
     all_ok = True
-    for name, ok, detail in rows:
+    for name, ok, detail in _check_lines(args.trials, args.seed or 0):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         all_ok &= ok
     return 0 if all_ok else 2
@@ -929,6 +848,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; the only code that turns an exception into an exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -69,6 +70,53 @@ class TestSweepConfig:
         config = cli.SweepConfig.from_dict(small_config(shots=["inf", 5]))
         assert config.shots[0] == float("inf")
         assert config.shots[1] == 5
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("bound_delta", 1.5, "bound_delta must be in (0, 1)"),
+        ("mixing", "bogus", "bad noise model: unknown mixing variant: 'bogus'"),
+        ("layers", 0, "bad noise model: layers must be >= 1, got 0"),
+        ("ridge", -1, "ridge must be >= 0"),
+        ("nearest_delta", -0.5, "nearest_delta must be >= 0"),
+        ("test_size", 0, "test_size must be >= 1"),
+        ("relabel_gamma_scale", 0.0, "relabel_gamma_scale must be positive"),
+        ("output", 5, "output must be a path string or null"),
+        ("train_sizes", ["x"],
+         "bad train_sizes entry: invalid literal for int() with base 10: 'x'"),
+        ("noise_rates", None, "bad noise_rates entry: expected a list, got NoneType"),
+        ("seeds", "01", "bad seeds entry: expected a list, got str"),
+        ("num_qubits", math.inf,
+         "bad num_qubits entry: cannot convert float infinity to integer"),
+    ])
+    def test_bad_value_fails_the_sweep_at_load(
+        self, tmp_path, capsys, key, value, message
+    ):
+        # each of these used to load and then fail every record, or crash
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(**{key: value})))
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [[small_config()], "sweep", None])
+    def test_non_object_config_rejected(self, raw):
+        with pytest.raises(cli.ConfigError, match="config must be a JSON object"):
+            cli.SweepConfig.from_dict(raw)
+
+    def test_missing_keys_listed_in_field_order(self):
+        raw = small_config()
+        for key in ("seeds", "num_qubits", "shots"):
+            del raw[key]
+        with pytest.raises(cli.ConfigError) as info:
+            cli.SweepConfig.from_dict(raw)
+        want = "missing config keys: ['num_qubits', 'shots', 'seeds']"
+        assert str(info.value) == want
+
+    def test_defaults_come_from_the_fields(self):
+        config = cli.SweepConfig.from_dict(small_config())
+        for field in dataclasses.fields(cli.SweepConfig):
+            if field.name not in small_config():
+                assert getattr(config, field.name) == field.default
 
 
 class TestRunSweep:
@@ -198,6 +246,24 @@ class TestStagedSweep:
             assert rec.dist_before is not None
             assert rec.breakdown_p is None
             assert (rec.c1 is not None) == (name == "theorem1_bound")
+
+    def test_failed_ideal_terms_fail_the_bound_of_every_record(self, monkeypatch):
+        ideal_terms = bounds.ideal_terms
+
+        def broken(q, y):  # fails on a kernel; anything else reaches the real one
+            if isinstance(q, np.ndarray):
+                raise ValueError("ideal_terms failed, on purpose")
+            return ideal_terms(q, y)
+
+        monkeypatch.setattr(bounds, "ideal_terms", broken)
+        config = self.config("pipeline")
+        records = cli.run_sweep(config)
+        assert_same_records(records, reference_sweep(config))
+        trained = [r for r in records if r.c1 is not None and r.kind == cli.QUANTUM]
+        assert trained
+        for rec in trained:
+            assert rec.error == "ValueError: ideal_terms failed, on purpose"
+            assert rec.breakdown_p is None
 
     def test_failed_pool_fails_every_record_of_its_cell(self, tmp_path):
         ds = datasets.generate_synthetic(10, 2, 3)
@@ -483,3 +549,104 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PASS noise-folding" in out
         assert "FAIL" not in out
+
+
+class TestExitCodes:
+    """``main`` maps ConfigError to exit 1 and any other failure to exit 2."""
+
+    @staticmethod
+    def main(capsys, *argv):
+        code = cli.main(list(argv))
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def kernel_and_data(tmp_path, n_kernel=12, n_data=12):
+        """A kernel whose sidecar has no num_qubits, and a labelled dataset."""
+        ds = datasets.generate_synthetic(n_data, 2, 3)
+        labels = np.array([1, -1] * (n_data // 2))
+        data = tmp_path / "data.csv"
+        datasets.save_csv(datasets.Dataset(features=ds.features, labels=labels), data)
+        gram = kernels.gram_ideal(datasets.generate_synthetic(n_kernel, 2, 4).features)
+        kernel = tmp_path / "k.csv"
+        kernels.save_kernel(kernels.KernelMatrix(gram.matrix, kernels.IDEAL), kernel)
+        return str(kernel), str(data)
+
+    def sweep(self, tmp_path, capsys, raw, *extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        return self.main(capsys, "sweep", "--config", str(cfg), *extra)
+
+    def test_train_size_mismatch_is_config_error(self, tmp_path, capsys):
+        kernel, data = self.kernel_and_data(tmp_path, n_kernel=12, n_data=10)
+        assert self.main(capsys, "train", "--kernel", kernel, "--data", data) == (
+            1, "config error: kernel is 12x12 but data has 10 rows\n"
+        )
+
+    def test_bound_without_num_qubits_is_config_error(self, tmp_path, capsys):
+        kernel, data = self.kernel_and_data(tmp_path)
+        assert self.main(capsys, "bound", "--kernel", kernel, "--data", data) == (
+            1, "config error: pass --num-qubits (kernel sidecar lacks it)\n"
+        )
+
+    def test_sweep_without_output_is_config_error(self, tmp_path, capsys):
+        assert self.sweep(tmp_path, capsys, small_config()) == (
+            1, "config error: no output path (config.output or --out)\n"
+        )
+
+    def test_sweep_past_max_qubits_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        raw = small_config(num_qubits=15)
+        assert self.sweep(tmp_path, capsys, raw, "--out", str(out)) == (
+            1, "config error: num_qubits must be in [1, 14]\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "train", "bound"])
+    def test_missing_kernel_file_is_runtime_error(self, tmp_path, capsys, command):
+        _, data = self.kernel_and_data(tmp_path)
+        missing = str(tmp_path / "missing.csv")
+        extra = {
+            "calibrate": ["--method", "clip", "--out", str(tmp_path / "o.csv")],
+            "train": ["--data", data],
+            "bound": ["--data", data, "--num-qubits", "2"],
+        }[command]
+        assert self.main(capsys, command, "--kernel", missing, *extra) == (
+            2, f"runtime error: [Errno 2] No such file or directory: {missing!r}\n"
+        )
+
+    def test_badly_typed_config_prints_no_traceback(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(train_sizes=["x"])))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qksim", "sweep", "--config", str(cfg),
+             "--out", str(tmp_path / "r.csv")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            "config error: bad train_sizes entry: "
+            "invalid literal for int() with base 10: 'x'"
+        ]
+
+    def test_singular_uncalibrated_kernel_is_an_error_record(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        raw = small_config(methods=["none"], shots=[5], ridge=1e-12)
+        assert self.sweep(tmp_path, capsys, raw, "--out", str(out)) == (0, "")
+        quantum = [r for r in cli.load_results(out) if r.kind == cli.QUANTUM]
+        assert quantum
+        suffix = "; calibrate the kernel to PSD or increase the ridge"
+        for rec in quantum:
+            assert rec.error.startswith("SingularMatrixError: singular system: ")
+            assert rec.error.endswith(suffix)
+
+    def test_max_qubits_sweep_has_no_error_records(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        raw = small_config(num_qubits=14, train_sizes=[4], test_size=4, seeds=[0])
+        assert self.sweep(tmp_path, capsys, raw, "--out", str(out)) == (0, "")
+        records = cli.load_results(out)
+        assert len(records) == 2 * 2 * 1 + 1
+        assert all(r.error is None for r in records)
