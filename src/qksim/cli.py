@@ -3,11 +3,11 @@
 ``run_sweep`` walks the Cartesian grid (train size, shots, noise rate,
 calibration method, seed) in three nested stages.  For every (train size,
 seed) cell it builds a pooled dataset, engineers advantage labels on the
-pooled ideal kernels, splits, and runs the RBF grid-search baseline; for
-every (shots, noise rate) it samples the noisy train and cross kernels and
-evaluates the bound terms; per calibration method it only calibrates,
-trains and scores.  Output records are sorted by coordinate and serialize
-byte-identically across reruns.
+pooled ideal kernels, splits, encodes the ideal cross kernel, and runs the
+RBF grid-search baseline; for every (shots, noise rate) it samples the
+noisy train and cross kernels and evaluates the bound terms; per
+calibration method it only calibrates, trains and scores.  Output records
+are sorted by coordinate and serialize byte-identically across reruns.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  Every sweep
 config value is checked at load.  A failed sweep coordinate is written as a
@@ -310,6 +310,7 @@ class PoolContext:
     test_idx: np.ndarray
     y_train: np.ndarray
     q_train_ideal: np.ndarray
+    q_cross_ideal: np.ndarray  # (test, train) fidelities
     geometric_difference: float
 
 
@@ -350,7 +351,7 @@ def _engineer_labels(feats: np.ndarray, gamma_scale: float, ridge: float):
 
 
 def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
-    """Pooled features, engineered labels, split, and pool-level diagnostics."""
+    """Pooled features, engineered labels, split, ideal kernels, diagnostics."""
     n_pool = n + config.test_size
     feats = _load_pool_features(config, n_pool, seed)
     q_all, k_all, labels = _engineer_labels(
@@ -361,14 +362,15 @@ def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
     geo = kernels.geometric_difference(
         k_all.matrix, q_all.matrix, labels.astype(float), config.ridge
     )
-    train_idx = split_ds.train_indices
+    train_idx, test_idx = split_ds.train_indices, split_ds.test_indices
     return PoolContext(
         features=feats,
         labels=labels,
         train_idx=train_idx,
-        test_idx=split_ds.test_indices,
+        test_idx=test_idx,
         y_train=labels[train_idx].astype(float),
         q_train_ideal=q_all.matrix[np.ix_(train_idx, train_idx)],
+        q_cross_ideal=kernels.cross_fidelity(feats[train_idx], feats[test_idx]),
         geometric_difference=geo,
     )
 
@@ -412,8 +414,8 @@ def _noise_stage(config: SweepConfig, pool, terms, m, p_tilde, seed) -> tuple:
     except Exception as exc:  # every record stops here, before cross and bound
         return exc, exc, exc
     cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
-    x_train, x_test = pool.features[pool.train_idx], pool.features[pool.test_idx]
-    cross = _attempt(kernels.quantum_cross, x_train, x_test, noise, cross_m, seed)
+    q_cross, num_qubits = pool.q_cross_ideal, config.num_qubits
+    cross = _attempt(kernels.sample_cross, q_cross, noise, num_qubits, cross_m, seed)
     bound = _attempt(
         bounds.theorem1_bound,
         terms,
@@ -524,9 +526,9 @@ def _ideal_terms(config: SweepConfig, pool: PoolContext) -> bounds.IdealTerms:
 
 
 def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
-    """All records of one (train size, seed) cell.  The pool and c1 are built
-    once per cell, kernels and bound once per (shots, noise rate), and only
-    calibration and training run per method.  A failed pool fails them all."""
+    """All records of one (train size, seed) cell.  The pool, ideal kernels
+    and c1 are built once per cell, sampled kernels and bound once per (m, p),
+    and only calibration and training run per method; a failed pool fails all."""
     pool = _attempt(build_pool, config, n, seed)
     c1 = _attempt(_ideal_c1, config, pool)
     terms = _attempt(_ideal_terms, config, pool)
@@ -571,15 +573,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _shots_and_noise(args) -> tuple:
+    """The --shots and noise flags, checked before any file is read."""
+    try:
+        m = kernels.parse_shots(args.shots)
+        return m, kernels.NoiseModel(args.p_tilde, args.layers, args.mixing)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_kernel(args) -> int:
+    m, noise = _shots_and_noise(args)
     feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
     gram = kernels.gram_ideal(feats)
-    if args.p_tilde > 0.0 or args.shots != "inf":
-        noise = kernels.NoiseModel(
-            rate_per_layer=args.p_tilde, layers=args.layers, mixing=args.mixing
-        )
+    if args.p_tilde > 0.0 or m is not kernels.INF_SHOTS:
         gram = kernels.apply_noise(gram, noise, fix_diagonal=not args.sample_diagonal)
-        gram = kernels.sample_shots(gram, args.shots, args.seed)
+        gram = kernels.sample_shots(gram, m, args.seed)
     kernels.save_kernel(gram, args.out)
     print(f"wrote {gram.provenance} kernel ({gram.dim}x{gram.dim}) to {args.out}")
     return 0
@@ -650,11 +659,11 @@ def _cmd_relabel(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    m, noise = _shots_and_noise(args)
+    if not 0.0 < args.delta < 1.0:
+        raise ConfigError(f"delta must be in (0, 1), got {args.delta}")
     gram = kernels.load_kernel(args.kernel)
     ds = datasets.load_csv(args.data)
-    noise = kernels.NoiseModel(
-        rate_per_layer=args.p_tilde, layers=args.layers, mixing=args.mixing
-    )
     num_qubits = args.num_qubits or int(gram.params.get("num_qubits", 0))
     if num_qubits < 1:
         raise ConfigError("pass --num-qubits (kernel sidecar lacks it)")
@@ -662,7 +671,7 @@ def _cmd_bound(args) -> int:
     if args.ridge > 0.0:
         matrix = matrix + args.ridge * np.eye(gram.dim)
     report = bounds.theorem1_bound(
-        matrix, ds.labels.astype(float), args.shots, noise, num_qubits, args.delta
+        matrix, ds.labels.astype(float), m, noise, num_qubits, args.delta
     )
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -784,9 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--p-tilde", type=float, default=0.0)
     p_kernel.add_argument("--layers", type=int, default=8)
     p_kernel.add_argument(
-        "--mixing",
-        default=kernels.MIX_INVERSE_DIM,
-        choices=(kernels.MIX_INVERSE_DIM, kernels.MIX_HALF_INVERSE_DIM),
+        "--mixing", default=kernels.MIX_INVERSE_DIM, choices=kernels.MIXINGS
     )
     p_kernel.add_argument("--shots", default="inf")
     p_kernel.add_argument("--seed", type=int, default=0)
@@ -833,7 +840,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--shots", default="inf")
     p_bound.add_argument("--p-tilde", type=float, default=0.0)
     p_bound.add_argument("--layers", type=int, default=8)
-    p_bound.add_argument("--mixing", default=kernels.MIX_INVERSE_DIM)
+    p_bound.add_argument(
+        "--mixing", default=kernels.MIX_INVERSE_DIM, choices=kernels.MIXINGS
+    )
     p_bound.add_argument("--num-qubits", type=int, default=None)
     p_bound.add_argument("--ridge", type=float, default=0.0)
     p_bound.add_argument("--delta", type=float, default=0.05)

@@ -35,16 +35,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def train(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.train_indices is None:
-            raise ValueError("dataset has no split")
-        return self.features[self.train_indices], self.labels[self.train_indices]
-
-    def test(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.test_indices is None:
-            raise ValueError("dataset has no split")
-        return self.features[self.test_indices], self.labels[self.test_indices]
-
 
 def _parse_label(token: str, line_no: int) -> int:
     try:
@@ -153,16 +143,13 @@ def relabel_for_advantage(
     q_all: np.ndarray | object,
     k_all: np.ndarray | object,
     ridge: float = 0.0,
-    invert_classical: bool = True,
 ) -> np.ndarray:
     """Engineer +/-1 labels that favor the quantum kernel.
 
     Takes the top eigenvector ``v`` of ``sqrt(Q) K^-1 sqrt(Q)`` (the
     continuous maximizer of the complexity ratio), forms the score vector
     ``sqrt(Q) v``, and thresholds at its median: strictly above -> +1,
-    otherwise -1.  ``invert_classical=False`` uses ``sqrt(Q) K sqrt(Q)``
-    instead, which swaps the eigenvector for the one of the literal
-    product form.
+    otherwise -1.
 
     The output is balanced: the +1/-1 counts differ by at most one.  When
     median ties would break the balance, tied entries are promoted to +1
@@ -173,8 +160,7 @@ def relabel_for_advantage(
     if qm.shape != km.shape:
         raise ValueError(f"kernel shape mismatch: {qm.shape} vs {km.shape}")
     root_q = linalg.mat_sqrt_psd(qm)
-    middle = linalg.inv_ridge(km, ridge) if invert_classical else km
-    core = linalg.sym_matrix(root_q @ middle @ root_q)
+    core = linalg.sym_matrix(root_q @ linalg.inv_ridge(km, ridge) @ root_q)
     v = linalg.eig_sym(core).eigenvectors[:, 0]
     scores = root_q @ v
 

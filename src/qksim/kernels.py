@@ -1,15 +1,15 @@
 """Kernel matrix construction: ideal, noisy-expectation, shot-sampled, RBF.
 
-The pipeline mirrors the physical estimation chain.  The ideal Gram matrix
-holds pairwise state fidelities.  Depolarization acts on the measurement
-output of the inversion test, which for an effective rate ``p`` turns an
-entry ``q`` into ``(1 - p) * q + p * c_N`` where ``c_N`` is the mixing
-constant (``2^-N`` for the uniform outcome of the maximally mixed state;
-``2^-(N+1)`` reproduces the constant used by the generalization-bound
-checks).  Finite measurement budgets replace each expectation with a
-Bernoulli mean of ``m`` draws.
+The pipeline mirrors the physical estimation chain, for the train Gram
+matrix and the (test, train) cross block alike.  The ideal kernel holds
+state fidelities.  Depolarization acts on the inversion-test output, which
+for an effective rate ``p`` turns an entry ``q`` into ``(1 - p) * q + p *
+c_N``, ``c_N`` being the mixing constant (``2^-N`` for the uniform outcome
+of the maximally mixed state; ``2^-(N+1)`` reproduces the constant used by
+the generalization-bound checks).  Finite measurement budgets replace each
+expectation with a Bernoulli mean of ``m`` draws.
 
-All sampling is keyed per entry through :mod:`qksim.rng`, so Gram entries
+All sampling is keyed per entry through :mod:`qksim.rng`, so kernel entries
 may be produced in any order with identical results.
 """
 from __future__ import annotations
@@ -34,6 +34,7 @@ CALIBRATED_PREFIX = "calibrated:"
 # mixing-constant variants
 MIX_INVERSE_DIM = "inverse-dim"  # 2^-N, the inversion-test output
 MIX_HALF_INVERSE_DIM = "half-inverse-dim"  # 2^-(N+1), bound-side constant
+MIXINGS = (MIX_INVERSE_DIM, MIX_HALF_INVERSE_DIM)
 
 INF_SHOTS = math.inf
 
@@ -68,7 +69,7 @@ class NoiseModel:
             )
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.mixing not in (MIX_INVERSE_DIM, MIX_HALF_INVERSE_DIM):
+        if self.mixing not in MIXINGS:
             raise ValueError(f"unknown mixing variant: {self.mixing!r}")
 
     @property
@@ -80,6 +81,10 @@ class NoiseModel:
         if self.mixing == MIX_INVERSE_DIM:
             return 2.0 ** (-num_qubits)
         return 2.0 ** (-(num_qubits + 1))
+
+    def depolarize(self, q: np.ndarray, num_qubits: int) -> np.ndarray:
+        """Every entry mixed with the constant: ``(1 - p) * q + p * c_N``."""
+        return (1.0 - self.rate) * q + self.rate * self.mixing_constant(num_qubits)
 
 
 @dataclass
@@ -124,8 +129,7 @@ def apply_noise(
         raise ValueError(f"apply_noise expects an ideal kernel, got {q.provenance!r}")
     num_qubits = q.params["num_qubits"]
     p = noise.rate
-    c = noise.mixing_constant(num_qubits)
-    mixed = (1.0 - p) * q.matrix + p * c
+    mixed = noise.depolarize(q.matrix, num_qubits)
     if fix_diagonal:
         np.fill_diagonal(mixed, 1.0)
     params = dict(q.params)
@@ -177,15 +181,20 @@ def sample_shots(qt: KernelMatrix, m, seed: int) -> KernelMatrix:
         )
     n = qt.dim
     fixed_diag = bool(qt.params.get("fix_diagonal", False))
-    w = np.empty_like(probs)
-    streams = EntryStreams(seed, "shots")
-    for i in range(n):
-        start = i if not fixed_diag else i + 1
-        for j in range(start, n):
-            w[i, j] = w[j, i] = streams.at(i, j).binomial(int(m), probs[i, j]) / m
+    upper = ((i, j) for i in range(n) for j in range(i + 1 if fixed_diag else i, n))
+    w = _shot_means(probs, m, EntryStreams(seed, "shots"), upper)
+    w = np.where(np.tri(n, k=-1, dtype=bool), w.T, w)  # mirror the upper triangle
     if fixed_diag:
         np.fill_diagonal(w, 1.0)
     return KernelMatrix(matrix=w, provenance=SHOT_SAMPLED, params=params)
+
+
+def _shot_means(probs: np.ndarray, m: int, streams: EntryStreams, entries):
+    """Mean of ``m`` draws at each listed ``(i, j)`` from its own stream."""
+    out = np.empty_like(probs)
+    for i, j in entries:
+        out[i, j] = streams.at(i, j).binomial(m, probs[i, j]) / m
+    return out
 
 
 def rbf_gram(x_rows: np.ndarray, gamma: float) -> KernelMatrix:
@@ -218,17 +227,8 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(aa + bb - 2.0 * (a @ b.T), 0.0, None)
 
 
-def quantum_cross(
-    x_train: np.ndarray,
-    x_test: np.ndarray,
-    noise: NoiseModel | None = None,
-    m=INF_SHOTS,
-    seed: int = 0,
-) -> np.ndarray:
-    """(n_test, n_train) kernel through the same fidelity/noise/shot pipeline.
-
-    Entry (t, i) uses the stream keyed by ``(seed, "cross", t, i)``.
-    """
+def cross_fidelity(x_train: np.ndarray, x_test: np.ndarray) -> np.ndarray:
+    """(n_test, n_train) ideal fidelities between encoded test and train rows."""
     xtr = np.atleast_2d(np.asarray(x_train, dtype=float))
     xte = np.atleast_2d(np.asarray(x_test, dtype=float))
     if xtr.shape[1] != xte.shape[1]:
@@ -237,19 +237,32 @@ def quantum_cross(
         )
     states_tr = qsim.feature_states(xtr)
     states_te = qsim.feature_states(xte)
-    fid = np.clip(np.abs(states_te @ states_tr.conj().T) ** 2, 0.0, 1.0)
-    if noise is not None and noise.rate > 0.0:
-        p = noise.rate
-        fid = (1.0 - p) * fid + p * noise.mixing_constant(xtr.shape[1])
+    return np.clip(np.abs(states_te @ states_tr.conj().T) ** 2, 0.0, 1.0)
+
+
+def sample_cross(
+    fid: np.ndarray, noise: NoiseModel | None, num_qubits: int, m, seed: int
+) -> np.ndarray:
+    """Depolarize (unless ``noise`` is None) and shot-sample ideal cross
+    fidelities; entry (t, i) draws from ``stream(seed, "cross", t, i)``."""
+    if noise is not None:
+        fid = noise.depolarize(fid, num_qubits)
     m = parse_shots(m)
     if m is INF_SHOTS:
         return fid
-    out = np.empty_like(fid)
-    streams = EntryStreams(seed, "cross")
-    for t in range(fid.shape[0]):
-        for i in range(fid.shape[1]):
-            out[t, i] = streams.at(t, i).binomial(int(m), fid[t, i]) / m
-    return out
+    return _shot_means(fid, m, EntryStreams(seed, "cross"), np.ndindex(fid.shape))
+
+
+def quantum_cross(
+    x_train: np.ndarray,
+    x_test: np.ndarray,
+    noise: NoiseModel | None = None,
+    m=INF_SHOTS,
+    seed: int = 0,
+) -> np.ndarray:
+    """(n_test, n_train) kernel: ``sample_cross`` applied to ``cross_fidelity``."""
+    fid = cross_fidelity(x_train, x_test)
+    return sample_cross(fid, noise, np.atleast_2d(x_train).shape[1], m, seed)
 
 
 def geometric_difference(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qksim import bounds, cli, datasets, kernels, learner, linalg
+from qksim import bounds, calibrate, cli, datasets, kernels, learner, linalg, qsim
 
 
 def small_config(**overrides):
@@ -227,7 +227,7 @@ class TestStagedSweep:
         assert any(r.error is None for r in records if r.kind == cli.QUANTUM)
 
     @pytest.mark.parametrize(
-        "module, name", [(kernels, "quantum_cross"), (bounds, "theorem1_bound")]
+        "module, name", [(kernels, "sample_cross"), (bounds, "theorem1_bound")]
     )
     def test_shared_stage_failure_keeps_earlier_fields(self, monkeypatch, module, name):
         def broken(*args, **kwargs):
@@ -288,18 +288,28 @@ class TestStagedSweep:
             assert rec.train_accuracy is None
 
     def test_each_stage_runs_once_where_it_varies(self, monkeypatch):
-        calls = {"shots": [], "cross": [], "c1": [], "q_inv": []}
-        sample_shots, quantum_cross = kernels.sample_shots, kernels.quantum_cross
+        calls = {"shots": [], "cross": [], "fid": [], "c1": [], "q_inv": []}
+        sample_shots, sample_cross = kernels.sample_shots, kernels.sample_cross
+        cross_fidelity, feature_states = kernels.cross_fidelity, qsim.feature_states
         model_complexity_c1 = learner.model_complexity_c1
         inv_ridge = linalg.inv_ridge
+        encoded = []
 
         def spy_shots(qt, m, seed):
             calls["shots"].append((qt.dim, seed, m, qt.params["p_tilde"]))
             return sample_shots(qt, m, seed)
 
-        def spy_cross(x_train, x_test, noise, m, seed):
-            calls["cross"].append((len(x_train), seed, m, noise.rate_per_layer))
-            return quantum_cross(x_train, x_test, noise, m, seed)
+        def spy_fid(x_train, x_test):
+            calls["fid"].append((len(x_train), np.asarray(x_train).tobytes()))
+            return cross_fidelity(x_train, x_test)
+
+        def spy_cross(fid, noise, num_qubits, m, seed):
+            calls["cross"].append((fid.shape[1], seed, m, noise.rate_per_layer))
+            return sample_cross(fid, noise, num_qubits, m, seed)
+
+        def spy_encode(x_rows):
+            encoded.append(len(x_rows))
+            return feature_states(x_rows)
 
         def spy_c1(q, y, ridge):
             if ridge == config.ridge:  # the RBF baseline's c1 uses a grid ridge
@@ -312,7 +322,9 @@ class TestStagedSweep:
             return inv_ridge(m, ridge)
 
         monkeypatch.setattr(kernels, "sample_shots", spy_shots)
-        monkeypatch.setattr(kernels, "quantum_cross", spy_cross)
+        monkeypatch.setattr(kernels, "cross_fidelity", spy_fid)
+        monkeypatch.setattr(kernels, "sample_cross", spy_cross)
+        monkeypatch.setattr(qsim, "feature_states", spy_encode)
         monkeypatch.setattr(learner, "model_complexity_c1", spy_c1)
         monkeypatch.setattr(linalg, "inv_ridge", spy_inv)
         config = cli.SweepConfig.from_dict(
@@ -328,8 +340,60 @@ class TestStagedSweep:
         }
         for key in ("shots", "cross"):
             assert sorted(calls[key], key=str) == sorted(coords, key=str)
-        assert len(calls["c1"]) == len(set(calls["c1"])) == 2 * 2
+        for key in ("fid", "c1"):
+            assert len(calls[key]) == len(set(calls[key])) == 2 * 2
+        # per cell: the pool Gram matrix, then the train and the test rows
+        assert len(encoded) == 3 * 2 * 2
         assert len(calls["q_inv"]) == len(set(calls["q_inv"])) == 2 * 2
+
+
+class TestSweepMetamorphic:
+    """A sweep is the union of the sweeps over the parts of any one split grid
+    axis, and does not depend on the order of the config lists."""
+
+    LISTS = dict(
+        train_sizes=[6, 10],
+        test_size=6,
+        seeds=[0, 1],
+        shots=[5, 50, "inf"],
+        noise_rates=[0.0, 0.05],
+        methods=list(calibrate.METHODS),
+    )
+
+    @staticmethod
+    def file_bytes(records, path):
+        cli.emit_results(sorted(records, key=cli.ResultRecord.sort_key), path, "csv")
+        return path.read_bytes()
+
+    def sweep(self, **overrides):
+        raw = small_config(**dict(self.LISTS, **overrides))
+        return cli.run_sweep(cli.SweepConfig.from_dict(raw))
+
+    @pytest.fixture(scope="class")
+    def full(self, tmp_path_factory):
+        return self.file_bytes(self.sweep(), tmp_path_factory.mktemp("full") / "r.csv")
+
+    @pytest.mark.parametrize(
+        "axis", ["train_sizes", "seeds", "shots", "noise_rates", "methods"]
+    )
+    def test_split_axis_merges_to_the_full_sweep(self, full, tmp_path, axis):
+        values = self.LISTS[axis]
+        # a cell's RBF row does not depend on shots, noise or method: keep one
+        per_cell = axis in ("train_sizes", "seeds")
+        merged = []
+        for k, value in enumerate(values):
+            for rec in self.sweep(**{axis: [value]}):
+                if k == 0 or per_cell or rec.kind == cli.QUANTUM:
+                    merged.append(rec)
+        assert self.file_bytes(merged, tmp_path / "r.csv") == full
+
+    def test_reversed_lists_give_the_same_file(self, full, tmp_path):
+        reversed_lists = {
+            key: value[::-1] for key, value in self.LISTS.items()
+            if isinstance(value, list)
+        }
+        records = self.sweep(**reversed_lists)
+        assert self.file_bytes(records, tmp_path / "r.csv") == full
 
 
 class TestEmitResults:
@@ -613,6 +677,36 @@ class TestExitCodes:
         assert self.main(capsys, command, "--kernel", missing, *extra) == (
             2, f"runtime error: [Errno 2] No such file or directory: {missing!r}\n"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["kernel", "--shots", "0"], "shot count must be >= 1, got 0"),
+        (["kernel", "--p-tilde", "2"], "rate_per_layer must be in [0, 1], got 2.0"),
+        (["kernel", "--layers", "0", "--p-tilde", "0.1"], "layers must be >= 1, got 0"),
+        (["kernel", "--layers", "0"], "layers must be >= 1, got 0"),
+        (["bound", "--shots", "0"], "shot count must be >= 1, got 0"),
+        (["bound", "--delta", "2"], "delta must be in (0, 1), got 2.0"),
+        (["bound", "--p-tilde", "-1"], "rate_per_layer must be in [0, 1], got -1.0"),
+    ])
+    def test_bad_flag_value_is_config_error_before_any_file_is_read(
+        self, tmp_path, capsys, argv, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        files = {
+            "kernel": ["--data", missing, "--num-qubits", "2", "--out", missing],
+            "bound": ["--kernel", missing, "--data", missing],
+        }[argv[0]]
+        assert self.main(capsys, *argv, *files) == (1, f"config error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["kernel", "bound"])
+    def test_unknown_mixing_is_a_usage_error(self, capsys, command):
+        files = {
+            "kernel": ["--data", "d.csv", "--num-qubits", "2", "--out", "k.csv"],
+            "bound": ["--kernel", "k.csv", "--data", "d.csv"],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, *files, "--mixing", "bogus"])
+        assert info.value.code == 2
+        assert "argument --mixing: invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_badly_typed_config_prints_no_traceback(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -181,12 +181,6 @@ class TestRelabel:
                 ratios.append(kernels.geometric_difference(k, q, y, ridge))
             assert g_star >= np.median(ratios), seed
 
-    def test_literal_form_flag(self):
-        _, q, k = pool_kernels(n_pool=10, seed=9)
-        a = datasets.relabel_for_advantage(q, k, ridge=1e-8, invert_classical=True)
-        b = datasets.relabel_for_advantage(q, k, ridge=1e-8, invert_classical=False)
-        assert a.shape == b.shape  # both defined; generally different vectors
-
 
 class TestSplit:
     def test_all_train(self):

@@ -317,6 +317,54 @@ class TestQuantumCross:
             kernels.quantum_cross(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+class TestSamplerOracle:
+    """Every sampled entry is one Bernoulli mean from its own keyed stream."""
+
+    @pytest.mark.parametrize("fix_diagonal", [True, False])
+    def test_sample_shots_every_entry(self, fix_diagonal):
+        n, m, seed = 7, 13, 21
+        _, qt, w = sampled_pair(n=n, m=m, seed=seed, fix_diagonal=fix_diagonal)
+        for i in range(n):
+            for j in range(i, n):
+                if i == j and fix_diagonal:
+                    assert w.matrix[i, j] == 1.0
+                else:
+                    g = stream(seed, "shots", i, j)
+                    assert w.matrix[i, j] == g.binomial(m, qt.matrix[i, j]) / m
+        assert np.array_equal(np.tril(w.matrix), np.triu(w.matrix).T)
+
+    def test_sample_cross_every_entry(self):
+        rng = np.random.default_rng(22)
+        xtr, xte = rng.uniform(-1, 1, size=(5, 3)), rng.uniform(-1, 1, size=(4, 3))
+        noise, m, seed = make_noise(0.05, layers=4), 11, 8
+        fid = kernels.cross_fidelity(xtr, xte)
+        probs = (1.0 - noise.rate) * fid + noise.rate * 2.0**-3
+        got = kernels.sample_cross(fid, noise, 3, m, seed)
+        for t in range(4):
+            for i in range(5):
+                g = stream(seed, "cross", t, i)
+                assert got[t, i] == g.binomial(m, probs[t, i]) / m
+
+    @pytest.mark.parametrize("m", [7, "inf"])
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            None,
+            make_noise(0.0),
+            make_noise(0.05, layers=4),
+            make_noise(0.05, layers=4, mixing=kernels.MIX_HALF_INVERSE_DIM),
+        ],
+    )
+    def test_quantum_cross_composes_the_stages(self, noise, m):
+        rng = np.random.default_rng(23)
+        xtr, xte = rng.uniform(-1, 1, size=(6, 2)), rng.uniform(-1, 1, size=(3, 2))
+        fid = kernels.cross_fidelity(xtr, xte)
+        got = kernels.quantum_cross(xtr, xte, noise, m, seed=4)
+        assert np.array_equal(got, kernels.sample_cross(fid, noise, 2, m, seed=4))
+        if noise is not None and noise.rate == 0.0:  # mixing at rate 0 is exact
+            assert np.array_equal(got, kernels.sample_cross(fid, None, 2, m, seed=4))
+
+
 class TestGeometricDifference:
     def test_equal_kernels(self):
         rng = np.random.default_rng(18)
