@@ -7,6 +7,8 @@ Each transform works in the eigenbasis of the input:
 * ``shift``   adds ``|min(lambda_min, 0)|`` to the whole diagonal,
 * ``nearest_psd``  raises every eigenvalue below ``delta`` to ``delta``.
 
+All four run through :meth:`Spectrum.repair`, one decomposition per matrix.
+
 Against a PSD reference matrix, clip and flip provably never increase
 the Frobenius distance.  Shift does not share that guarantee: expanding
 the traces gives
@@ -23,6 +25,7 @@ comparison on concrete pairs and reports the outcome as observed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,55 +43,62 @@ METHODS = (CLIP, FLIP, SHIFT, NEAREST)
 _SHIFT_TRACE_TOL = 1e-6
 
 
+class Spectrum:
+    """A symmetric matrix, checked once.  Its ``eigvalsh`` eigenvalues and its
+    decomposition are each computed on first use; they are not bit-equal."""
+
+    def __init__(self, m: np.ndarray | object, name: str = "matrix"):
+        self.matrix = linalg.check_symmetric(m, name)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
+
+    @cached_property
+    def decomposition(self) -> linalg.EigenDecomposition:
+        return linalg.eig_sym(self.matrix)
+
+    @property
+    def lam_min(self) -> float:
+        return float(np.min(self.eigenvalues))
+
+    def repair(self, method: str, delta: float = 0.0) -> np.ndarray:
+        """The matrix repaired by ``method``; at or above the floor, an exact copy."""
+        if method == SHIFT:
+            return self.matrix + abs(min(self.lam_min, 0.0)) * np.eye(len(self.matrix))
+        if method not in METHODS + (NONE,):
+            raise ValueError(f"unknown calibration method: {method!r}")
+        if method == NEAREST and delta < 0:
+            raise ValueError(f"delta must be nonnegative, got {delta}")
+        floor = delta if method == NEAREST else 0.0
+        if method == NONE or self.decomposition.eigenvalues[-1] >= floor:
+            return self.matrix.copy()
+        dec = self.decomposition
+        if method == CLIP:
+            return dec.reconstruct(np.clip(dec.eigenvalues, 0.0, None))
+        if method == FLIP:
+            return dec.reconstruct(np.abs(dec.eigenvalues))
+        return dec.reconstruct(np.maximum(dec.eigenvalues, floor))
+
+
 def clip(w: np.ndarray | object) -> np.ndarray:
     """Zero all negative eigenvalues; equals the input iff it is PSD."""
-    dec = linalg.eig_sym(w)
-    if dec.eigenvalues[-1] >= 0.0:  # already PSD: exact fixed point
-        return linalg.as_matrix(w).copy()
-    return dec.reconstruct(np.clip(dec.eigenvalues, 0.0, None))
+    return Spectrum(w).repair(CLIP)
 
 
 def flip(w: np.ndarray | object) -> np.ndarray:
     """Replace every eigenvalue by its absolute value; Frobenius-norm preserving."""
-    dec = linalg.eig_sym(w)
-    if dec.eigenvalues[-1] >= 0.0:
-        return linalg.as_matrix(w).copy()
-    return dec.reconstruct(np.abs(dec.eigenvalues))
+    return Spectrum(w).repair(FLIP)
 
 
 def shift(w: np.ndarray | object) -> np.ndarray:
     """Add |min(lambda_min, 0)| to the diagonal; off-diagonal entries unchanged."""
-    a = linalg.check_symmetric(w)
-    lam_min = float(np.min(np.linalg.eigvalsh(a)))
-    offset = abs(min(lam_min, 0.0))
-    return a + offset * np.eye(a.shape[0])
+    return Spectrum(w).repair(SHIFT)
 
 
 def nearest_psd(w: np.ndarray | object, delta: float = 0.0) -> np.ndarray:
     """Raise every eigenvalue below ``delta`` to ``delta`` (delta >= 0)."""
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    dec = linalg.eig_sym(w)
-    if dec.eigenvalues[-1] >= delta:
-        return linalg.as_matrix(w).copy()
-    return dec.reconstruct(np.maximum(dec.eigenvalues, delta))
-
-
-def apply_method(
-    w: np.ndarray | object, method: str, delta: float = 0.0
-) -> np.ndarray:
-    a = linalg.check_symmetric(w)
-    if method == CLIP:
-        return clip(a)
-    if method == FLIP:
-        return flip(a)
-    if method == SHIFT:
-        return shift(a)
-    if method == NEAREST:
-        return nearest_psd(a, delta)
-    if method == NONE:
-        return a.copy()
-    raise ValueError(f"unknown calibration method: {method!r}")
+    return Spectrum(w).repair(NEAREST, delta)
 
 
 @dataclass(frozen=True)
@@ -112,30 +122,26 @@ class CalibrationReport:
 
 
 def calibrate_and_report(
-    q: np.ndarray | object,
-    w: np.ndarray | object,
+    q: np.ndarray | Spectrum,
+    w: np.ndarray | Spectrum,
     method: str,
     delta: float = 0.0,
 ) -> tuple[np.ndarray, CalibrationReport]:
-    """Apply one transform to ``w`` and report distances to the reference ``q``.
-
-    ``method="none"`` passes the matrix through and only reports distances.
-    """
-    qm = linalg.check_symmetric(q, "reference")
-    wm = linalg.check_symmetric(w, "kernel")
+    """Apply one transform to ``w`` and report distances to the reference ``q``;
+    either may be its :class:`Spectrum`.  ``method="none"`` passes ``w`` through."""
+    qs = q if isinstance(q, Spectrum) else Spectrum(q, "reference")
+    ws = w if isinstance(w, Spectrum) else Spectrum(w, "kernel")
+    qm, wm = qs.matrix, ws.matrix
     if qm.shape != wm.shape:
         raise ValueError(f"shape mismatch: {qm.shape} vs {wm.shape}")
-    repaired = apply_method(wm, method, delta)
+    repaired = ws.repair(method, delta)
 
     dist_before = float(np.linalg.norm(qm - wm, "fro"))
     dist_after = float(np.linalg.norm(qm - repaired, "fro"))
-    min_before = float(np.min(np.linalg.eigvalsh(wm)))
-    min_after = float(np.min(np.linalg.eigvalsh(repaired)))
 
     passed: bool | None = None
     if method in (CLIP, FLIP, SHIFT):
-        q_lam = np.linalg.eigvalsh(qm)
-        applicable = float(np.min(q_lam)) >= -1e-9 * max(1.0, float(np.max(q_lam)))
+        applicable = qs.lam_min >= -1e-9 * max(1.0, float(np.max(qs.eigenvalues)))
         if method == SHIFT:
             applicable = applicable and abs(
                 float(np.trace(wm)) - wm.shape[0]
@@ -146,7 +152,7 @@ def calibrate_and_report(
         method=method,
         dist_before=dist_before,
         dist_after=dist_after,
-        min_eig_before=min_before,
-        min_eig_after=min_after,
+        min_eig_before=ws.lam_min,
+        min_eig_after=float(np.min(np.linalg.eigvalsh(repaired))),
         passed_lemma=passed,
     )

@@ -2,12 +2,12 @@
 
 ``run_sweep`` walks the Cartesian grid (train size, shots, noise rate,
 calibration method, seed) in three nested stages.  For every (train size,
-seed) cell it builds a pooled dataset, engineers advantage labels on the
-pooled ideal kernels, splits, encodes the ideal cross kernel, and runs the
-RBF grid-search baseline; for every (shots, noise rate) it samples the
-noisy train and cross kernels and evaluates the bound terms; per
-calibration method it only calibrates, trains and scores.  Output records
-are sorted by coordinate and serialize byte-identically across reruns.
+seed) cell it builds a pooled dataset, engineers advantage labels, splits,
+encodes the ideal cross kernel, takes the ideal train kernel's spectrum and
+runs the RBF grid-search baseline; for every (shots, noise rate) it samples
+the noisy train and cross kernels, takes the sampled kernel's spectrum and
+evaluates the bound terms; per method it only repairs, trains and scores.
+Output records are sorted by coordinate and serialize byte-identically.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  Every sweep
 config value is checked at load.  A failed sweep coordinate is written as a
@@ -396,9 +396,9 @@ def _take(outcome):
     return outcome
 
 
-def _noise_stage(config: SweepConfig, pool, terms, m, p_tilde, seed) -> tuple:
-    """Sampled train kernel, cross kernel and bound shared by every method at
-    one (shots, noise rate); each is a value or the failure computing it."""
+def _noise_stage(config: SweepConfig, pool, q_spec, terms, m, p_tilde, seed):
+    """Reference and sampled kernel spectra, cross kernel and bound shared by
+    every method at one (shots, noise rate); each is a value or its failure."""
     try:
         pool = _take(pool)
         noise = kernels.NoiseModel(
@@ -411,6 +411,8 @@ def _noise_stage(config: SweepConfig, pool, terms, m, p_tilde, seed) -> tuple:
         )
         noisy = kernels.apply_noise(q_ideal, noise, fix_diagonal=True)
         sampled = kernels.sample_shots(noisy, m, seed).matrix
+        # checked in calibrate_and_report's order: the reference, then the kernel
+        spectra = _take(q_spec), calibrate.Spectrum(sampled, "kernel")
     except Exception as exc:  # every record stops here, before cross and bound
         return exc, exc, exc
     cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
@@ -425,7 +427,7 @@ def _noise_stage(config: SweepConfig, pool, terms, m, p_tilde, seed) -> tuple:
         config.num_qubits,
         config.bound_delta,
     )
-    return sampled, cross, bound
+    return spectra, cross, bound
 
 
 def _quantum_record(
@@ -448,13 +450,13 @@ def _quantum_record(
         method=method,
         seed=seed,
     )
-    sampled, cross, bound = shared
+    spectra, cross, bound = shared
     try:
         pool = _take(pool)
         rec.ridge = config.ridge
         rec.geometric_difference = pool.geometric_difference
         calibrated, report = calibrate.calibrate_and_report(
-            pool.q_train_ideal, _take(sampled), method, delta=config.nearest_delta
+            *_take(spectra), method, delta=config.nearest_delta
         )
         rec.dist_before = report.dist_before
         rec.dist_after = report.dist_after
@@ -526,16 +528,17 @@ def _ideal_terms(config: SweepConfig, pool: PoolContext) -> bounds.IdealTerms:
 
 
 def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
-    """All records of one (train size, seed) cell.  The pool, ideal kernels
-    and c1 are built once per cell, sampled kernels and bound once per (m, p),
-    and only calibration and training run per method; a failed pool fails all."""
+    """All records of one (train size, seed) cell: pool, ideal kernels, c1 and
+    Q's spectrum once per cell, sampled kernels, W's spectrum and bound once
+    per (m, p), repair and training per method; a failed pool fails all."""
     pool = _attempt(build_pool, config, n, seed)
     c1 = _attempt(_ideal_c1, config, pool)
+    q_spec = _attempt(lambda p: calibrate.Spectrum(p.q_train_ideal, "reference"), pool)
     terms = _attempt(_ideal_terms, config, pool)
     records = []
     for m in config.shots:
         for p_tilde in config.noise_rates:
-            shared = _noise_stage(config, pool, terms, m, p_tilde, seed)
+            shared = _noise_stage(config, pool, q_spec, terms, m, p_tilde, seed)
             for method in config.methods:
                 records.append(
                     _quantum_record(
@@ -595,6 +598,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if not args.delta >= 0.0:  # flags are checked before any file is read
+        raise ConfigError(f"delta must be nonnegative, got {args.delta}")
     w = kernels.load_kernel(args.kernel)
     if args.reference:
         q = kernels.load_kernel(args.reference)
@@ -603,7 +608,7 @@ def _cmd_calibrate(args) -> int:
         )
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        repaired = calibrate.apply_method(w.matrix, args.method, args.delta)
+        repaired = calibrate.Spectrum(w.matrix).repair(args.method, args.delta)
     out_kernel = kernels.KernelMatrix(
         matrix=repaired,
         provenance=kernels.CALIBRATED_PREFIX + args.method,
@@ -615,6 +620,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if not args.ridge >= 0.0:
+        raise ConfigError(f"ridge must be nonnegative, got {args.ridge}")
     gram = kernels.load_kernel(args.kernel)
     ds = datasets.load_csv(args.data)
     if ds.n != gram.dim:
@@ -639,6 +646,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_relabel(args) -> int:
+    if not args.ridge >= 0.0:
+        raise ConfigError(f"ridge must be nonnegative, got {args.ridge}")
+    if not args.gamma_scale > 0.0:
+        raise ConfigError(f"gamma scale must be positive, got {args.gamma_scale}")
     feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
     _, k_all, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
     out_ds = datasets.Dataset(features=feats, labels=labels)
@@ -724,18 +735,19 @@ def _check_lines(trials: int, seed: int) -> list[tuple[str, bool, str]]:
             q, kernels.NoiseModel(0.05, layers=4), fix_diagonal=True
         )
         w = kernels.sample_shots(noisy, 10, int(rng.integers(0, 10**6)))
+        ws = calibrate.Spectrum(w.matrix)
         base = float(np.linalg.norm(q.matrix - w.matrix, "fro"))
         clip_ok &= (
-            float(np.linalg.norm(q.matrix - calibrate.clip(w.matrix), "fro"))
+            float(np.linalg.norm(q.matrix - ws.repair(calibrate.CLIP), "fro"))
             <= base * (1 + 1e-9)
         )
         flip_ok &= (
-            float(np.linalg.norm(q.matrix - calibrate.flip(w.matrix), "fro"))
+            float(np.linalg.norm(q.matrix - ws.repair(calibrate.FLIP), "fro"))
             <= base * (1 + 1e-9)
         )
-        lam_min = min(float(np.min(np.linalg.eigvalsh(w.matrix))), 0.0)
+        lam_min = min(ws.lam_min, 0.0)
         gap = (
-            float(np.linalg.norm(q.matrix - calibrate.shift(w.matrix), "fro")) ** 2
+            float(np.linalg.norm(q.matrix - ws.repair(calibrate.SHIFT), "fro")) ** 2
             - base**2
         )
         want = 2 * lam_min * (np.trace(q.matrix) - np.trace(w.matrix)) + n * lam_min**2
@@ -764,6 +776,8 @@ def _check_lines(trials: int, seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     all_ok = True
     for name, ok, detail in _check_lines(args.trials, args.seed or 0):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -224,3 +224,90 @@ def sweep_quantum_record(config, pool, n, m, p_tilde, method, seed):
     except Exception as exc:
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec
+
+
+def _clip_reference(w):
+    dec = linalg.eig_sym(w)
+    if dec.eigenvalues[-1] >= 0.0:  # already PSD: exact fixed point
+        return linalg.as_matrix(w).copy()
+    return dec.reconstruct(np.clip(dec.eigenvalues, 0.0, None))
+
+
+def _flip_reference(w):
+    dec = linalg.eig_sym(w)
+    if dec.eigenvalues[-1] >= 0.0:
+        return linalg.as_matrix(w).copy()
+    return dec.reconstruct(np.abs(dec.eigenvalues))
+
+
+def _shift_reference(w):
+    a = linalg.check_symmetric(w)
+    lam_min = float(np.min(np.linalg.eigvalsh(a)))
+    offset = abs(min(lam_min, 0.0))
+    return a + offset * np.eye(a.shape[0])
+
+
+def _nearest_psd_reference(w, delta=0.0):
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    dec = linalg.eig_sym(w)
+    if dec.eigenvalues[-1] >= delta:
+        return linalg.as_matrix(w).copy()
+    return dec.reconstruct(np.maximum(dec.eigenvalues, delta))
+
+
+def _apply_method_reference(w, method, delta=0.0):
+    a = linalg.check_symmetric(w)
+    if method == calibrate.CLIP:
+        return _clip_reference(a)
+    if method == calibrate.FLIP:
+        return _flip_reference(a)
+    if method == calibrate.SHIFT:
+        return _shift_reference(a)
+    if method == calibrate.NEAREST:
+        return _nearest_psd_reference(a, delta)
+    if method == calibrate.NONE:
+        return a.copy()
+    raise ValueError(f"unknown calibration method: {method!r}")
+
+
+# the public repairs as they were before they shared one decomposition
+REPAIR_REFERENCES = {
+    calibrate.CLIP: _clip_reference,
+    calibrate.FLIP: _flip_reference,
+    calibrate.SHIFT: _shift_reference,
+    calibrate.NEAREST: _nearest_psd_reference,
+}
+
+
+def calibrate_and_report_reference(q, w, method, delta=0.0):
+    """``calibrate_and_report`` with every repair and report decomposing its
+    input afresh: each transform runs its own ``eig_sym`` or ``eigvalsh``,
+    and the report its own ``eigvalsh`` of W, of the repair and of Q."""
+    qm = linalg.check_symmetric(q, "reference")
+    wm = linalg.check_symmetric(w, "kernel")
+    if qm.shape != wm.shape:
+        raise ValueError(f"shape mismatch: {qm.shape} vs {wm.shape}")
+    repaired = _apply_method_reference(wm, method, delta)
+
+    dist_before = float(np.linalg.norm(qm - wm, "fro"))
+    dist_after = float(np.linalg.norm(qm - repaired, "fro"))
+    min_before = float(np.min(np.linalg.eigvalsh(wm)))
+    min_after = float(np.min(np.linalg.eigvalsh(repaired)))
+
+    passed = None
+    if method in (calibrate.CLIP, calibrate.FLIP, calibrate.SHIFT):
+        q_lam = np.linalg.eigvalsh(qm)
+        applicable = float(np.min(q_lam)) >= -1e-9 * max(1.0, float(np.max(q_lam)))
+        if method == calibrate.SHIFT:
+            applicable = applicable and abs(float(np.trace(wm)) - wm.shape[0]) <= 1e-6
+        if applicable:
+            passed = dist_after <= dist_before * (1.0 + 1e-9)
+    return repaired, calibrate.CalibrationReport(
+        method=method,
+        dist_before=dist_before,
+        dist_after=dist_after,
+        min_eig_before=min_before,
+        min_eig_after=min_after,
+        passed_lemma=passed,
+    )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from qksim import calibrate, kernels, linalg
 
 
@@ -234,3 +235,114 @@ class TestLemmaInequalitiesRandom:
             shift_sq = np.linalg.norm(q - calibrate.shift(w), "fro") ** 2
             want = 2 * lam_min * (np.trace(q) - np.trace(w)) + dim * lam_min**2
             assert shift_sq - base_sq == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+ALL_METHODS = calibrate.METHODS + (calibrate.NONE,)
+DELTA = 0.1
+
+
+def spectral_matrix(rng, eigenvalues):
+    """A symmetric matrix with the given spectrum in a random eigenbasis."""
+    v, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    return linalg.sym_matrix((v * np.asarray(eigenvalues)) @ v.T)
+
+
+def equivalence_pairs():
+    """(name, Q, W) pairs covering each branch of the repairs and the report."""
+    rng = np.random.default_rng(30)
+    q, w = pipeline_pair(rng, 12)
+    b = rng.normal(size=(7, 7))
+    pairs = {
+        "indefinite": (q, w),
+        "psd-fixed-point": (q[:7, :7], linalg.sym_matrix(b.T @ b / 7 + np.eye(7))),
+        "under-the-floor": (q[:6, :6], spectral_matrix(rng, [0.03, 0.2, 0.5, 1, 2, 3])),
+        "trace-off-dimension": (q[:8, :8], random_symmetric(rng, 8)),
+        "non-psd-reference": (random_symmetric(rng, 12), w),
+    }
+    return [(name, qm, wm) for name, (qm, wm) in pairs.items()]
+
+
+def assert_same_outcome(got, want):
+    """Bit-identical repaired matrices and equal report fields of equal types."""
+    (got_m, got_r), (want_m, want_r) = got, want
+    assert got_m.dtype == want_m.dtype and got_m.shape == want_m.shape
+    assert np.array_equal(got_m, want_m) and got_m.tobytes() == want_m.tobytes()
+    got_d, want_d = got_r.to_dict(), want_r.to_dict()
+    assert got_d == want_d
+    assert [type(v) for v in got_d.values()] == [type(v) for v in want_d.values()]
+
+
+def failure(func, *args):
+    """The exception type and text ``func`` raises on ``args``."""
+    with pytest.raises(Exception) as info:
+        func(*args)
+    return type(info.value), str(info.value)
+
+
+class TestSpectrumMatchesReference:
+    """One shared Spectrum gives the bits of the per-call decompositions."""
+
+    def test_the_pairs_reach_every_branch(self):
+        pairs = {name: (q, w) for name, q, w in equivalence_pairs()}
+
+        def reference(name, method):
+            q, w = pairs[name]
+            out, report = oracles.calibrate_and_report_reference(q, w, method, DELTA)
+            return np.array_equal(out, w), report.passed_lemma
+
+        assert reference("indefinite", calibrate.CLIP) == (False, True)
+        assert reference("indefinite", calibrate.SHIFT) == (False, False)
+        for method in (calibrate.CLIP, calibrate.FLIP, calibrate.NEAREST):
+            assert reference("psd-fixed-point", method)[0]
+        assert reference("under-the-floor", calibrate.CLIP) == (True, True)
+        assert reference("under-the-floor", calibrate.NEAREST) == (False, None)
+        assert reference("trace-off-dimension", calibrate.SHIFT) == (False, None)
+        assert reference("trace-off-dimension", calibrate.FLIP) == (False, True)
+        assert reference("non-psd-reference", calibrate.CLIP) == (False, None)
+
+    @pytest.mark.parametrize("name, q, w", equivalence_pairs())
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_matrix_and_spectrum_arguments(self, name, q, w, method):
+        want = oracles.calibrate_and_report_reference(q, w, method, DELTA)
+        qs, ws = calibrate.Spectrum(q, "reference"), calibrate.Spectrum(w, "kernel")
+        for args in ((q, w), (qs, w), (q, ws), (qs, ws)):
+            assert_same_outcome(
+                calibrate.calibrate_and_report(*args, method, DELTA), want
+            )
+
+    @pytest.mark.parametrize("name, q, w", equivalence_pairs())
+    @pytest.mark.parametrize("order", [ALL_METHODS, ALL_METHODS[::-1]])
+    def test_one_spectrum_serves_every_method(self, name, q, w, order):
+        qs, ws = calibrate.Spectrum(q, "reference"), calibrate.Spectrum(w, "kernel")
+        for method in order:
+            assert_same_outcome(
+                calibrate.calibrate_and_report(qs, ws, method, DELTA),
+                oracles.calibrate_and_report_reference(q, w, method, DELTA),
+            )
+
+    @pytest.mark.parametrize("name, q, w", equivalence_pairs())
+    def test_public_repairs(self, name, q, w):
+        ref = oracles.REPAIR_REFERENCES
+        assert calibrate.clip(w).tobytes() == ref[calibrate.CLIP](w).tobytes()
+        assert calibrate.flip(w).tobytes() == ref[calibrate.FLIP](w).tobytes()
+        assert calibrate.shift(w).tobytes() == ref[calibrate.SHIFT](w).tobytes()
+        want = ref[calibrate.NEAREST](w, DELTA).tobytes()
+        assert calibrate.nearest_psd(w, DELTA).tobytes() == want
+
+    @pytest.mark.parametrize("q, w, method, delta", [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2), calibrate.CLIP, 0.0),
+        (np.eye(2), np.array([[1.0, 0.5], [0.1, 1.0]]), calibrate.FLIP, 0.0),
+        (np.eye(2), np.eye(3), calibrate.SHIFT, 0.0),
+        (np.eye(2), np.eye(2), "bogus", 0.0),
+        (np.eye(2), np.diag([1.0, -1.0]), calibrate.NEAREST, -0.5),
+    ])
+    def test_same_failures(self, q, w, method, delta):
+        want = failure(oracles.calibrate_and_report_reference, q, w, method, delta)
+        got = failure(calibrate.calibrate_and_report, q, w, method, delta)
+        assert got == want
+
+    def test_negative_nearest_delta(self):
+        w = np.diag([1.0, -1.0])
+        want = failure(oracles.REPAIR_REFERENCES[calibrate.NEAREST], w, -0.5)
+        assert failure(calibrate.nearest_psd, w, -0.5) == want
+        assert want == (ValueError, "delta must be nonnegative, got -0.5")

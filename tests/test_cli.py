@@ -265,6 +265,42 @@ class TestStagedSweep:
             assert rec.error == "ValueError: ideal_terms failed, on purpose"
             assert rec.breakdown_p is None
 
+    @pytest.mark.parametrize("corrupt", ["kernel", "reference", "reference-nan"])
+    def test_failed_matrix_check_fails_at_calibration(self, monkeypatch, corrupt):
+        build_pool, sample_shots = cli.build_pool, kernels.sample_shots
+
+        def bad_pool(config, n, seed):
+            pool = build_pool(config, n, seed)
+            pool.q_train_ideal[0, 1] = np.nan if corrupt == "reference-nan" else 0.25
+            return pool
+
+        def bad_shots(qt, m, seed):
+            out = sample_shots(qt, m, seed)
+            if m == 5:
+                out.matrix[0, 1] += 0.5
+            return out
+
+        if corrupt == "kernel":
+            monkeypatch.setattr(kernels, "sample_shots", bad_shots)
+        else:
+            monkeypatch.setattr(cli, "build_pool", bad_pool)
+        config = self.config("pipeline")
+        records = cli.run_sweep(config)
+        assert_same_records(records, reference_sweep(config))
+        errors = {}
+        for r in records:
+            if r.kind == cli.QUANTUM:
+                errors.setdefault(r.m, set()).add(r.error)
+        if corrupt == "kernel":
+            assert errors == {5: {"ValueError: kernel is not symmetric"}, "inf": {None}}
+        elif corrupt == "reference":
+            text = "ValueError: reference is not symmetric"
+            assert errors == {5: {text}, "inf": {text}}
+        else:  # at finite shots the NaN fails the shot sampler first
+            text = "ValueError: reference has non-finite entries"
+            assert errors["inf"] == {text}
+            assert len(errors[5]) == 1 and errors[5] != {text}
+
     def test_failed_pool_fails_every_record_of_its_cell(self, tmp_path):
         ds = datasets.generate_synthetic(10, 2, 3)
         path = tmp_path / "small.csv"
@@ -345,6 +381,61 @@ class TestStagedSweep:
         # per cell: the pool Gram matrix, then the train and the test rows
         assert len(encoded) == 3 * 2 * 2
         assert len(calls["q_inv"]) == len(set(calls["q_inv"])) == 2 * 2
+
+    def test_each_spectrum_is_computed_once_where_it_varies(self, monkeypatch):
+        sampled, references, repairs = [], [], []
+        eig_sym_calls, eigvalsh_calls = [], []
+        sample_shots, build_pool = kernels.sample_shots, cli.build_pool
+        calibrate_and_report = calibrate.calibrate_and_report
+        eig_sym, eigvalsh = linalg.eig_sym, np.linalg.eigvalsh
+
+        def spy_shots(qt, m, seed):
+            out = sample_shots(qt, m, seed)
+            sampled.append(out.matrix.copy())
+            return out
+
+        def spy_pool(config, n, seed):
+            pool = build_pool(config, n, seed)
+            references.append(pool.q_train_ideal.tobytes())
+            return pool
+
+        def spy_report(q, w, method, delta=0.0):
+            repaired, report = calibrate_and_report(q, w, method, delta)
+            repairs.append(repaired.tobytes())
+            return repaired, report
+
+        def spy_eig_sym(m):
+            eig_sym_calls.append(np.asarray(m).tobytes())
+            return eig_sym(m)
+
+        def spy_eigvalsh(a, UPLO="L"):
+            eigvalsh_calls.append(np.asarray(a).tobytes())
+            return eigvalsh(a, UPLO)
+
+        monkeypatch.setattr(kernels, "sample_shots", spy_shots)
+        monkeypatch.setattr(cli, "build_pool", spy_pool)
+        monkeypatch.setattr(calibrate, "calibrate_and_report", spy_report)
+        monkeypatch.setattr(linalg, "eig_sym", spy_eig_sym)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+        config = cli.SweepConfig.from_dict(
+            small_config(
+                train_sizes=[6, 8], shots=[5, 20], methods=list(calibrate.METHODS)
+            )
+        )
+        records = cli.run_sweep(config)
+        assert all(r.dist_before is not None for r in records if r.kind == cli.QUANTUM)
+        sampled = [w.tobytes() for w in sampled]
+        assert len(set(sampled)) == len(sampled) == 2 * 2 * 2 * 2
+        assert len(set(references)) == len(references) == 2 * 2
+        for w in sampled:
+            # a repair that returns W unchanged is a new matrix with W's bytes:
+            # the report takes its eigvalsh and the fit its eig_sym
+            copies = repairs.count(w)
+            assert eig_sym_calls.count(w) == eigvalsh_calls.count(w) == 1 + copies
+        for q in references:
+            assert eigvalsh_calls.count(q) == 1
+        for q in references:
+            assert eigvalsh_calls.count(q) == 1
 
 
 class TestSweepMetamorphic:
@@ -696,6 +787,30 @@ class TestExitCodes:
             "bound": ["--kernel", missing, "--data", missing],
         }[argv[0]]
         assert self.main(capsys, *argv, *files) == (1, f"config error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["calibrate", "--method", "clip", "--delta", "-1"],
+         "delta must be nonnegative, got -1.0"),
+        (["calibrate", "--method", "nearest", "--delta", "-1"],
+         "delta must be nonnegative, got -1.0"),
+        (["train", "--ridge", "-1"], "ridge must be nonnegative, got -1.0"),
+        (["relabel", "--ridge", "-1"], "ridge must be nonnegative, got -1.0"),
+        (["relabel", "--gamma-scale", "0"], "gamma scale must be positive, got 0.0"),
+        (["check", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["check", "--trials", "-3"], "trials must be >= 1, got -3"),
+    ])
+    def test_bad_library_flag_is_config_error_before_any_file_is_read(
+        self, tmp_path, capsys, argv, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        files = {
+            "calibrate": ["--kernel", missing, "--out", missing],
+            "train": ["--kernel", missing, "--data", missing],
+            "relabel": ["--data", missing, "--num-qubits", "2", "--out", missing],
+            "check": [],
+        }[argv[0]]
+        assert self.main(capsys, *argv, *files) == (1, f"config error: {message}\n")
+        assert not (tmp_path / "missing.csv").exists()
 
     @pytest.mark.parametrize("command", ["kernel", "bound"])
     def test_unknown_mixing_is_a_usage_error(self, capsys, command):
