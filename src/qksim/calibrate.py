@@ -7,7 +7,7 @@ Each transform works in the eigenbasis of the input:
 * ``shift``   adds ``|min(lambda_min, 0)|`` to the whole diagonal,
 * ``nearest_psd``  raises every eigenvalue below ``delta`` to ``delta``.
 
-All four run through :meth:`Spectrum.repair`, one decomposition per matrix.
+All four run through :func:`repair`, one decomposition per matrix.
 
 Against a PSD reference matrix, clip and flip provably never increase
 the Frobenius distance.  Shift does not share that guarantee: expanding
@@ -25,11 +25,11 @@ comparison on concrete pairs and reports the outcome as observed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
+from .linalg import Spectrum
 
 CLIP = "clip"
 FLIP = "flip"
@@ -43,62 +43,45 @@ METHODS = (CLIP, FLIP, SHIFT, NEAREST)
 _SHIFT_TRACE_TOL = 1e-6
 
 
-class Spectrum:
-    """A symmetric matrix, checked once.  Its ``eigvalsh`` eigenvalues and its
-    decomposition are each computed on first use; they are not bit-equal."""
-
-    def __init__(self, m: np.ndarray | object, name: str = "matrix"):
-        self.matrix = linalg.check_symmetric(m, name)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    @cached_property
-    def decomposition(self) -> linalg.EigenDecomposition:
-        return linalg.eig_sym(self.matrix)
-
-    @property
-    def lam_min(self) -> float:
-        return float(np.min(self.eigenvalues))
-
-    def repair(self, method: str, delta: float = 0.0) -> np.ndarray:
-        """The matrix repaired by ``method``; at or above the floor, an exact copy."""
-        if method == SHIFT:
-            return self.matrix + abs(min(self.lam_min, 0.0)) * np.eye(len(self.matrix))
-        if method not in METHODS + (NONE,):
-            raise ValueError(f"unknown calibration method: {method!r}")
-        if method == NEAREST and delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {delta}")
-        floor = delta if method == NEAREST else 0.0
-        if method == NONE or self.decomposition.eigenvalues[-1] >= floor:
-            return self.matrix.copy()
-        dec = self.decomposition
-        if method == CLIP:
-            return dec.reconstruct(np.clip(dec.eigenvalues, 0.0, None))
-        if method == FLIP:
-            return dec.reconstruct(np.abs(dec.eigenvalues))
-        return dec.reconstruct(np.maximum(dec.eigenvalues, floor))
+def repair(w: np.ndarray | Spectrum, method: str, delta: float = 0.0) -> np.ndarray:
+    """``w``, or the matrix of its :class:`Spectrum`, repaired by ``method``;
+    at or above the floor, an exact copy."""
+    ws = linalg.spectrum(w)
+    if method == SHIFT:
+        return ws.matrix + abs(min(ws.lam_min, 0.0)) * np.eye(len(ws.matrix))
+    if method not in METHODS + (NONE,):
+        raise ValueError(f"unknown calibration method: {method!r}")
+    if method == NEAREST and delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    floor = delta if method == NEAREST else 0.0
+    if method == NONE or ws.decomposition.eigenvalues[-1] >= floor:
+        return ws.matrix.copy()
+    dec = ws.decomposition
+    if method == CLIP:
+        return dec.reconstruct(np.clip(dec.eigenvalues, 0.0, None))
+    if method == FLIP:
+        return dec.reconstruct(np.abs(dec.eigenvalues))
+    return dec.reconstruct(np.maximum(dec.eigenvalues, floor))
 
 
 def clip(w: np.ndarray | object) -> np.ndarray:
     """Zero all negative eigenvalues; equals the input iff it is PSD."""
-    return Spectrum(w).repair(CLIP)
+    return repair(w, CLIP)
 
 
 def flip(w: np.ndarray | object) -> np.ndarray:
     """Replace every eigenvalue by its absolute value; Frobenius-norm preserving."""
-    return Spectrum(w).repair(FLIP)
+    return repair(w, FLIP)
 
 
 def shift(w: np.ndarray | object) -> np.ndarray:
     """Add |min(lambda_min, 0)| to the diagonal; off-diagonal entries unchanged."""
-    return Spectrum(w).repair(SHIFT)
+    return repair(w, SHIFT)
 
 
 def nearest_psd(w: np.ndarray | object, delta: float = 0.0) -> np.ndarray:
     """Raise every eigenvalue below ``delta`` to ``delta`` (delta >= 0)."""
-    return Spectrum(w).repair(NEAREST, delta)
+    return repair(w, NEAREST, delta)
 
 
 @dataclass(frozen=True)
@@ -129,12 +112,11 @@ def calibrate_and_report(
 ) -> tuple[np.ndarray, CalibrationReport]:
     """Apply one transform to ``w`` and report distances to the reference ``q``;
     either may be its :class:`Spectrum`.  ``method="none"`` passes ``w`` through."""
-    qs = q if isinstance(q, Spectrum) else Spectrum(q, "reference")
-    ws = w if isinstance(w, Spectrum) else Spectrum(w, "kernel")
+    qs, ws = linalg.spectrum(q, "reference"), linalg.spectrum(w, "kernel")
     qm, wm = qs.matrix, ws.matrix
     if qm.shape != wm.shape:
         raise ValueError(f"shape mismatch: {qm.shape} vs {wm.shape}")
-    repaired = ws.repair(method, delta)
+    repaired = repair(ws, method, delta)
 
     dist_before = float(np.linalg.norm(qm - wm, "fro"))
     dist_after = float(np.linalg.norm(qm - repaired, "fro"))
@@ -153,6 +135,6 @@ def calibrate_and_report(
         dist_before=dist_before,
         dist_after=dist_after,
         min_eig_before=ws.lam_min,
-        min_eig_after=float(np.min(np.linalg.eigvalsh(repaired))),
+        min_eig_after=linalg.spectrum(repaired, "matrix", ws).lam_min,
         passed_lemma=passed,
     )

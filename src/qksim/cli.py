@@ -411,8 +411,10 @@ def _noise_stage(config: SweepConfig, pool, q_spec, terms, m, p_tilde, seed):
         )
         noisy = kernels.apply_noise(q_ideal, noise, fix_diagonal=True)
         sampled = kernels.sample_shots(noisy, m, seed).matrix
-        # checked in calibrate_and_report's order: the reference, then the kernel
-        spectra = _take(q_spec), calibrate.Spectrum(sampled, "kernel")
+        # checked in calibrate_and_report's order: the reference, then the kernel;
+        # at rate 0 and exact shots W has Q's bytes, and so Q's spectrum
+        q_spec = _take(q_spec)
+        spectra = q_spec, linalg.spectrum(sampled, "kernel", q_spec)
     except Exception as exc:  # every record stops here, before cross and bound
         return exc, exc, exc
     cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
@@ -455,8 +457,9 @@ def _quantum_record(
         pool = _take(pool)
         rec.ridge = config.ridge
         rec.geometric_difference = pool.geometric_difference
+        q_spec, w_spec = _take(spectra)
         calibrated, report = calibrate.calibrate_and_report(
-            *_take(spectra), method, delta=config.nearest_delta
+            q_spec, w_spec, method, delta=config.nearest_delta
         )
         rec.dist_before = report.dist_before
         rec.dist_after = report.dist_after
@@ -466,7 +469,9 @@ def _quantum_record(
 
         y_train = pool.y_train
         y_test = pool.labels[pool.test_idx]
-        model = learner.fit_krr(calibrated, y_train, config.ridge)
+        # a repair that returns W unchanged is fitted on W's decomposition
+        cal_spec = linalg.spectrum(calibrated, "matrix", w_spec)
+        model = learner.fit_krr(cal_spec, y_train, config.ridge)
         _, train_pred = learner.predict(model, calibrated)
         rec.train_accuracy = learner.accuracy(train_pred, y_train.astype(int))
         _, test_pred = learner.predict(model, _take(cross))
@@ -503,21 +508,21 @@ def _rbf_record(config: SweepConfig, pool, n: int, seed: int) -> ResultRecord:
         best = learner.grid_search_rbf(xf, yf, xv, yv)
         rec.gamma = best.gamma
         rec.ridge = best.ridge
-        k_train = kernels.rbf_gram(x_train, best.gamma)
+        k_train = linalg.Spectrum(kernels.rbf_gram(x_train, best.gamma))
         model = learner.fit_krr(k_train, y_train, best.ridge)
         _, train_pred = learner.predict(model, k_train.matrix)
         rec.train_accuracy = learner.accuracy(train_pred, y_train.astype(int))
         cross = kernels.rbf_cross(x_train, x_test, best.gamma)
         _, test_pred = learner.predict(model, cross)
         rec.test_accuracy = learner.accuracy(test_pred, y_test)
-        rec.c1 = learner.model_complexity_c1(k_train.matrix, y_train, best.ridge)
+        rec.c1 = learner.model_complexity_c1(k_train, y_train, best.ridge)
     except Exception as exc:
         rec.error = _error_text(exc)
     return rec
 
 
-def _ideal_c1(config: SweepConfig, pool: PoolContext) -> float:
-    return learner.model_complexity_c1(pool.q_train_ideal, pool.y_train, config.ridge)
+def _ideal_c1(config: SweepConfig, pool: PoolContext, q_spec: linalg.Spectrum) -> float:
+    return learner.model_complexity_c1(q_spec, pool.y_train, config.ridge)
 
 
 def _ideal_terms(config: SweepConfig, pool: PoolContext) -> bounds.IdealTerms:
@@ -532,8 +537,8 @@ def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
     Q's spectrum once per cell, sampled kernels, W's spectrum and bound once
     per (m, p), repair and training per method; a failed pool fails all."""
     pool = _attempt(build_pool, config, n, seed)
-    c1 = _attempt(_ideal_c1, config, pool)
-    q_spec = _attempt(lambda p: calibrate.Spectrum(p.q_train_ideal, "reference"), pool)
+    q_spec = _attempt(lambda p: linalg.Spectrum(p.q_train_ideal, "reference"), pool)
+    c1 = _attempt(_ideal_c1, config, pool, q_spec)
     terms = _attempt(_ideal_terms, config, pool)
     records = []
     for m in config.shots:
@@ -585,8 +590,15 @@ def _shots_and_noise(args) -> tuple:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_num_qubits(n: int | None) -> None:
+    """A given --num-qubits flag, checked before any file is read."""
+    if n is not None and not 1 <= n <= qsim.MAX_QUBITS:
+        raise ConfigError(f"num_qubits must be in [1, {qsim.MAX_QUBITS}], got {n}")
+
+
 def _cmd_kernel(args) -> int:
     m, noise = _shots_and_noise(args)
+    _check_num_qubits(args.num_qubits)
     feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
     gram = kernels.gram_ideal(feats)
     if args.p_tilde > 0.0 or m is not kernels.INF_SHOTS:
@@ -608,7 +620,7 @@ def _cmd_calibrate(args) -> int:
         )
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        repaired = calibrate.Spectrum(w.matrix).repair(args.method, args.delta)
+        repaired = calibrate.repair(w.matrix, args.method, args.delta)
     out_kernel = kernels.KernelMatrix(
         matrix=repaired,
         provenance=kernels.CALIBRATED_PREFIX + args.method,
@@ -650,6 +662,7 @@ def _cmd_relabel(args) -> int:
         raise ConfigError(f"ridge must be nonnegative, got {args.ridge}")
     if not args.gamma_scale > 0.0:
         raise ConfigError(f"gamma scale must be positive, got {args.gamma_scale}")
+    _check_num_qubits(args.num_qubits)
     feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
     _, k_all, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
     out_ds = datasets.Dataset(features=feats, labels=labels)
@@ -673,6 +686,9 @@ def _cmd_bound(args) -> int:
     m, noise = _shots_and_noise(args)
     if not 0.0 < args.delta < 1.0:
         raise ConfigError(f"delta must be in (0, 1), got {args.delta}")
+    if not args.ridge >= 0.0:
+        raise ConfigError(f"ridge must be nonnegative, got {args.ridge}")
+    _check_num_qubits(args.num_qubits)
     gram = kernels.load_kernel(args.kernel)
     ds = datasets.load_csv(args.data)
     num_qubits = args.num_qubits or int(gram.params.get("num_qubits", 0))
@@ -735,21 +751,16 @@ def _check_lines(trials: int, seed: int) -> list[tuple[str, bool, str]]:
             q, kernels.NoiseModel(0.05, layers=4), fix_diagonal=True
         )
         w = kernels.sample_shots(noisy, 10, int(rng.integers(0, 10**6)))
-        ws = calibrate.Spectrum(w.matrix)
+        ws = linalg.Spectrum(w.matrix)
         base = float(np.linalg.norm(q.matrix - w.matrix, "fro"))
-        clip_ok &= (
-            float(np.linalg.norm(q.matrix - ws.repair(calibrate.CLIP), "fro"))
-            <= base * (1 + 1e-9)
-        )
-        flip_ok &= (
-            float(np.linalg.norm(q.matrix - ws.repair(calibrate.FLIP), "fro"))
-            <= base * (1 + 1e-9)
-        )
+        dist = {
+            name: float(np.linalg.norm(q.matrix - calibrate.repair(ws, name), "fro"))
+            for name in (calibrate.CLIP, calibrate.FLIP, calibrate.SHIFT)
+        }
+        clip_ok &= dist[calibrate.CLIP] <= base * (1 + 1e-9)
+        flip_ok &= dist[calibrate.FLIP] <= base * (1 + 1e-9)
         lam_min = min(ws.lam_min, 0.0)
-        gap = (
-            float(np.linalg.norm(q.matrix - ws.repair(calibrate.SHIFT), "fro")) ** 2
-            - base**2
-        )
+        gap = dist[calibrate.SHIFT] ** 2 - base**2
         want = 2 * lam_min * (np.trace(q.matrix) - np.trace(w.matrix)) + n * lam_min**2
         ident_ok &= abs(gap - want) <= 1e-9 * max(1.0, abs(want))
     out.append(("clip-distance", clip_ok, "never increases Frobenius distance"))

@@ -65,12 +65,15 @@ def _check_labels(y: np.ndarray) -> np.ndarray:
 
 
 def fit_krr(
-    k: kernels.KernelMatrix | np.ndarray, y: np.ndarray, ridge: float
+    k: kernels.KernelMatrix | linalg.Spectrum | np.ndarray,
+    y: np.ndarray,
+    ridge: float,
 ) -> KernelModel:
     """Solve the ridge system for the dual coefficients.
 
     The kernel plus ridge must be positive definite; indefinite inputs
-    should be calibrated first (or the ridge raised).
+    should be calibrated first (or the ridge raised).  A :class:`linalg.Spectrum`
+    argument lends its decomposition.
     """
     km = linalg.as_matrix(k)
     y = _check_labels(y)
@@ -80,7 +83,7 @@ def fit_krr(
         )
     params = dict(getattr(k, "params", {}) or {})
     params["provenance"] = getattr(k, "provenance", None)
-    return _fit(linalg.eig_sym(km), y, ridge, params)
+    return _fit(linalg.spectrum(k).decomposition, y, ridge, params)
 
 
 def _fit(dec: linalg.EigenDecomposition, y, ridge: float, params: dict) -> KernelModel:
@@ -118,12 +121,13 @@ def accuracy(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
 
 
 def model_complexity_c1(
-    q: kernels.KernelMatrix | np.ndarray, y: np.ndarray, ridge: float = 0.0
+    q: kernels.KernelMatrix | linalg.Spectrum | np.ndarray,
+    y: np.ndarray,
+    ridge: float = 0.0,
 ) -> float:
     """Squared norm of the minimum-norm interpolating predictor: Y' Q^-1 Y."""
-    qm = linalg.as_matrix(q)
     y = np.asarray(y, dtype=float)
-    return float(y @ linalg.inv_ridge(qm, ridge) @ y)
+    return float(y @ linalg.inv_ridge(q, ridge) @ y)
 
 
 def pooled_variance(x_rows: np.ndarray) -> float:

@@ -14,6 +14,7 @@ not depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,13 +121,45 @@ def eig_sym(m: np.ndarray | object) -> EigenDecomposition:
     )
 
 
+class Spectrum:
+    """A symmetric matrix, checked once.  Its ``eigvalsh`` eigenvalues and its
+    decomposition are each computed on first use; they are not bit-equal."""
+
+    def __init__(self, m: np.ndarray | object, name: str = "matrix"):
+        self.matrix = check_symmetric(m, name)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
+
+    @cached_property
+    def decomposition(self) -> EigenDecomposition:
+        return eig_sym(self.matrix)
+
+    @property
+    def lam_min(self) -> float:
+        return float(np.min(self.eigenvalues))
+
+
+def spectrum(m: np.ndarray | object, name: str = "matrix", *held: Spectrum) -> Spectrum:
+    """``m`` as a :class:`Spectrum`: itself, the first of ``held`` with ``m``'s
+    shape and bytes (so LAPACK's results for it are the same bits), or a new one."""
+    if isinstance(m, Spectrum):
+        return m
+    a = as_matrix(m)
+    for s in held:
+        if s.matrix.shape == a.shape and s.matrix.tobytes() == a.tobytes():
+            return s
+    return Spectrum(m, name)
+
+
 def mat_sqrt_psd(m: np.ndarray | object) -> np.ndarray:
     """Symmetric square root of a PSD matrix.
 
     Eigenvalues in ``[-1e-9 * lambda_max, 0)`` are clamped to zero;
     anything below that raises :class:`NotPSDError`.
     """
-    dec = eig_sym(m)
+    dec = spectrum(m).decomposition
     lam = dec.eigenvalues
     lam_max = max(float(lam[0]), 0.0)
     if float(lam[-1]) < -PSD_CLAMP_REL * lam_max:
@@ -142,13 +175,12 @@ def inv_ridge(m: np.ndarray | object, ridge: float = 0.0) -> np.ndarray:
     Raises :class:`SingularMatrixError` when ``lambda_min + ridge`` is not
     safely positive.
     """
-    return eig_sym(m).inv_ridge(ridge)
+    return spectrum(m).decomposition.inv_ridge(ridge)
 
 
 def spectral_norm(m: np.ndarray | object) -> float:
     """Largest eigenvalue magnitude of a symmetric matrix."""
-    a = check_symmetric(m)
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return float(np.max(np.abs(spectrum(m).eigenvalues)))
 
 
 def frobenius_norm(m: np.ndarray | object) -> float:

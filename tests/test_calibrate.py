@@ -329,6 +329,15 @@ class TestSpectrumMatchesReference:
         want = ref[calibrate.NEAREST](w, DELTA).tobytes()
         assert calibrate.nearest_psd(w, DELTA).tobytes() == want
 
+    @pytest.mark.parametrize("name, q, w", equivalence_pairs())
+    @pytest.mark.parametrize("method", calibrate.METHODS)
+    def test_repair_matches_the_references(self, name, q, w, method):
+        ref = oracles.REPAIR_REFERENCES[method]
+        want = (ref(w, DELTA) if method == calibrate.NEAREST else ref(w)).tobytes()
+        ws = calibrate.Spectrum(w, "kernel")
+        for arg in (w, ws, ws):  # the second Spectrum call reuses its cache
+            assert calibrate.repair(arg, method, DELTA).tobytes() == want
+
     @pytest.mark.parametrize("q, w, method, delta", [
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2), calibrate.CLIP, 0.0),
         (np.eye(2), np.array([[1.0, 0.5], [0.1, 1.0]]), calibrate.FLIP, 0.0),

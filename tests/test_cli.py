@@ -349,7 +349,7 @@ class TestStagedSweep:
 
         def spy_c1(q, y, ridge):
             if ridge == config.ridge:  # the RBF baseline's c1 uses a grid ridge
-                calls["c1"].append((len(y), np.asarray(q).tobytes()))
+                calls["c1"].append((len(y), linalg.as_matrix(q).tobytes()))
             return model_complexity_c1(q, y, ridge)
 
         def spy_inv(m, ridge=0.0):
@@ -383,9 +383,10 @@ class TestStagedSweep:
         assert len(calls["q_inv"]) == len(set(calls["q_inv"])) == 2 * 2
 
     def test_each_spectrum_is_computed_once_where_it_varies(self, monkeypatch):
-        sampled, references, repairs = [], [], []
+        sampled, references, repairs, rbf_grams = [], [], [], []
         eig_sym_calls, eigvalsh_calls = [], []
         sample_shots, build_pool = kernels.sample_shots, cli.build_pool
+        rbf_gram = kernels.rbf_gram
         calibrate_and_report = calibrate.calibrate_and_report
         eig_sym, eigvalsh = linalg.eig_sym, np.linalg.eigvalsh
 
@@ -404,6 +405,11 @@ class TestStagedSweep:
             repairs.append(repaired.tobytes())
             return repaired, report
 
+        def spy_rbf(x, gamma):
+            out = rbf_gram(x, gamma)
+            rbf_grams.append((len(x), out.matrix.tobytes()))
+            return out
+
         def spy_eig_sym(m):
             eig_sym_calls.append(np.asarray(m).tobytes())
             return eig_sym(m)
@@ -415,6 +421,7 @@ class TestStagedSweep:
         monkeypatch.setattr(kernels, "sample_shots", spy_shots)
         monkeypatch.setattr(cli, "build_pool", spy_pool)
         monkeypatch.setattr(calibrate, "calibrate_and_report", spy_report)
+        monkeypatch.setattr(kernels, "rbf_gram", spy_rbf)
         monkeypatch.setattr(linalg, "eig_sym", spy_eig_sym)
         monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
         config = cli.SweepConfig.from_dict(
@@ -427,15 +434,19 @@ class TestStagedSweep:
         sampled = [w.tobytes() for w in sampled]
         assert len(set(sampled)) == len(sampled) == 2 * 2 * 2 * 2
         assert len(set(references)) == len(references) == 2 * 2
+        # some repairs return W unchanged: a new matrix with W's bytes, whose
+        # report and fit take W's eigvalsh and eig_sym
+        assert any(r in sampled for r in repairs)
         for w in sampled:
-            # a repair that returns W unchanged is a new matrix with W's bytes:
-            # the report takes its eigvalsh and the fit its eig_sym
-            copies = repairs.count(w)
-            assert eig_sym_calls.count(w) == eigvalsh_calls.count(w) == 1 + copies
+            assert eig_sym_calls.count(w) == eigvalsh_calls.count(w) == 1
         for q in references:
             assert eigvalsh_calls.count(q) == 1
-        for q in references:
-            assert eigvalsh_calls.count(q) == 1
+            assert eig_sym_calls.count(q) <= 1
+        # the final RBF kernel on the n training rows, shared by the fit and c1
+        finals = [k for rows, k in rbf_grams if rows in config.train_sizes]
+        assert len(set(finals)) == len(finals) == 2 * 2
+        for k in finals:
+            assert eig_sym_calls.count(k) == 1
 
 
 class TestSweepMetamorphic:
@@ -808,6 +819,26 @@ class TestExitCodes:
             "train": ["--kernel", missing, "--data", missing],
             "relabel": ["--data", missing, "--num-qubits", "2", "--out", missing],
             "check": [],
+        }[argv[0]]
+        assert self.main(capsys, *argv, *files) == (1, f"config error: {message}\n")
+        assert not (tmp_path / "missing.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["kernel", "--num-qubits", "0"], "num_qubits must be in [1, 14], got 0"),
+        (["kernel", "--num-qubits", "15"], "num_qubits must be in [1, 14], got 15"),
+        (["relabel", "--num-qubits", "0"], "num_qubits must be in [1, 14], got 0"),
+        (["bound", "--num-qubits", "0"], "num_qubits must be in [1, 14], got 0"),
+        (["bound", "--num-qubits", "-1"], "num_qubits must be in [1, 14], got -1"),
+        (["bound", "--ridge", "-1"], "ridge must be nonnegative, got -1.0"),
+    ])
+    def test_bad_bound_or_qubit_flag_is_config_error_before_any_file_is_read(
+        self, tmp_path, capsys, argv, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        files = {
+            "kernel": ["--data", missing, "--out", missing],
+            "relabel": ["--data", missing, "--out", missing],
+            "bound": ["--kernel", missing, "--data", missing],
         }[argv[0]]
         assert self.main(capsys, *argv, *files) == (1, f"config error: {message}\n")
         assert not (tmp_path / "missing.csv").exists()

@@ -147,6 +147,50 @@ class TestModelComplexity:
         assert got == pytest.approx(want, rel=1e-6)
 
 
+class TestSpectrumArguments:
+    """fit_krr and c1 give a matrix's bits and failures for its Spectrum."""
+
+    @staticmethod
+    def failure(func, *args):
+        with pytest.raises(Exception) as info:
+            func(*args)
+        return type(info.value), str(info.value)
+
+    def test_same_bits(self):
+        rng = np.random.default_rng(42)
+        b = rng.normal(size=(8, 8))
+        k = linalg.sym_matrix(b.T @ b / 8)
+        y = np.where(rng.normal(size=8) > 0, 1.0, -1.0)
+        spec = linalg.Spectrum(k)
+        gram = kernels.KernelMatrix(k, kernels.IDEAL)
+        for ridge in (1e-8, 0.5):
+            inv = linalg.eig_sym(k).inv_ridge(ridge)  # the unshared path
+            for arg in (k, gram, spec):
+                assert learner.fit_krr(arg, y, ridge).dual_coef.tobytes() == (
+                    (inv @ y).tobytes()
+                )
+                assert learner.model_complexity_c1(arg, y, ridge) == float(y @ inv @ y)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.0, np.inf], [np.inf, 1.0]]),
+        np.array([[1.0, 0.5], [0.1, 1.0]]),
+    ])
+    def test_same_failures(self, bad):
+        y = np.array([1.0, -1.0])
+        want = self.failure(linalg.eig_sym, bad)
+        assert self.failure(learner.fit_krr, bad, y, 0.1) == want
+        assert self.failure(learner.model_complexity_c1, bad, y, 0.1) == want
+        for func in (learner.fit_krr, learner.model_complexity_c1):
+            assert self.failure(lambda: func(linalg.Spectrum(bad), y, 0.1)) == want
+        # the labels and the size are checked before the matrix
+        assert self.failure(learner.fit_krr, bad, np.array([1.0, 0.0]), 0.1) == (
+            ValueError, "labels must be +1 or -1"
+        )
+        assert self.failure(learner.fit_krr, bad, np.ones(3), 0.1) == (
+            ValueError, "kernel dim 2 does not match 3 labels"
+        )
+
+
 class TestGridSearchRbf:
     def test_grid_sizes(self):
         assert len(learner.GAMMA_GRID) == 10

@@ -174,6 +174,69 @@ class TestInvRidge:
             linalg.inv_ridge(np.eye(2), -0.1)
 
 
+def failure(func, *args):
+    """The exception type and text ``func`` raises on ``args``."""
+    with pytest.raises(Exception) as info:
+        func(*args)
+    return type(info.value), str(info.value)
+
+
+BAD_MATRICES = [
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[1.0, 0.5], [0.1, 1.0]]),
+]
+
+
+class TestSpectrum:
+    """A Spectrum argument gives the bits and the failures of the matrix."""
+
+    def test_spectrum_arguments_give_the_same_bits(self):
+        rng = np.random.default_rng(41)
+        b = rng.normal(size=(7, 7))
+        psd = linalg.sym_matrix(b.T @ b / 7)
+        m = random_symmetric(rng, 7)
+        for ridge in (0.0, 3.5):
+            want = linalg.eig_sym(psd).inv_ridge(ridge).tobytes()
+            assert linalg.inv_ridge(psd, ridge).tobytes() == want
+            assert linalg.inv_ridge(linalg.Spectrum(psd), ridge).tobytes() == want
+        want = linalg.mat_sqrt_psd(psd).tobytes()
+        assert linalg.mat_sqrt_psd(linalg.Spectrum(psd)).tobytes() == want
+        spec = linalg.Spectrum(m)
+        assert spec.eigenvalues.tobytes() == np.linalg.eigvalsh(m).tobytes()
+        dec = linalg.eig_sym(m)
+        assert spec.decomposition.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
+        assert spec.decomposition.eigenvectors.tobytes() == dec.eigenvectors.tobytes()
+        assert linalg.spectral_norm(spec) == linalg.spectral_norm(m)
+
+    @pytest.mark.parametrize("bad", BAD_MATRICES)
+    def test_spectrum_arguments_fail_as_the_matrix(self, bad):
+        want = failure(linalg.eig_sym, bad)
+        assert failure(linalg.inv_ridge, bad, 1.0) == want
+        assert failure(linalg.mat_sqrt_psd, bad) == want
+        assert failure(lambda: linalg.inv_ridge(linalg.Spectrum(bad), 1.0)) == want
+        assert failure(lambda: linalg.mat_sqrt_psd(linalg.Spectrum(bad))) == want
+
+    def test_reuse_needs_equal_shape_and_bytes(self):
+        m = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
+        other = linalg.Spectrum(np.eye(3))
+        held = linalg.Spectrum(m, "kernel")
+        assert linalg.spectrum(held) is held
+        assert linalg.spectrum(m.copy(), "matrix", other, held) is held
+        assert linalg.spectrum(m.T, "matrix", held) is held  # a view, same values
+        negative_zero = m.copy()
+        negative_zero[0, 1] = negative_zero[1, 0] = -0.0
+        assert np.array_equal(negative_zero, m)
+        fresh = linalg.spectrum(negative_zero, "matrix", held)
+        assert fresh is not held
+        assert fresh.matrix.tobytes() == negative_zero.tobytes()
+        flat = np.eye(2).reshape(1, 4)
+        square = linalg.Spectrum(np.eye(2))
+        for reshaped in (flat, flat.T):
+            assert reshaped.tobytes() == square.matrix.tobytes()
+            with pytest.raises(ValueError, match="kernel must be square"):
+                linalg.spectrum(reshaped, "kernel", square)
+
+
 class TestNorms:
     def test_diag_example(self):
         m = np.diag([3.0, -4.0])
