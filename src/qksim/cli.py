@@ -1,13 +1,17 @@
 """Configuration-driven experiment harness and command-line interface.
 
 ``run_sweep`` walks the Cartesian grid (train size, shots, noise rate,
-calibration method, seed) in three nested stages.  For every (train size,
-seed) cell it builds a pooled dataset, engineers advantage labels, splits,
-encodes the ideal cross kernel, takes the ideal train kernel's spectrum and
-runs the RBF grid-search baseline; for every (shots, noise rate) it samples
-the noisy train and cross kernels, takes the sampled kernel's spectrum and
-evaluates the bound terms; per method it only repairs, trains and scores.
-Output records are sorted by coordinate and serialize byte-identically.
+calibration method, seed) at three levels: the (train size, seed) cell, the
+(shots, noise rate) point and the method.  Each quantum record fills its
+fields in order: pool, sampled kernel W, the spectra of the ideal kernel Q
+and of W, repair and fit, cross kernel, c1, ideal bound terms and bound.  A
+stage shared by several records runs through ``_once`` on a memo: the
+cell's memo keeps the pool, Q's spectrum, c1 and the ideal terms, and a
+fresh memo per point keeps W, its spectrum, the cross kernel and the bound.
+A memo keeps a stage's value or its failure, so a shared stage runs once at
+its level, failing or not, and a record keeps exactly the fields it filled
+before a failing step.  Output records are sorted by coordinate and
+serialize byte-identically.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  Every sweep
 config value is checked at load.  A failed sweep coordinate is written as a
@@ -46,19 +50,35 @@ def _items(value) -> list:
     return list(value)
 
 
+def _integer(value) -> int:
+    """A config integer; a bool or a number with a fraction is an error, not
+    one ``int`` would silently truncate."""
+    n = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return n
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
 # how each field's JSON value is coerced; the others are checked as they are
 _COERCE = {
-    "num_qubits": int,
-    "train_sizes": lambda v: tuple(int(n) for n in _items(v)),
-    "test_size": int,
+    "num_qubits": _integer,
+    "train_sizes": lambda v: tuple(_integer(n) for n in _items(v)),
+    "test_size": _integer,
     "shots": lambda v: tuple(kernels.parse_shots(m) for m in _items(v)),
     "noise_rates": lambda v: tuple(float(p) for p in _items(v)),
     "methods": lambda v: tuple(str(m) for m in _items(v)),
-    "seeds": lambda v: tuple(int(s) for s in _items(v)),
-    "layers": int,
-    "ridge": float,
-    "nearest_delta": float,
-    "relabel_gamma_scale": float,
+    "seeds": lambda v: tuple(_integer(s) for s in _items(v)),
+    "layers": _integer,
+    "ridge": _finite,
+    "nearest_delta": _finite,
+    "relabel_gamma_scale": _finite,
     "bound_delta": float,
 }
 
@@ -108,6 +128,8 @@ class SweepConfig:
             raise ConfigError('dataset must be {"kind": "synthetic"|"csv", ...}')
         if dataset["kind"] == "csv" and "path" not in dataset:
             raise ConfigError("csv dataset needs a path")
+        if not isinstance(dataset.get("path", ""), str):
+            raise ConfigError("dataset path must be a string")
         extra_ds = set(dataset) - {"kind", "path"}
         if extra_ds:
             raise ConfigError(f"unknown dataset keys: {sorted(extra_ds)}")
@@ -379,70 +401,46 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _attempt(stage, *args):
-    """Run a stage shared by several records; a failure, its own or that of a
-    stage whose outcome it takes as an argument, is returned, not raised."""
-    try:
-        return stage(*map(_take, args))
-    except Exception as exc:
-        return exc
+def _once(memo: dict, key: str, stage, *args):
+    """``stage(*args)``, run on the first use of ``key`` in ``memo``, which
+    keeps its value or its failure; a kept failure is raised again, with its
+    traceback stripped, at every use."""
+    if key not in memo:
+        try:
+            memo[key] = stage(*args), None
+        except Exception as exc:
+            memo[key] = None, exc
+    value, failure = memo[key]
+    if failure is not None:
+        raise failure.with_traceback(None)
+    return value
 
 
-def _take(outcome):
-    """A shared stage's value, or its failure raised at this point of use, so
-    a record keeps exactly the fields it filled before the failing step."""
-    if isinstance(outcome, Exception):
-        raise outcome.with_traceback(None)
-    return outcome
-
-
-def _noise_stage(config: SweepConfig, pool, q_spec, terms, m, p_tilde, seed):
-    """Reference and sampled kernel spectra, cross kernel and bound shared by
-    every method at one (shots, noise rate); each is a value or its failure."""
-    try:
-        pool = _take(pool)
-        noise = kernels.NoiseModel(
-            rate_per_layer=p_tilde, layers=config.layers, mixing=config.mixing
-        )
-        q_ideal = kernels.KernelMatrix(
-            matrix=pool.q_train_ideal,
-            provenance=kernels.IDEAL,
-            params={"num_qubits": config.num_qubits},
-        )
-        noisy = kernels.apply_noise(q_ideal, noise, fix_diagonal=True)
-        sampled = kernels.sample_shots(noisy, m, seed).matrix
-        # checked in calibrate_and_report's order: the reference, then the kernel;
-        # at rate 0 and exact shots W has Q's bytes, and so Q's spectrum
-        q_spec = _take(q_spec)
-        spectra = q_spec, linalg.spectrum(sampled, "kernel", q_spec)
-    except Exception as exc:  # every record stops here, before cross and bound
-        return exc, exc, exc
-    cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
-    q_cross, num_qubits = pool.q_cross_ideal, config.num_qubits
-    cross = _attempt(kernels.sample_cross, q_cross, noise, num_qubits, cross_m, seed)
-    bound = _attempt(
-        bounds.theorem1_bound,
-        terms,
-        pool.y_train,
-        m,
-        noise,
-        config.num_qubits,
-        config.bound_delta,
+def _sampled_kernel(
+    config: SweepConfig, pool: PoolContext, noise: kernels.NoiseModel, m, seed: int
+) -> np.ndarray:
+    q_ideal = kernels.KernelMatrix(
+        matrix=pool.q_train_ideal,
+        provenance=kernels.IDEAL,
+        params={"num_qubits": config.num_qubits},
     )
-    return spectra, cross, bound
+    noisy = kernels.apply_noise(q_ideal, noise, fix_diagonal=True)
+    return kernels.sample_shots(noisy, m, seed).matrix
+
+
+def _ideal_terms(config: SweepConfig, pool: PoolContext) -> bounds.IdealTerms:
+    # bound terms need a nonsingular ideal kernel; the configured ridge
+    # regularizes the rank-deficient small-qubit Gram matrices
+    q_ridged = pool.q_train_ideal + config.ridge * np.eye(len(pool.train_idx))
+    return bounds.ideal_terms(q_ridged, pool.y_train)
 
 
 def _quantum_record(
-    config: SweepConfig,
-    pool,
-    shared: tuple,
-    c1,
-    n: int,
-    m,
-    p_tilde: float,
-    method: str,
-    seed: int,
+    config: SweepConfig, cell: dict, point: dict,
+    n: int, m, p_tilde: float, method: str, seed: int,
 ) -> ResultRecord:
+    """One record, its fields filled in order; ``cell`` keeps the stages of its
+    (train size, seed) cell and ``point`` those of its (shots, noise rate)."""
     rec = ResultRecord(
         kind=QUANTUM,
         n=n,
@@ -452,12 +450,17 @@ def _quantum_record(
         method=method,
         seed=seed,
     )
-    spectra, cross, bound = shared
     try:
-        pool = _take(pool)
+        pool = _once(cell, "pool", build_pool, config, n, seed)
         rec.ridge = config.ridge
         rec.geometric_difference = pool.geometric_difference
-        q_spec, w_spec = _take(spectra)
+        y_train, num_qubits = pool.y_train, config.num_qubits
+        noise = kernels.NoiseModel(p_tilde, config.layers, config.mixing)
+        w = _once(point, "w", _sampled_kernel, config, pool, noise, m, seed)
+        # checked in calibrate_and_report's order: the reference, then the kernel;
+        # at rate 0 and exact shots W has Q's bytes, and so Q's spectrum
+        q_spec = _once(cell, "q_spec", linalg.Spectrum, pool.q_train_ideal, "reference")
+        w_spec = _once(point, "w_spec", linalg.spectrum, w, "kernel", q_spec)
         calibrated, report = calibrate.calibrate_and_report(
             q_spec, w_spec, method, delta=config.nearest_delta
         )
@@ -466,18 +469,26 @@ def _quantum_record(
         rec.min_eig_before = report.min_eig_before
         rec.min_eig_after = report.min_eig_after
         rec.passed_lemma = report.passed_lemma
-
-        y_train = pool.y_train
-        y_test = pool.labels[pool.test_idx]
         # a repair that returns W unchanged is fitted on W's decomposition
         cal_spec = linalg.spectrum(calibrated, "matrix", w_spec)
         model = learner.fit_krr(cal_spec, y_train, config.ridge)
         _, train_pred = learner.predict(model, calibrated)
         rec.train_accuracy = learner.accuracy(train_pred, y_train.astype(int))
-        _, test_pred = learner.predict(model, _take(cross))
-        rec.test_accuracy = learner.accuracy(test_pred, y_test)
-        rec.c1 = _take(c1)
-        bound = _take(bound)
+        cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
+        cross = _once(
+            point, "cross", kernels.sample_cross,
+            pool.q_cross_ideal, noise, num_qubits, cross_m, seed,
+        )
+        _, test_pred = learner.predict(model, cross)
+        rec.test_accuracy = learner.accuracy(test_pred, pool.labels[pool.test_idx])
+        rec.c1 = _once(
+            cell, "c1", learner.model_complexity_c1, q_spec, y_train, config.ridge
+        )
+        terms = _once(cell, "terms", _ideal_terms, config, pool)
+        bound = _once(
+            point, "bound", bounds.theorem1_bound,
+            terms, y_train, m, noise, num_qubits, config.bound_delta,
+        )
         rec.p = bound.p
         rec.c_q = bound.c_q
         rec.c2 = bound.c2
@@ -489,7 +500,7 @@ def _quantum_record(
     return rec
 
 
-def _rbf_record(config: SweepConfig, pool, n: int, seed: int) -> ResultRecord:
+def _rbf_record(config: SweepConfig, cell: dict, n: int, seed: int) -> ResultRecord:
     rec = ResultRecord(
         kind=RBF_BASELINE,
         n=n,
@@ -498,7 +509,7 @@ def _rbf_record(config: SweepConfig, pool, n: int, seed: int) -> ResultRecord:
         seed=seed,
     )
     try:
-        pool = _take(pool)
+        pool = _once(cell, "pool", build_pool, config, n, seed)
         rec.geometric_difference = pool.geometric_difference
         x_train = pool.features[pool.train_idx]
         y_train = pool.y_train
@@ -521,36 +532,18 @@ def _rbf_record(config: SweepConfig, pool, n: int, seed: int) -> ResultRecord:
     return rec
 
 
-def _ideal_c1(config: SweepConfig, pool: PoolContext, q_spec: linalg.Spectrum) -> float:
-    return learner.model_complexity_c1(q_spec, pool.y_train, config.ridge)
-
-
-def _ideal_terms(config: SweepConfig, pool: PoolContext) -> bounds.IdealTerms:
-    # bound terms need a nonsingular ideal kernel; the configured ridge
-    # regularizes the rank-deficient small-qubit Gram matrices
-    q_ridged = pool.q_train_ideal + config.ridge * np.eye(len(pool.train_idx))
-    return bounds.ideal_terms(q_ridged, pool.y_train)
-
-
 def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
-    """All records of one (train size, seed) cell: pool, ideal kernels, c1 and
-    Q's spectrum once per cell, sampled kernels, W's spectrum and bound once
-    per (m, p), repair and training per method; a failed pool fails all."""
-    pool = _attempt(build_pool, config, n, seed)
-    q_spec = _attempt(lambda p: linalg.Spectrum(p.q_train_ideal, "reference"), pool)
-    c1 = _attempt(_ideal_c1, config, pool, q_spec)
-    terms = _attempt(_ideal_terms, config, pool)
-    records = []
+    """All records of one (train size, seed) cell, on one memo for the cell
+    and a fresh one per (m, p); the RBF baseline shares the cell's pool."""
+    cell, records = {}, []
     for m in config.shots:
         for p_tilde in config.noise_rates:
-            shared = _noise_stage(config, pool, q_spec, terms, m, p_tilde, seed)
+            point = {}
             for method in config.methods:
                 records.append(
-                    _quantum_record(
-                        config, pool, shared, c1, n, m, p_tilde, method, seed
-                    )
+                    _quantum_record(config, cell, point, n, m, p_tilde, method, seed)
                 )
-    records.append(_rbf_record(config, pool, n, seed))
+    records.append(_rbf_record(config, cell, n, seed))
     return records
 
 
@@ -634,6 +627,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_train(args) -> int:
     if not args.ridge >= 0.0:
         raise ConfigError(f"ridge must be nonnegative, got {args.ridge}")
+    if bool(args.cross) != bool(args.test_data):
+        raise ConfigError("--cross and --test-data must be given together")
     gram = kernels.load_kernel(args.kernel)
     ds = datasets.load_csv(args.data)
     if ds.n != gram.dim:
@@ -645,7 +640,7 @@ def _cmd_train(args) -> int:
         "train_accuracy": learner.accuracy(pred, ds.labels),
         "ridge": args.ridge,
     }
-    if args.cross and args.test_data:
+    if args.cross:
         cross = linalg.load_matrix_csv(args.cross)
         test_ds = datasets.load_csv(args.test_data)
         _, test_pred = learner.predict(model, cross)

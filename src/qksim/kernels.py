@@ -40,10 +40,13 @@ INF_SHOTS = math.inf
 
 
 def parse_shots(value) -> float | int:
-    """Accept a positive integer or the "inf" sentinel."""
+    """Accept a positive integer or the "inf" sentinel; a bool or a number
+    with a fraction is an error, not a truncated shot count."""
     if value in ("inf", INF_SHOTS):
         return INF_SHOTS
     m = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and m != value):
+        raise ValueError(f"shot count must be an integer, got {value!r}")
     if m < 1:
         raise ValueError(f"shot count must be >= 1, got {value}")
     return m

@@ -86,17 +86,50 @@ class TestSweepConfig:
         ("seeds", "01", "bad seeds entry: expected a list, got str"),
         ("num_qubits", math.inf,
          "bad num_qubits entry: cannot convert float infinity to integer"),
+        ("num_qubits", 2.7, "bad num_qubits entry: expected an integer, got 2.7"),
+        ("num_qubits", True, "bad num_qubits entry: expected an integer, got True"),
+        ("train_sizes", [8.5],
+         "bad train_sizes entry: expected an integer, got 8.5"),
+        ("test_size", 8.5, "bad test_size entry: expected an integer, got 8.5"),
+        ("shots", [2.5], "bad shots entry: shot count must be an integer, got 2.5"),
+        ("shots", [True],
+         "bad shots entry: shot count must be an integer, got True"),
+        ("seeds", [True], "bad seeds entry: expected an integer, got True"),
+        ("seeds", [0.5], "bad seeds entry: expected an integer, got 0.5"),
+        ("layers", 8.5, "bad layers entry: expected an integer, got 8.5"),
+        ("ridge", math.inf, "bad ridge entry: expected a finite number, got inf"),
+        ("nearest_delta", math.inf,
+         "bad nearest_delta entry: expected a finite number, got inf"),
+        ("relabel_gamma_scale", math.inf,
+         "bad relabel_gamma_scale entry: expected a finite number, got inf"),
+        ("dataset", {"kind": "csv", "path": 5}, "dataset path must be a string"),
     ])
     def test_bad_value_fails_the_sweep_at_load(
         self, tmp_path, capsys, key, value, message
     ):
-        # each of these used to load and then fail every record, or crash
+        # each of these used to load and then fail every record, crash, or
+        # silently run another config
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(small_config(**{key: value})))
         out = tmp_path / "r.csv"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    def test_integral_numbers_load_as_integers(self):
+        config = cli.SweepConfig.from_dict(
+            small_config(
+                num_qubits=2.0, train_sizes=[8.0], test_size=8.0, shots=[10.0, "inf"],
+                seeds=[0.0], layers=4.0,
+            )
+        )
+        assert (config.num_qubits, config.train_sizes, config.test_size) == (2, (8,), 8)
+        assert (config.shots, config.seeds, config.layers) == ((10, math.inf), (0,), 4)
+        ints = [
+            config.num_qubits, *config.train_sizes, config.test_size,
+            config.shots[0], *config.seeds, config.layers,
+        ]
+        assert all(type(v) is int for v in ints)
 
     @pytest.mark.parametrize("raw", [[small_config()], "sweep", None])
     def test_non_object_config_rejected(self, raw):
@@ -165,7 +198,7 @@ class TestRunSweep:
             return original(x_train, y_train, x_val, y_val)
 
         monkeypatch.setattr(learner, "grid_search_rbf", spy)
-        cli._rbf_record(config, pool, 8, 0)
+        cli._rbf_record(config, {}, 8, 0)
         assert seen, "grid search was not exercised"
         assert not (set(seen) & test_rows)
 
@@ -199,7 +232,7 @@ def reference_sweep(config):
                                 config, pool, n, m, p_tilde, method, seed
                             )
                         )
-            records.append(cli._rbf_record(config, pool, n, seed))
+            records.append(cli._rbf_record(config, {}, n, seed))
     records.sort(key=cli.ResultRecord.sort_key)
     return records
 
@@ -264,6 +297,33 @@ class TestStagedSweep:
         for rec in trained:
             assert rec.error == "ValueError: ideal_terms failed, on purpose"
             assert rec.breakdown_p is None
+
+    @pytest.mark.parametrize("module, name, level", [
+        (cli, "build_pool", "cell"),
+        (kernels, "sample_cross", "point"),
+        (bounds, "ideal_terms", "cell"),
+    ])
+    def test_failing_shared_stage_runs_once_at_its_level(
+        self, monkeypatch, module, name, level
+    ):
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            raise ValueError(f"{name} failed, on purpose")
+
+        monkeypatch.setattr(module, name, broken)
+        config = self.config("pipeline")
+        records = cli.run_sweep(config)
+        cells = len(config.train_sizes) * len(config.seeds)
+        points = cells * len(config.shots) * len(config.noise_rates)
+        assert len(calls) == {"cell": cells, "point": points}[level]
+        if name == "build_pool":  # the unshared reference needs a pool
+            errors = {r.error for r in records}
+            assert errors == {"ValueError: build_pool failed, on purpose"}
+            assert all(r.ridge is None for r in records)
+        else:
+            assert_same_records(records, reference_sweep(config))
 
     @pytest.mark.parametrize("corrupt", ["kernel", "reference", "reference-nan"])
     def test_failed_matrix_check_fails_at_calibration(self, monkeypatch, corrupt):
@@ -821,6 +881,17 @@ class TestExitCodes:
             "check": [],
         }[argv[0]]
         assert self.main(capsys, *argv, *files) == (1, f"config error: {message}\n")
+        assert not (tmp_path / "missing.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--cross", "--test-data"])
+    def test_train_cross_without_test_data_is_config_error_before_any_file_is_read(
+        self, tmp_path, capsys, flag
+    ):
+        missing = str(tmp_path / "missing.csv")
+        argv = ["train", "--kernel", missing, "--data", missing, flag, missing]
+        assert self.main(capsys, *argv) == (
+            1, "config error: --cross and --test-data must be given together\n"
+        )
         assert not (tmp_path / "missing.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [

@@ -139,6 +139,12 @@ def sampled_pair(n=5, p_tilde=0.05, m=20, seed=0, fix_diagonal=True):
 
 
 class TestSampleShots:
+    @pytest.mark.parametrize("value", [2.5, True, False])
+    def test_parse_shots_rejects_fractions_and_bools(self, value):
+        message = f"shot count must be an integer, got {value}"
+        with pytest.raises(ValueError, match=message):
+            kernels.parse_shots(value)
+
     def test_certain_entries_are_exact(self):
         x = np.array([[0.3, 0.1], [0.3, 0.1]])  # duplicate rows: fidelity 1
         q = kernels.gram_ideal(x)
