@@ -13,10 +13,10 @@ its level, failing or not, and a record keeps exactly the fields it filled
 before a failing step.  Output records are sorted by coordinate and
 serialize byte-identically.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.  Every sweep
-config value is checked at load.  A failed sweep coordinate is written as a
-record carrying its error text, with exit 0; exit 2 means no results were
-written.  Everything is pinned by the config and seeds.
+Exit codes: 0 success, 1 configuration error, 2 runtime error.  Each config
+value and flag passes its input rule before any data file is read.  A failed
+sweep coordinate is a record carrying its error text, with exit 0; exit 2
+means no results were written.  Everything is pinned by the config and seeds.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from .rng import stream
 
 QUANTUM = "quantum"
 RBF_BASELINE = "rbf"
+DATASET_KINDS = ("synthetic", "csv")
 
 
 class ConfigError(ValueError):
@@ -51,35 +52,107 @@ def _items(value) -> list:
 
 
 def _integer(value) -> int:
-    """A config integer; a bool or a number with a fraction is an error, not
-    one ``int`` would silently truncate."""
+    """An integer; a bool or a number with a fraction is an error, not one
+    ``int`` would silently truncate."""
     n = int(value)
     if isinstance(value, bool) or (isinstance(value, float) and n != value):
         raise ValueError(f"expected an integer, got {value!r}")
     return n
 
 
-def _finite(value) -> float:
+def _real(value) -> float:
+    """A finite real; a bool is an error, not the number 0 or 1."""
     x = float(value)
-    if not math.isfinite(x):
+    if isinstance(value, bool) or not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {value!r}")
     return x
 
 
-# how each field's JSON value is coerced; the others are checked as they are
-_COERCE = {
-    "num_qubits": _integer,
-    "train_sizes": lambda v: tuple(_integer(n) for n in _items(v)),
-    "test_size": _integer,
-    "shots": lambda v: tuple(kernels.parse_shots(m) for m in _items(v)),
-    "noise_rates": lambda v: tuple(float(p) for p in _items(v)),
-    "methods": lambda v: tuple(str(m) for m in _items(v)),
-    "seeds": lambda v: tuple(_integer(s) for s in _items(v)),
-    "layers": _integer,
-    "ridge": _finite,
-    "nearest_delta": _finite,
-    "relabel_gamma_scale": _finite,
-    "bound_delta": float,
+# ---------------------------------------------------------------------------
+# input rules: every sweep config value and every checked flag goes through
+# one, so a value gets the same message wherever it came from
+
+
+def _rule(coerce, holds=lambda v: True, condition: str = ""):
+    """``rule(name, value)``: the coerced value, or a ConfigError reading
+    ``bad <name> entry: <reason>`` when it cannot be coerced and ``<name>
+    must be <condition>, got <value>`` when it is out of range."""
+
+    def check(name: str, value):
+        try:
+            v = coerce(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad {name} entry: {exc}") from exc
+        if not holds(v):
+            raise ConfigError(f"{name} must be {condition}, got {v!r}")
+        return v
+
+    return check
+
+
+def _each(rule, nonempty: bool = False):
+    """A list rule: every entry follows ``rule``; ``nonempty`` rejects []."""
+    items = _rule(_items, lambda v: v or not nonempty, "nonempty")
+    return lambda name, value: tuple(rule(name, v) for v in items(name, value))
+
+
+def _choice(options: tuple):
+    return _rule(str, lambda v: v in options, f"one of {list(options)}")
+
+
+REAL = _rule(_real)
+COUNT = _rule(_integer, lambda n: n >= 1, ">= 1")
+QUBITS = _rule(
+    _integer, lambda n: 1 <= n <= qsim.MAX_QUBITS, f"in [1, {qsim.MAX_QUBITS}]"
+)
+NONNEGATIVE = _rule(_real, lambda x: x >= 0.0, ">= 0")
+POSITIVE = _rule(_real, lambda x: x > 0.0, "> 0")
+PROBABILITY = _rule(_real, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+SHOTS = _rule(kernels.parse_shots)
+
+
+def _noise_model(rate, layers, mixing) -> kernels.NoiseModel:
+    """The cross-field rule: a rate, the layers and the mixing make one model."""
+    try:
+        return kernels.NoiseModel(rate, layers, mixing)
+    except ValueError as exc:
+        raise ConfigError(f"bad noise model: {exc}") from exc
+
+
+# the rule of each SweepConfig field but ``dataset``; each noise rate also
+# makes one noise model with ``layers`` and ``mixing``
+CONFIG_RULES = {
+    "num_qubits": QUBITS,
+    "train_sizes": _each(COUNT, nonempty=True),
+    "test_size": COUNT,
+    "shots": _each(SHOTS),
+    "noise_rates": _each(REAL),
+    "methods": _each(_choice(calibrate.METHODS + (calibrate.NONE,))),
+    "seeds": _each(_rule(_integer), nonempty=True),
+    "layers": _rule(_integer),
+    "ridge": NONNEGATIVE,
+    "nearest_delta": NONNEGATIVE,
+    "relabel_gamma_scale": POSITIVE,
+    "bound_delta": PROBABILITY,
+    "cross_shots": _choice(("pipeline", "exact")),
+    "output": _rule(lambda v: v, lambda v: v is None or isinstance(v, str),
+                    "a path string or null"),
+}
+
+# the noise flags that ``kernel`` and ``bound`` share
+NOISE_FLAGS = {"shots": SHOTS, "p_tilde": REAL}
+
+# the rule of each checked flag, by subcommand and dest; ``main`` applies
+# them before the handler runs, so no bad value reaches a file read
+FLAG_RULES = {
+    "kernel": {**NOISE_FLAGS, "num_qubits": QUBITS},
+    "calibrate": {"delta": NONNEGATIVE},
+    "train": {"ridge": NONNEGATIVE},
+    "relabel": {"ridge": NONNEGATIVE, "gamma_scale": POSITIVE, "num_qubits": QUBITS},
+    "bound": {
+        **NOISE_FLAGS, "delta": PROBABILITY, "ridge": NONNEGATIVE, "num_qubits": QUBITS,
+    },
+    "check": {"trials": COUNT},
 }
 
 
@@ -121,10 +194,7 @@ class SweepConfig:
             raise ConfigError(f"missing config keys: {missing}")
 
         dataset = raw["dataset"]
-        if not isinstance(dataset, dict) or dataset.get("kind") not in (
-            "synthetic",
-            "csv",
-        ):
+        if not isinstance(dataset, dict) or dataset.get("kind") not in DATASET_KINDS:
             raise ConfigError('dataset must be {"kind": "synthetic"|"csv", ...}')
         if dataset["kind"] == "csv" and "path" not in dataset:
             raise ConfigError("csv dataset needs a path")
@@ -135,43 +205,11 @@ class SweepConfig:
             raise ConfigError(f"unknown dataset keys: {sorted(extra_ds)}")
 
         values = {f.name: raw.get(f.name, f.default) for f in fields}
-        for key, coerce in _COERCE.items():
-            try:
-                values[key] = coerce(values[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad {key} entry: {exc}") from exc
+        for key, rule in CONFIG_RULES.items():
+            values[key] = rule(key, values[key])
+        for p in values["noise_rates"]:
+            _noise_model(p, values["layers"], values["mixing"])
         return cls(**values)
-
-    def __post_init__(self):
-        try:
-            for p in self.noise_rates:
-                kernels.NoiseModel(p, layers=self.layers, mixing=self.mixing)
-        except ValueError as exc:
-            raise ConfigError(f"bad noise model: {exc}") from exc
-        known = calibrate.METHODS + (calibrate.NONE,)
-        bad = [m for m in self.methods if m not in known]
-        if bad:
-            raise ConfigError(f"unknown calibration methods: {bad}")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        if not self.train_sizes or any(n < 1 for n in self.train_sizes):
-            raise ConfigError("train_sizes must be positive")
-        if self.test_size < 1:
-            raise ConfigError("test_size must be >= 1")
-        if not 1 <= self.num_qubits <= qsim.MAX_QUBITS:
-            raise ConfigError(f"num_qubits must be in [1, {qsim.MAX_QUBITS}]")
-        if self.cross_shots not in ("pipeline", "exact"):
-            raise ConfigError('cross_shots must be "pipeline" or "exact"')
-        if not self.ridge >= 0.0:
-            raise ConfigError("ridge must be >= 0")
-        if not self.nearest_delta >= 0.0:
-            raise ConfigError("nearest_delta must be >= 0")
-        if not 0.0 < self.bound_delta < 1.0:
-            raise ConfigError("bound_delta must be in (0, 1)")
-        if not self.relabel_gamma_scale > 0.0:
-            raise ConfigError("relabel_gamma_scale must be positive")
-        if self.output is not None and not isinstance(self.output, str):
-            raise ConfigError("output must be a path string or null")
 
     @classmethod
     def from_json_file(cls, path) -> "SweepConfig":
@@ -212,12 +250,7 @@ class ResultRecord:
 
     def sort_key(self):
         kind_rank = 0 if self.kind == QUANTUM else 1
-        if self.m is None:
-            m_key = -1.0
-        elif self.m == "inf":
-            m_key = math.inf
-        else:
-            m_key = float(self.m)
+        m_key = -1.0 if self.m is None else float(self.m)  # float("inf") is inf
         return (
             self.n,
             kind_rank,
@@ -241,12 +274,7 @@ def _format_cell(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.17g}"
+    return f"{float(value):.17g}"  # also "inf", "-inf" and "nan"
 
 
 def _json_cell(value):
@@ -574,37 +602,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _shots_and_noise(args) -> tuple:
-    """The --shots and noise flags, checked before any file is read."""
-    try:
-        m = kernels.parse_shots(args.shots)
-        return m, kernels.NoiseModel(args.p_tilde, args.layers, args.mixing)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _check_num_qubits(n: int | None) -> None:
-    """A given --num-qubits flag, checked before any file is read."""
-    if n is not None and not 1 <= n <= qsim.MAX_QUBITS:
-        raise ConfigError(f"num_qubits must be in [1, {qsim.MAX_QUBITS}], got {n}")
-
-
 def _cmd_kernel(args) -> int:
-    m, noise = _shots_and_noise(args)
-    _check_num_qubits(args.num_qubits)
     feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
     gram = kernels.gram_ideal(feats)
-    if args.p_tilde > 0.0 or m is not kernels.INF_SHOTS:
-        gram = kernels.apply_noise(gram, noise, fix_diagonal=not args.sample_diagonal)
-        gram = kernels.sample_shots(gram, m, args.seed)
+    if args.p_tilde > 0.0 or args.shots is not kernels.INF_SHOTS:
+        fix_diagonal = not args.sample_diagonal
+        gram = kernels.apply_noise(gram, args.noise, fix_diagonal=fix_diagonal)
+        gram = kernels.sample_shots(gram, args.shots, args.seed)
     kernels.save_kernel(gram, args.out)
     print(f"wrote {gram.provenance} kernel ({gram.dim}x{gram.dim}) to {args.out}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    if not args.delta >= 0.0:  # flags are checked before any file is read
-        raise ConfigError(f"delta must be nonnegative, got {args.delta}")
     w = kernels.load_kernel(args.kernel)
     if args.reference:
         q = kernels.load_kernel(args.reference)
@@ -625,8 +635,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if not args.ridge >= 0.0:
-        raise ConfigError(f"ridge must be nonnegative, got {args.ridge}")
     if bool(args.cross) != bool(args.test_data):
         raise ConfigError("--cross and --test-data must be given together")
     gram = kernels.load_kernel(args.kernel)
@@ -653,11 +661,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_relabel(args) -> int:
-    if not args.ridge >= 0.0:
-        raise ConfigError(f"ridge must be nonnegative, got {args.ridge}")
-    if not args.gamma_scale > 0.0:
-        raise ConfigError(f"gamma scale must be positive, got {args.gamma_scale}")
-    _check_num_qubits(args.num_qubits)
     feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
     _, k_all, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
     out_ds = datasets.Dataset(features=feats, labels=labels)
@@ -678,12 +681,6 @@ def _cmd_relabel(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    m, noise = _shots_and_noise(args)
-    if not 0.0 < args.delta < 1.0:
-        raise ConfigError(f"delta must be in (0, 1), got {args.delta}")
-    if not args.ridge >= 0.0:
-        raise ConfigError(f"ridge must be nonnegative, got {args.ridge}")
-    _check_num_qubits(args.num_qubits)
     gram = kernels.load_kernel(args.kernel)
     ds = datasets.load_csv(args.data)
     num_qubits = args.num_qubits or int(gram.params.get("num_qubits", 0))
@@ -693,7 +690,7 @@ def _cmd_bound(args) -> int:
     if args.ridge > 0.0:
         matrix = matrix + args.ridge * np.eye(gram.dim)
     report = bounds.theorem1_bound(
-        matrix, ds.labels.astype(float), m, noise, num_qubits, args.delta
+        matrix, ds.labels.astype(float), args.shots, args.noise, num_qubits, args.delta
     )
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -782,8 +779,6 @@ def _check_lines(trials: int, seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_check(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     all_ok = True
     for name, ok, detail in _check_lines(args.trials, args.seed or 0):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -797,6 +792,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="quantum kernel simulation, calibration, and sweep harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    noise = argparse.ArgumentParser(add_help=False)  # shared by kernel and bound
+    noise.add_argument("--shots", default="inf")
+    noise.add_argument("--p-tilde", type=float, default=0.0)
+    noise.add_argument("--layers", type=int, default=8)
+    noise.add_argument(
+        "--mixing", default=kernels.MIX_INVERSE_DIM, choices=kernels.MIXINGS
+    )
 
     p_sweep = sub.add_parser("sweep", help="run a config-driven parameter sweep")
     p_sweep.add_argument("--config", required=True)
@@ -807,15 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_kernel = sub.add_parser("kernel", help="build and save a kernel matrix")
+    p_kernel = sub.add_parser(
+        "kernel", parents=[noise], help="build and save a kernel matrix"
+    )
     p_kernel.add_argument("--data", required=True)
     p_kernel.add_argument("--num-qubits", type=int, required=True)
-    p_kernel.add_argument("--p-tilde", type=float, default=0.0)
-    p_kernel.add_argument("--layers", type=int, default=8)
-    p_kernel.add_argument(
-        "--mixing", default=kernels.MIX_INVERSE_DIM, choices=kernels.MIXINGS
-    )
-    p_kernel.add_argument("--shots", default="inf")
     p_kernel.add_argument("--seed", type=int, default=0)
     p_kernel.add_argument(
         "--sample-diagonal",
@@ -854,15 +852,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--out", required=True)
     p_rel.set_defaults(func=_cmd_relabel)
 
-    p_bound = sub.add_parser("bound", help="evaluate generalization-bound terms")
+    p_bound = sub.add_parser(
+        "bound", parents=[noise], help="evaluate generalization-bound terms"
+    )
     p_bound.add_argument("--kernel", required=True)
     p_bound.add_argument("--data", required=True)
-    p_bound.add_argument("--shots", default="inf")
-    p_bound.add_argument("--p-tilde", type=float, default=0.0)
-    p_bound.add_argument("--layers", type=int, default=8)
-    p_bound.add_argument(
-        "--mixing", default=kernels.MIX_INVERSE_DIM, choices=kernels.MIXINGS
-    )
     p_bound.add_argument("--num-qubits", type=int, default=None)
     p_bound.add_argument("--ridge", type=float, default=0.0)
     p_bound.add_argument("--delta", type=float, default=0.05)
@@ -879,7 +873,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the only code that turns an exception into an exit code."""
     args = build_parser().parse_args(argv)
-    try:
+    try:  # every checked flag goes through its rule before a data file is read
+        for dest, rule in FLAG_RULES.get(args.command, {}).items():
+            if getattr(args, dest) is not None:  # an absent bound --num-qubits
+                setattr(args, dest, rule(dest, getattr(args, dest)))
+        if "mixing" in args:  # the noise flags of kernel and bound
+            args.noise = _noise_model(args.p_tilde, args.layers, args.mixing)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

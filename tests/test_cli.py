@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -72,14 +73,14 @@ class TestSweepConfig:
         assert config.shots[1] == 5
 
     @pytest.mark.parametrize("key, value, message", [
-        ("bound_delta", 1.5, "bound_delta must be in (0, 1)"),
+        ("bound_delta", 1.5, "bound_delta must be in (0, 1), got 1.5"),
         ("mixing", "bogus", "bad noise model: unknown mixing variant: 'bogus'"),
         ("layers", 0, "bad noise model: layers must be >= 1, got 0"),
-        ("ridge", -1, "ridge must be >= 0"),
-        ("nearest_delta", -0.5, "nearest_delta must be >= 0"),
-        ("test_size", 0, "test_size must be >= 1"),
-        ("relabel_gamma_scale", 0.0, "relabel_gamma_scale must be positive"),
-        ("output", 5, "output must be a path string or null"),
+        ("ridge", -1, "ridge must be >= 0, got -1.0"),
+        ("nearest_delta", -0.5, "nearest_delta must be >= 0, got -0.5"),
+        ("test_size", 0, "test_size must be >= 1, got 0"),
+        ("relabel_gamma_scale", 0.0, "relabel_gamma_scale must be > 0, got 0.0"),
+        ("output", 5, "output must be a path string or null, got 5"),
         ("train_sizes", ["x"],
          "bad train_sizes entry: invalid literal for int() with base 10: 'x'"),
         ("noise_rates", None, "bad noise_rates entry: expected a list, got NoneType"),
@@ -103,6 +104,14 @@ class TestSweepConfig:
         ("relabel_gamma_scale", math.inf,
          "bad relabel_gamma_scale entry: expected a finite number, got inf"),
         ("dataset", {"kind": "csv", "path": 5}, "dataset path must be a string"),
+        # booleans are not reals
+        ("noise_rates", [True],
+         "bad noise_rates entry: expected a finite number, got True"),
+        ("ridge", True, "bad ridge entry: expected a finite number, got True"),
+        ("nearest_delta", False,
+         "bad nearest_delta entry: expected a finite number, got False"),
+        ("relabel_gamma_scale", True,
+         "bad relabel_gamma_scale entry: expected a finite number, got True"),
     ])
     def test_bad_value_fails_the_sweep_at_load(
         self, tmp_path, capsys, key, value, message
@@ -823,7 +832,7 @@ class TestExitCodes:
         out = tmp_path / "r.csv"
         raw = small_config(num_qubits=15)
         assert self.sweep(tmp_path, capsys, raw, "--out", str(out)) == (
-            1, "config error: num_qubits must be in [1, 14]\n"
+            1, "config error: num_qubits must be in [1, 14], got 15\n"
         )
         assert not out.exists()
 
@@ -840,48 +849,106 @@ class TestExitCodes:
             2, f"runtime error: [Errno 2] No such file or directory: {missing!r}\n"
         )
 
-    @pytest.mark.parametrize("argv, message", [
-        (["kernel", "--shots", "0"], "shot count must be >= 1, got 0"),
-        (["kernel", "--p-tilde", "2"], "rate_per_layer must be in [0, 1], got 2.0"),
-        (["kernel", "--layers", "0", "--p-tilde", "0.1"], "layers must be >= 1, got 0"),
-        (["kernel", "--layers", "0"], "layers must be >= 1, got 0"),
-        (["bound", "--shots", "0"], "shot count must be >= 1, got 0"),
-        (["bound", "--delta", "2"], "delta must be in (0, 1), got 2.0"),
-        (["bound", "--p-tilde", "-1"], "rate_per_layer must be in [0, 1], got -1.0"),
-    ])
-    def test_bad_flag_value_is_config_error_before_any_file_is_read(
-        self, tmp_path, capsys, argv, message
-    ):
+    @staticmethod
+    def flag_files(tmp_path, argv):
+        """Input and output flags naming files that do not exist."""
         missing = str(tmp_path / "missing.csv")
         files = {
-            "kernel": ["--data", missing, "--num-qubits", "2", "--out", missing],
+            "kernel": ["--data", missing, "--out", missing],
+            "calibrate": ["--kernel", missing, "--out", missing],
+            "train": ["--kernel", missing, "--data", missing],
+            "relabel": ["--data", missing, "--out", missing],
             "bound": ["--kernel", missing, "--data", missing],
+            "check": [],
         }[argv[0]]
-        assert self.main(capsys, *argv, *files) == (1, f"config error: {message}\n")
+        given = any(a.startswith("--num-qubits") for a in argv)
+        if argv[0] in ("kernel", "relabel") and not given:
+            files += ["--num-qubits", "2"]  # required there
+        return files
 
     @pytest.mark.parametrize("argv, message", [
         (["calibrate", "--method", "clip", "--delta", "-1"],
-         "delta must be nonnegative, got -1.0"),
+         "delta must be >= 0, got -1.0"),
         (["calibrate", "--method", "nearest", "--delta", "-1"],
-         "delta must be nonnegative, got -1.0"),
-        (["train", "--ridge", "-1"], "ridge must be nonnegative, got -1.0"),
-        (["relabel", "--ridge", "-1"], "ridge must be nonnegative, got -1.0"),
-        (["relabel", "--gamma-scale", "0"], "gamma scale must be positive, got 0.0"),
+         "delta must be >= 0, got -1.0"),
+        (["train", "--ridge", "-1"], "ridge must be >= 0, got -1.0"),
+        (["relabel", "--ridge", "-1"], "ridge must be >= 0, got -1.0"),
+        (["relabel", "--gamma-scale", "0"], "gamma_scale must be > 0, got 0.0"),
         (["check", "--trials", "0"], "trials must be >= 1, got 0"),
         (["check", "--trials", "-3"], "trials must be >= 1, got -3"),
+        (["kernel", "--shots", "0"], "bad shots entry: shot count must be >= 1, got 0"),
+        (["kernel", "--p-tilde", "2"],
+         "bad noise model: rate_per_layer must be in [0, 1], got 2.0"),
+        (["kernel", "--layers", "0", "--p-tilde", "0.1"],
+         "bad noise model: layers must be >= 1, got 0"),
+        (["kernel", "--layers", "0"], "bad noise model: layers must be >= 1, got 0"),
+        (["bound", "--shots", "0"], "bad shots entry: shot count must be >= 1, got 0"),
+        (["bound", "--delta", "2"], "delta must be in (0, 1), got 2.0"),
+        (["bound", "--p-tilde", "-1"],
+         "bad noise model: rate_per_layer must be in [0, 1], got -1.0"),
+        (["kernel", "--num-qubits", "0"], "num_qubits must be in [1, 14], got 0"),
+        (["kernel", "--num-qubits", "15"], "num_qubits must be in [1, 14], got 15"),
+        (["relabel", "--num-qubits", "0"], "num_qubits must be in [1, 14], got 0"),
+        (["bound", "--num-qubits", "0"], "num_qubits must be in [1, 14], got 0"),
+        (["bound", "--num-qubits", "-1"], "num_qubits must be in [1, 14], got -1"),
+        (["bound", "--ridge", "-1"], "ridge must be >= 0, got -1.0"),
+        # non-finite values the config rejects: each exited 0 or 2 before
+        (["train", "--ridge", "inf"], "bad ridge entry: expected a finite number, got inf"),
+        (["relabel", "--ridge", "inf"],
+         "bad ridge entry: expected a finite number, got inf"),
+        (["relabel", "--gamma-scale", "inf"],
+         "bad gamma_scale entry: expected a finite number, got inf"),
+        (["calibrate", "--method", "clip", "--delta", "inf"],
+         "bad delta entry: expected a finite number, got inf"),
+        (["calibrate", "--method", "nearest", "--delta", "inf"],
+         "bad delta entry: expected a finite number, got inf"),
+        (["bound", "--ridge", "inf"], "bad ridge entry: expected a finite number, got inf"),
     ])
     def test_bad_library_flag_is_config_error_before_any_file_is_read(
         self, tmp_path, capsys, argv, message
     ):
-        missing = str(tmp_path / "missing.csv")
-        files = {
-            "calibrate": ["--kernel", missing, "--out", missing],
-            "train": ["--kernel", missing, "--data", missing],
-            "relabel": ["--data", missing, "--num-qubits", "2", "--out", missing],
-            "check": [],
-        }[argv[0]]
+        files = self.flag_files(tmp_path, argv)
         assert self.main(capsys, *argv, *files) == (1, f"config error: {message}\n")
         assert not (tmp_path / "missing.csv").exists()
+
+    @pytest.mark.parametrize("key, flag, value", [
+        ("ridge", ["train", "--ridge"], -1),
+        ("ridge", ["train", "--ridge"], math.inf),
+        ("ridge", ["relabel", "--ridge"], -1),
+        ("ridge", ["bound", "--ridge"], math.nan),
+        ("nearest_delta", ["calibrate", "--method", "nearest", "--delta"], -1),
+        ("nearest_delta", ["calibrate", "--method", "clip", "--delta"], math.inf),
+        ("bound_delta", ["bound", "--delta"], 0),
+        ("bound_delta", ["bound", "--delta"], 1.5),
+        ("bound_delta", ["bound", "--delta"], math.inf),
+        ("relabel_gamma_scale", ["relabel", "--gamma-scale"], 0),
+        ("relabel_gamma_scale", ["relabel", "--gamma-scale"], -math.inf),
+        ("num_qubits", ["kernel", "--num-qubits"], 0),
+        ("num_qubits", ["relabel", "--num-qubits"], 15),
+        ("num_qubits", ["bound", "--num-qubits"], -1),
+    ])
+    def test_config_key_and_flag_print_the_same_condition(
+        self, tmp_path, capsys, key, flag, value
+    ):
+        out = tmp_path / "r.csv"
+        code, from_config = self.sweep(
+            tmp_path, capsys, small_config(**{key: value}), "--out", str(out)
+        )
+        argv = [*flag[:-1], f"{flag[-1]}={value}"]  # "-inf" is not read as a flag
+        flag_code, from_flag = self.main(capsys, *argv, *self.flag_files(tmp_path, argv))
+        dest = flag[-1].lstrip("-").replace("-", "_")
+        condition = from_config.replace(f" {key} ", " <name> ")
+        assert code == flag_code == 1
+        assert "<name>" in condition
+        assert condition == from_flag.replace(f" {dest} ", " <name> ")
+
+    def test_every_flag_rule_names_a_dest_of_its_subcommand(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(cli.FLAG_RULES) <= set(sub.choices)
+        for command, rules in cli.FLAG_RULES.items():
+            dests = {action.dest for action in sub.choices[command]._actions}
+            assert set(rules) <= dests, command
 
     @pytest.mark.parametrize("flag", ["--cross", "--test-data"])
     def test_train_cross_without_test_data_is_config_error_before_any_file_is_read(
@@ -892,26 +959,6 @@ class TestExitCodes:
         assert self.main(capsys, *argv) == (
             1, "config error: --cross and --test-data must be given together\n"
         )
-        assert not (tmp_path / "missing.csv").exists()
-
-    @pytest.mark.parametrize("argv, message", [
-        (["kernel", "--num-qubits", "0"], "num_qubits must be in [1, 14], got 0"),
-        (["kernel", "--num-qubits", "15"], "num_qubits must be in [1, 14], got 15"),
-        (["relabel", "--num-qubits", "0"], "num_qubits must be in [1, 14], got 0"),
-        (["bound", "--num-qubits", "0"], "num_qubits must be in [1, 14], got 0"),
-        (["bound", "--num-qubits", "-1"], "num_qubits must be in [1, 14], got -1"),
-        (["bound", "--ridge", "-1"], "ridge must be nonnegative, got -1.0"),
-    ])
-    def test_bad_bound_or_qubit_flag_is_config_error_before_any_file_is_read(
-        self, tmp_path, capsys, argv, message
-    ):
-        missing = str(tmp_path / "missing.csv")
-        files = {
-            "kernel": ["--data", missing, "--out", missing],
-            "relabel": ["--data", missing, "--out", missing],
-            "bound": ["--kernel", missing, "--data", missing],
-        }[argv[0]]
-        assert self.main(capsys, *argv, *files) == (1, f"config error: {message}\n")
         assert not (tmp_path / "missing.csv").exists()
 
     @pytest.mark.parametrize("command", ["kernel", "bound"])
