@@ -119,8 +119,8 @@ def _noise_model(rate, layers, mixing) -> kernels.NoiseModel:
         raise ConfigError(f"bad noise model: {exc}") from exc
 
 
-# the rule of each SweepConfig field but ``dataset``; each noise rate also
-# makes one noise model with ``layers`` and ``mixing``
+# the rule of each SweepConfig field but ``dataset``; each noise rate, or 0.0
+# if there is none, also makes one noise model with ``layers`` and ``mixing``
 CONFIG_RULES = {
     "num_qubits": QUBITS,
     "train_sizes": _each(COUNT, nonempty=True),
@@ -207,7 +207,7 @@ class SweepConfig:
         values = {f.name: raw.get(f.name, f.default) for f in fields}
         for key, rule in CONFIG_RULES.items():
             values[key] = rule(key, values[key])
-        for p in values["noise_rates"]:
+        for p in values["noise_rates"] or (0.0,):
             _noise_model(p, values["layers"], values["mixing"])
         return cls(**values)
 
@@ -683,9 +683,10 @@ def _cmd_relabel(args) -> int:
 def _cmd_bound(args) -> int:
     gram = kernels.load_kernel(args.kernel)
     ds = datasets.load_csv(args.data)
-    num_qubits = args.num_qubits or int(gram.params.get("num_qubits", 0))
-    if num_qubits < 1:
+    num_qubits = args.num_qubits or gram.params.get("num_qubits")
+    if num_qubits is None:
         raise ConfigError("pass --num-qubits (kernel sidecar lacks it)")
+    num_qubits = QUBITS("num_qubits", num_qubits)
     matrix = gram.matrix
     if args.ridge > 0.0:
         matrix = matrix + args.ridge * np.eye(gram.dim)

@@ -86,8 +86,8 @@ class EigenDecomposition:
         # same bits as v @ diag(lam) @ v.T: the diagonal only adds exact zeros
         return sym_matrix((v * lam) @ v.T)
 
-    def inv_ridge(self, ridge: float) -> np.ndarray:
-        """Inverse of ``V diag(lam) V' + ridge * I``; see :func:`inv_ridge`."""
+    def shifted(self, ridge: float) -> np.ndarray:
+        """``lam + ridge``, checked safely positive; see :func:`inv_ridge`."""
         if ridge < 0:
             raise ValueError(f"ridge must be nonnegative, got {ridge}")
         shifted = self.eigenvalues + ridge
@@ -95,7 +95,11 @@ class EigenDecomposition:
             raise SingularMatrixError(
                 f"singular system: lambda_min + ridge = {shifted[-1]:.3e}"
             )
-        return self.reconstruct(1.0 / shifted)
+        return shifted
+
+    def inv_ridge(self, ridge: float) -> np.ndarray:
+        """Inverse of ``V diag(lam) V' + ridge * I``; see :func:`inv_ridge`."""
+        return self.reconstruct(1.0 / self.shifted(ridge))
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:

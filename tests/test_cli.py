@@ -112,14 +112,22 @@ class TestSweepConfig:
          "bad nearest_delta entry: expected a finite number, got False"),
         ("relabel_gamma_scale", True,
          "bad relabel_gamma_scale entry: expected a finite number, got True"),
+        # with no noise rate, layers and mixing still make one noise model
+        pytest.param({"noise_rates": [], "layers": 0}, None,
+                     "bad noise model: layers must be >= 1, got 0",
+                     id="no-noise-rates-layers-0"),
+        pytest.param({"noise_rates": [], "mixing": "bogus"}, None,
+                     "bad noise model: unknown mixing variant: 'bogus'",
+                     id="no-noise-rates-mixing-bogus"),
     ])
     def test_bad_value_fails_the_sweep_at_load(
         self, tmp_path, capsys, key, value, message
     ):
         # each of these used to load and then fail every record, crash, or
-        # silently run another config
+        # silently run another config; a dict ``key`` holds several overrides
+        overrides = key if isinstance(key, dict) else {key: value}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(small_config(**{key: value})))
+        cfg.write_text(json.dumps(small_config(**overrides)))
         out = tmp_path / "r.csv"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -821,6 +829,26 @@ class TestExitCodes:
         kernel, data = self.kernel_and_data(tmp_path)
         assert self.main(capsys, "bound", "--kernel", kernel, "--data", data) == (
             1, "config error: pass --num-qubits (kernel sidecar lacks it)\n"
+        )
+
+    @pytest.mark.parametrize("value, message", [
+        (99, "num_qubits must be in [1, 14], got 99"),
+        (2.5, "bad num_qubits entry: expected an integer, got 2.5"),
+        (True, "bad num_qubits entry: expected an integer, got True"),
+        ("abc", "bad num_qubits entry: invalid literal for int() with base 10: 'abc'"),
+    ])
+    def test_bad_sidecar_num_qubits_is_config_error(
+        self, tmp_path, capsys, value, message
+    ):
+        # the sidecar's value follows the --num-qubits rule: these ran as 99,
+        # 2 and 1 qubits, or exited 2
+        kernel, data = self.kernel_and_data(tmp_path)
+        sidecar = Path(kernel + ".json")
+        raw = json.loads(sidecar.read_text(encoding="utf-8"))
+        raw["params"]["num_qubits"] = value
+        sidecar.write_text(json.dumps(raw), encoding="utf-8")
+        assert self.main(capsys, "bound", "--kernel", kernel, "--data", data) == (
+            1, f"config error: {message}\n"
         )
 
     def test_sweep_without_output_is_config_error(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qksim import kernels, learner, linalg, qsim
+from qksim import cli, kernels, learner, linalg, qsim
 
 from oracles import (
     grid_search_rbf_reference,
@@ -195,6 +195,10 @@ class TestGridSearchRbf:
     def test_grid_sizes(self):
         assert len(learner.GAMMA_GRID) == 10
         assert len(learner.LAMBDA_GRID) == 18
+        # the first maximum of the ridge-major table is the tie rule's pick
+        # only while both grids strictly ascend
+        for grid in (learner.GAMMA_GRID, learner.LAMBDA_GRID):
+            assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_pooled_variance_matches_two_pass_oracle(self):
         rng = np.random.default_rng(4)
@@ -231,6 +235,22 @@ class TestGridSearchRbf:
         args = (x[:n_fit], y[:n_fit], x[n_fit:], y[n_fit:])
         assert learner.grid_search_rbf(*args) == grid_search_rbf_reference(*args)
 
+    @pytest.mark.parametrize("num_qubits", [2, 12])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_ridge_reference_on_sweep_pools(self, num_qubits, seed):
+        # the sweep's own grid inputs at the benchmark's shape: a 200-row
+        # training set, halved into fit and validation sets
+        config = cli.SweepConfig.from_dict({
+            "dataset": {"kind": "synthetic"}, "num_qubits": num_qubits,
+            "train_sizes": [200], "test_size": 100, "shots": ["inf"],
+            "noise_rates": [0.0], "methods": ["nearest"], "seeds": [seed],
+        })
+        pool = cli.build_pool(config, 200, seed)
+        args = learner.validation_split(
+            pool.features[pool.train_idx], pool.y_train, seed
+        )
+        assert learner.grid_search_rbf(*args) == grid_search_rbf_reference(*args)
+
     def test_matches_reference_through_ridge_ties(self):
         x, y = noisy_circle_data(6, 12, 2)
         args = (x[:8], y[:8], x[8:], y[8:])
@@ -261,6 +281,30 @@ class TestGridSearchRbf:
         x, y = noisy_circle_data(7, 30, 2)
         learner.grid_search_rbf(x[:15], y[:15], x[15:], y[15:])
         assert len(calls) == len(learner.GAMMA_GRID)
+
+    def test_forms_no_matrix_per_ridge(self, monkeypatch):
+        calls = []
+        reconstruct = linalg.EigenDecomposition.reconstruct
+
+        def spy(dec, *args):
+            calls.append(dec)
+            return reconstruct(dec, *args)
+
+        monkeypatch.setattr(linalg.EigenDecomposition, "reconstruct", spy)
+        x, y = noisy_circle_data(7, 30, 2)
+        learner.grid_search_rbf(x[:15], y[:15], x[15:], y[15:])
+        assert calls == []
+
+    @pytest.mark.parametrize("which, rows, labels", [
+        ("train", 15, 14), ("validation", 15, 1),
+    ])
+    def test_label_count_must_match_rows(self, which, rows, labels):
+        x, y = noisy_circle_data(10, 30, 2)
+        args = [x[:15], y[:15], x[15:], y[15:]]
+        args[1 if which == "train" else 3] = y[:labels]
+        with pytest.raises(ValueError) as got:
+            learner.grid_search_rbf(*args)
+        assert str(got.value) == f"{which} set has {rows} rows, {labels} labels"
 
     def test_singular_ridge_error_reads_as_fit_krr(self, monkeypatch):
         monkeypatch.setattr(learner, "LAMBDA_GRID", (0.5, 0.0))
