@@ -22,8 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .kernels import NoiseModel, parse_shots
-from .rng import stream
+from .kernels import NoiseModel, parse_shots, sample_cross
 
 
 @dataclass(frozen=True)
@@ -193,18 +192,15 @@ def hoeffding_violation_test(
 ) -> HoeffdingReport:
     """Monte-Carlo check of the two-sided concentration bound.
 
-    Simulates ``trials`` independent m-shot means of Bernoulli(q) and
-    compares the frequency of ``|mean - q| >= delta_gap / 2`` against
-    ``2 exp(-delta_gap^2 m / 2)`` plus three binomial standard errors.
+    Draws ``trials`` m-shot means of Bernoulli(q) with the sweep's shot
+    sampler and compares the frequency of ``|mean - q| >= delta_gap / 2``
+    against ``2 exp(-delta_gap^2 m / 2)`` plus three binomial standard errors.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be a probability, got {q}")
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    g = stream(seed, "hoeffding")
-    means = g.binomial(m, q, size=trials) / m
+    means = sample_cross(np.full((1, trials), float(q)), None, 1, m, seed)[0]
     rate = float(np.mean(np.abs(means - q) >= delta_gap / 2.0))
     bound = 2.0 * math.exp(-(delta_gap**2) * m / 2.0)
     slack = 3.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / trials) + 1e-6

@@ -618,6 +618,8 @@ def _cmd_calibrate(args) -> int:
     w = kernels.load_kernel(args.kernel)
     if args.reference:
         q = kernels.load_kernel(args.reference)
+        if q.dim != w.dim:
+            raise ConfigError(f"reference is {q.dim}x{q.dim}, kernel {w.dim}x{w.dim}")
         repaired, report = calibrate.calibrate_and_report(
             q.matrix, w.matrix, args.method, delta=args.delta
         )
@@ -641,16 +643,19 @@ def _cmd_train(args) -> int:
     ds = datasets.load_csv(args.data)
     if ds.n != gram.dim:
         raise ConfigError(f"kernel is {gram.dim}x{gram.dim} but data has {ds.n} rows")
-    y = ds.labels.astype(float)
-    model = learner.fit_krr(gram, y, args.ridge)
-    _, pred = learner.predict(model, gram.matrix)
-    summary = {
-        "train_accuracy": learner.accuracy(pred, ds.labels),
-        "ridge": args.ridge,
-    }
     if args.cross:
         cross = linalg.load_matrix_csv(args.cross)
         test_ds = datasets.load_csv(args.test_data)
+        if cross.shape != (test_ds.n, gram.dim):
+            raise ConfigError(
+                f"cross kernel is {cross.shape[0]}x{cross.shape[1]} but test data "
+                f"has {test_ds.n} rows and kernel is {gram.dim}x{gram.dim}"
+            )
+    y = ds.labels.astype(float)
+    model = learner.fit_krr(gram, y, args.ridge)
+    _, pred = learner.predict(model, gram.matrix)
+    summary = {"train_accuracy": learner.accuracy(pred, ds.labels), "ridge": args.ridge}
+    if args.cross:
         _, test_pred = learner.predict(model, cross)
         summary["test_accuracy"] = learner.accuracy(test_pred, test_ds.labels)
     if args.out:
@@ -697,94 +702,12 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _check_lines(trials: int, seed: int) -> list[tuple[str, bool, str]]:
-    """Run the property-verifier battery; returns (name, passed, detail) rows."""
-    rng = np.random.default_rng(seed)
-    out: list[tuple[str, bool, str]] = []
-
-    folding_ok, worst = True, 0.0
-    for layers in (1, 2, 4, 8):
-        for rate in (0.0, 0.001, 0.05, 0.3):
-            for s in range(5):
-                unitaries = qsim.random_unitaries(2, layers, seed=s)
-                rep = qsim.verify_noise_folding(unitaries, rate, seed=s)
-                folding_ok &= rep.passed
-                worst = max(worst, rep.max_abs_diff)
-    out.append(("noise-folding", folding_ok, f"max entry deviation {worst:.2e}"))
-
-    hoeff_ok = True
-    for q in (0.1, 0.5, 0.9):
-        for m in (10, 100):
-            for gap in (0.1, 0.2):
-                rep = bounds.hoeffding_violation_test(
-                    q, m, gap, max(trials, 1000), seed
-                )
-                hoeff_ok &= rep.passed
-    out.append(("hoeffding-envelope", hoeff_ok, f"{max(trials, 1000)} trials per cell"))
-
-    pert_ok, applicable = True, 0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        a = rng.normal(size=(dim, dim))
-        base = linalg.sym_matrix((a + a.T) / 2) + np.eye(dim) * (dim + 2)
-        e = rng.normal(size=(dim, dim))
-        rep = linalg.inverse_perturbation_check(
-            base, base + linalg.sym_matrix((e + e.T) / 2) * 0.05
-        )
-        pert_ok &= rep.passed
-        applicable += rep.applicable
-    out.append(("inverse-perturbation", pert_ok, f"{applicable}/{trials} applicable"))
-
-    clip_ok = flip_ok = ident_ok = True
-    for _ in range(max(trials // 5, 20)):
-        n = int(rng.integers(2, 33))
-        ds = datasets.generate_synthetic(n, 2, seed=int(rng.integers(0, 10**6)))
-        q = kernels.gram_ideal(ds.features)
-        noisy = kernels.apply_noise(
-            q, kernels.NoiseModel(0.05, layers=4), fix_diagonal=True
-        )
-        w = kernels.sample_shots(noisy, 10, int(rng.integers(0, 10**6)))
-        ws = linalg.Spectrum(w.matrix)
-        base = float(np.linalg.norm(q.matrix - w.matrix, "fro"))
-        dist = {
-            name: float(np.linalg.norm(q.matrix - calibrate.repair(ws, name), "fro"))
-            for name in (calibrate.CLIP, calibrate.FLIP, calibrate.SHIFT)
-        }
-        clip_ok &= dist[calibrate.CLIP] <= base * (1 + 1e-9)
-        flip_ok &= dist[calibrate.FLIP] <= base * (1 + 1e-9)
-        lam_min = min(ws.lam_min, 0.0)
-        gap = dist[calibrate.SHIFT] ** 2 - base**2
-        want = 2 * lam_min * (np.trace(q.matrix) - np.trace(w.matrix)) + n * lam_min**2
-        ident_ok &= abs(gap - want) <= 1e-9 * max(1.0, abs(want))
-    out.append(("clip-distance", clip_ok, "never increases Frobenius distance"))
-    out.append(("flip-distance", flip_ok, "never increases Frobenius distance"))
-    out.append(
-        (
-            "shift-identity",
-            ident_ok,
-            "distance gap equals 2*lam_min*(trQ-trW) + n*lam_min^2",
-        )
-    )
-
-    sandwich_ok = True
-    for _ in range(trials):
-        dim = int(rng.integers(1, 16))
-        a = rng.normal(size=(dim, dim))
-        m = linalg.sym_matrix((a + a.T) / 2)
-        s, f = linalg.spectral_norm(m), linalg.frobenius_norm(m)
-        sandwich_ok &= s <= f + 1e-12 and f <= math.sqrt(dim) * s + 1e-12
-    out.append(
-        ("norm-sandwich", sandwich_ok, "spectral <= frobenius <= sqrt(n)*spectral")
-    )
-    return out
-
-
 def _cmd_check(args) -> int:
-    all_ok = True
-    for name, ok, detail in _check_lines(args.trials, args.seed or 0):
+    from .checks import battery  # imported here: a sweep process never needs it
+    rows = battery(args.trials, args.seed)
+    for name, ok, detail in rows:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        all_ok &= ok
-    return 0 if all_ok else 2
+    return 0 if all(ok for _, ok, _ in rows) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -58,7 +58,7 @@ class NoiseModel:
 
     ``rate_per_layer`` is the depolarization rate applied after each of
     the ``layers`` unitary layers; the effective end-of-circuit rate is
-    ``1 - (1 - rate_per_layer)^layers``.
+    ``qsim.folded_rate(rate_per_layer, layers)``.
     """
 
     rate_per_layer: float
@@ -78,7 +78,7 @@ class NoiseModel:
     @property
     def rate(self) -> float:
         """Effective depolarization rate p."""
-        return 1.0 - (1.0 - self.rate_per_layer) ** self.layers
+        return qsim.folded_rate(self.rate_per_layer, self.layers)
 
     def mixing_constant(self, num_qubits: int) -> float:
         if self.mixing == MIX_INVERSE_DIM:

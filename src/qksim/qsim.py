@@ -166,6 +166,11 @@ def random_pure_state(num_qubits: int, seed: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def folded_rate(rate_per_layer: float, layers: int) -> float:
+    """End-of-circuit rate of ``layers`` rate-``rate_per_layer`` depolarizations."""
+    return 1.0 - (1.0 - rate_per_layer) ** layers
+
+
 @dataclass(frozen=True)
 class NoiseFoldingReport:
     layers: int
@@ -182,13 +187,11 @@ def verify_noise_folding(
 
     Evolves a seeded random pure state two ways: (a) each unitary followed
     by a rate ``p_tilde`` depolarization, (b) the composed unitary followed
-    by a single depolarization at ``1 - (1 - p_tilde)^L``.  Passes when the
+    by a single depolarization at ``folded_rate(p_tilde, L)``.  Passes when the
     outputs agree to 1e-10 entrywise.
     """
     if not unitaries:
         raise ValueError("need at least one unitary layer")
-    if not 0.0 <= p_tilde <= 1.0:
-        raise ValueError(f"p_tilde must be in [0, 1], got {p_tilde}")
     mats = [_check_unitary(u, k) for k, u in enumerate(unitaries)]
     dim = mats[0].shape[0]
     if any(u.shape[0] != dim for u in mats):
@@ -206,7 +209,7 @@ def verify_noise_folding(
     composite = np.eye(dim, dtype=complex)
     for u in mats:
         composite = u @ composite
-    folded = 1.0 - (1.0 - p_tilde) ** len(mats)
+    folded = folded_rate(p_tilde, len(mats))
     rho_b = depolarize(composite @ rho0 @ composite.conj().T, folded)
 
     gap = float(np.max(np.abs(rho_a - rho_b)))

@@ -178,6 +178,15 @@ class TestHoeffding:
         assert report.bound == pytest.approx(2 * math.exp(-2.0))
         assert report.passed
 
+    @pytest.mark.parametrize("q, m, gap, seed", [
+        (0.1, 10, 0.1, 0), (0.5, 100, 0.2, 3), (0.9, 20, 0.15, -1),
+    ])
+    def test_draws_through_the_sweep_sampler(self, q, m, gap, seed):
+        means = kernels.sample_cross(np.full((1, 2000), q), None, 1, m, seed)[0]
+        rate = float(np.mean(np.abs(means - q) >= gap / 2.0))
+        report = bounds.hoeffding_violation_test(q, m, gap, 2000, seed)
+        assert report.empirical_rate == rate
+
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
             bounds.hoeffding_violation_test(0.5, 10, 0.1, 10, seed=0)

@@ -788,10 +788,44 @@ class TestCommands:
         assert report["c1"] > 0
 
     def test_check_command(self, capsys):
-        assert cli.main(["check", "--trials", "50"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS noise-folding" in out
-        assert "FAIL" not in out
+        assert cli.main(["check", "--trials", "50", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS noise-folding: max entry deviation 5.56e-16",
+            "PASS hoeffding-envelope: 1000 trials per cell",
+            "PASS inverse-perturbation: 50/50 applicable",
+            "PASS clip-distance: never increases Frobenius distance",
+            "PASS flip-distance: never increases Frobenius distance",
+            "PASS shift-identity: distance gap equals 2*lam_min*(trQ-trW) + n*lam_min^2",
+            "PASS norm-sandwich: spectral <= frobenius <= sqrt(n)*spectral",
+        ]
+
+    def test_check_fails_a_clip_that_moves_away(self, monkeypatch, capsys):
+        repair = calibrate.repair
+
+        def bad_clip(w, method, delta=0.0):
+            if method != calibrate.CLIP:
+                return repair(w, method, delta)
+            m = linalg.spectrum(w).matrix
+            return m + np.eye(len(m))  # W + I: further from Q than W
+
+        monkeypatch.setattr(calibrate, "repair", bad_clip)
+        assert cli.main(["check", "--trials", "20"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL clip-distance: never increases Frobenius distance" in lines
+        assert [line.split()[0] for line in lines].count("PASS") == 6
+
+    def test_check_takes_any_integer_seed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qksim", "check", "--trials", "20", "--seed", "-1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 7 and all(line.startswith("PASS ") for line in lines)
 
 
 class TestExitCodes:
@@ -824,6 +858,41 @@ class TestExitCodes:
         assert self.main(capsys, "train", "--kernel", kernel, "--data", data) == (
             1, "config error: kernel is 12x12 but data has 10 rows\n"
         )
+
+    def test_calibrate_reference_size_mismatch_is_config_error(self, tmp_path, capsys):
+        kernel, _ = self.kernel_and_data(tmp_path, n_kernel=12)
+        reference = tmp_path / "q.csv"
+        gram = kernels.gram_ideal(datasets.generate_synthetic(5, 2, 5).features)
+        kernels.save_kernel(gram, reference)
+        out = tmp_path / "o.csv"
+        argv = ["calibrate", "--kernel", kernel, "--reference", str(reference),
+                "--method", "clip", "--out", str(out)]
+        assert self.main(capsys, *argv) == (
+            1, "config error: reference is 5x5, kernel 12x12\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cross_shape, n_test, message", [
+        ((12, 11), 12, "cross kernel is 12x11 but test data has 12 rows "
+                       "and kernel is 12x12"),
+        ((12, 12), 10, "cross kernel is 12x12 but test data has 10 rows "
+                       "and kernel is 12x12"),
+    ], ids=["columns", "rows"])
+    def test_train_cross_size_mismatch_is_config_error(
+        self, tmp_path, capsys, cross_shape, n_test, message
+    ):
+        kernel, data = self.kernel_and_data(tmp_path)
+        cross = tmp_path / "cross.csv"
+        linalg.save_matrix_csv(np.full(cross_shape, 0.5), cross)
+        test = datasets.generate_synthetic(n_test, 2, 6)
+        test_data = tmp_path / "test.csv"
+        labels = np.array([1, -1] * (n_test // 2))
+        datasets.save_csv(datasets.Dataset(features=test.features, labels=labels), test_data)
+        out = tmp_path / "model.json"
+        argv = ["train", "--kernel", kernel, "--data", data, "--cross", str(cross),
+                "--test-data", str(test_data), "--out", str(out)]
+        assert self.main(capsys, *argv) == (1, f"config error: {message}\n")
+        assert not out.exists()
 
     def test_bound_without_num_qubits_is_config_error(self, tmp_path, capsys):
         kernel, data = self.kernel_and_data(tmp_path)

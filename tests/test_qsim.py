@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qksim import qsim
+from qksim import kernels, qsim
 
 from oracles import (
     fidelity_density_trace,
@@ -147,6 +147,15 @@ class TestNoiseFolding:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             qsim.verify_noise_folding([np.ones((2, 2))], 0.1, seed=0)
+
+    def test_noise_model_and_verifier_share_the_folding_formula(self, monkeypatch):
+        # a wrong formula reaches the sweep's rate and fails the verifier
+        monkeypatch.setattr(qsim, "folded_rate", lambda rate, layers: rate * layers)
+        assert kernels.NoiseModel(0.05, 4).rate == 0.05 * 4
+        unitaries = qsim.random_unitaries(2, 4, seed=0)
+        report = qsim.verify_noise_folding(unitaries, 0.05, seed=0)
+        assert report.folded_rate == 0.05 * 4
+        assert report.passed is False
 
     def test_unitaries_are_unitary(self):
         for u in qsim.random_unitaries(3, 5, seed=11):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 
 from qksim.rng import EntryStreams, role_tag, stream
@@ -38,3 +40,17 @@ def test_entry_streams_matches_fresh_streams():
         assert [got3.binomial(5, 0.5) for _ in range(4)] == [
             want3.binomial(5, 0.5) for _ in range(4)
         ]
+
+
+def test_only_rng_builds_generators():
+    # every draw in the package goes through a keyed stream of qksim.rng
+    src = Path(__file__).resolve().parents[1] / "src" / "qksim"
+    banned = ("np.random.default_rng", "np.random.Generator(", "np.random.Philox(")
+    found = [
+        f"{path.name}: {call}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "rng.py"
+        for call in banned
+        if call in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
