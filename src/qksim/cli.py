@@ -651,6 +651,8 @@ def _cmd_train(args) -> int:
                 f"cross kernel is {cross.shape[0]}x{cross.shape[1]} but test data "
                 f"has {test_ds.n} rows and kernel is {gram.dim}x{gram.dim}"
             )
+        if not np.all(np.isfinite(cross)):
+            raise ConfigError(f"cross kernel {args.cross} has non-finite entries")
     y = ds.labels.astype(float)
     model = learner.fit_krr(gram, y, args.ridge)
     _, pred = learner.predict(model, gram.matrix)

@@ -258,7 +258,13 @@ def load_matrix_csv(path) -> np.ndarray:
         for line in fh:
             line = line.strip()
             if line:
-                rows.append([float(tok) for tok in line.split(",")])
+                row = [float(tok) for tok in line.split(",")]
+                if rows and len(row) != len(rows[0]):
+                    raise ValueError(
+                        f"{path}: row {len(rows) + 1} has {len(row)} entries, "
+                        f"row 1 has {len(rows[0])}"
+                    )
+                rows.append(row)
     if not rows:
         raise ValueError(f"empty matrix file: {path}")
     return np.asarray(rows, dtype=float)

@@ -47,15 +47,17 @@ def spin_table(num_qubits: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
-def _hadamard_wall(psi: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Apply H on every qubit: Walsh-Hadamard transform along axis 0."""
+def _hadamard_wall(psi: np.ndarray, num_qubits: int) -> None:
+    """Apply H on every qubit in place: one butterfly per qubit, bit 0 first."""
     dim, cols = psi.shape
-    a = psi.reshape((2,) * num_qubits + (cols,))
-    for axis in range(num_qubits):
-        a = np.moveaxis(a, axis, 0)
-        a = np.stack((a[0] + a[1], a[0] - a[1]), axis=0)
-        a = np.moveaxis(a, 0, axis)
-    return a.reshape(dim, cols) * 2.0 ** (-num_qubits / 2.0)
+    for q in range(num_qubits):
+        pairs = psi.reshape(1 << q, 2, dim >> (q + 1), cols)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        del diff  # free it before the next qubit allocates its own
+    psi *= 2.0 ** (-num_qubits / 2.0)
 
 
 def feature_states(x_rows: np.ndarray) -> np.ndarray:
@@ -76,11 +78,13 @@ def feature_states(x_rows: np.ndarray) -> np.ndarray:
     z = spin_table(num_qubits).astype(float)
     s = z @ x.T  # (dim, n)
     theta = s + 0.5 * (s**2 - np.sum(x**2, axis=1)[None, :])
+    del s  # the peak then holds phase, psi and the wall's half-size temporary
     phase = np.exp(1j * theta)
+    del theta
     psi = np.full((dim, n), 2.0 ** (-num_qubits / 2.0), dtype=complex)  # H|0...0>
-    psi = psi * phase
-    psi = _hadamard_wall(psi, num_qubits)
-    psi = psi * phase
+    psi *= phase
+    _hadamard_wall(psi, num_qubits)
+    psi *= phase
     return psi.T
 
 

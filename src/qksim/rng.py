@@ -36,25 +36,21 @@ class EntryStreams:
     """Cursor over the ``(seed, role, *, *)`` stream family for tight loops.
 
     ``at(i, j)`` yields draws bitwise identical to ``stream(seed, role, i,
-    j)`` while reusing one Philox instance instead of building a fresh
-    generator per entry (about 4x faster).  Instances hold mutable cursor
-    state: create one per worker, never share across threads.
+    j)``: it writes ``(i, j)`` into one counter array and hands one state dict
+    to the ``Philox.state`` setter, which copies it: no per-entry dict or array.
+    Instances hold mutable cursor state: one per worker, never shared.
     """
 
     def __init__(self, seed: int, role: str):
-        self._key = np.array([seed & _MASK64, role_tag(role)], dtype=np.uint64)
-        self._bit_gen = np.random.Philox(key=self._key)
+        key = np.array([seed & _MASK64, role_tag(role)], dtype=np.uint64)
+        self._bit_gen = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bit_gen)
-        self._template = self._bit_gen.state
+        self._state = self._bit_gen.state
+        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)  # nothing buffered
+        self._counter = self._state["state"]["counter"]  # words 0 and 3 stay 0
 
     def at(self, i: int = 0, j: int = 0) -> np.random.Generator:
-        state = dict(self._template)
-        state["state"] = {
-            "counter": np.array([0, i & _MASK64, j & _MASK64, 0], dtype=np.uint64),
-            "key": self._key,
-        }
-        state["buffer_pos"] = 4  # discard any buffered block
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bit_gen.state = state
+        self._counter[1] = i & _MASK64
+        self._counter[2] = j & _MASK64
+        self._bit_gen.state = self._state
         return self._gen

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qksim import bounds, calibrate, cli, kernels, learner, linalg
+from qksim import bounds, calibrate, cli, kernels, learner, linalg, qsim
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -77,6 +77,32 @@ def gram_density_trace(x_rows: np.ndarray) -> np.ndarray:
         for j in range(n):
             g[i, j] = float(np.trace(rhos[i] @ rhos[j]).real)
     return g
+
+
+def feature_states_reference(x_rows: np.ndarray) -> np.ndarray:
+    """Batch encoder that builds a fresh array for every step.
+
+    Each Hadamard layer moves its qubit axis to the front, stacks the sum
+    and the difference of the two halves, and moves the axis back.  The
+    in-place ``qsim.feature_states`` must match it bit for bit.
+    """
+    x = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    n, num_qubits = x.shape
+    dim = 1 << num_qubits
+    z = qsim.spin_table(num_qubits).astype(float)
+    s = z @ x.T
+    theta = s + 0.5 * (s**2 - np.sum(x**2, axis=1)[None, :])
+    phase = np.exp(1j * theta)
+    psi = np.full((dim, n), 2.0 ** (-num_qubits / 2.0), dtype=complex)
+    psi = psi * phase
+    a = psi.reshape((2,) * num_qubits + (n,))
+    for axis in range(num_qubits):
+        a = np.moveaxis(a, axis, 0)
+        a = np.stack((a[0] + a[1], a[0] - a[1]), axis=0)
+        a = np.moveaxis(a, 0, axis)
+    psi = a.reshape(dim, n) * 2.0 ** (-num_qubits / 2.0)
+    psi = psi * phase
+    return psi.T
 
 
 def two_pass_variance(x_rows: np.ndarray) -> float:

@@ -894,6 +894,35 @@ class TestExitCodes:
         assert self.main(capsys, *argv) == (1, f"config error: {message}\n")
         assert not out.exists()
 
+    def test_train_cross_non_finite_is_config_error(self, tmp_path, capsys):
+        kernel, data = self.kernel_and_data(tmp_path, n_kernel=6, n_data=6)
+        cross = tmp_path / "cross.csv"
+        linalg.save_matrix_csv(np.full((6, 6), np.nan), cross)
+        out = tmp_path / "model.json"
+        argv = ["train", "--kernel", kernel, "--data", data, "--cross", str(cross),
+                "--test-data", data, "--out", str(out)]
+        assert self.main(capsys, *argv) == (
+            1, f"config error: cross kernel {cross} has non-finite entries\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--kernel", "--reference", "--cross"])
+    def test_ragged_matrix_csv_names_its_file_and_row(self, tmp_path, capsys, flag):
+        kernel, data = self.kernel_and_data(tmp_path)
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("1.0,0.5\n0.5\n")
+        argv = {
+            "--kernel": ["train", "--kernel", str(ragged), "--data", data],
+            "--reference": ["calibrate", "--kernel", kernel, "--reference",
+                            str(ragged), "--method", "clip",
+                            "--out", str(tmp_path / "o.csv")],
+            "--cross": ["train", "--kernel", kernel, "--data", data,
+                        "--cross", str(ragged), "--test-data", data],
+        }[flag]
+        assert self.main(capsys, *argv) == (
+            2, f"runtime error: {ragged}: row 2 has 1 entries, row 1 has 2\n"
+        )
+
     def test_bound_without_num_qubits_is_config_error(self, tmp_path, capsys):
         kernel, data = self.kernel_and_data(tmp_path)
         assert self.main(capsys, "bound", "--kernel", kernel, "--data", data) == (

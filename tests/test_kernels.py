@@ -328,7 +328,7 @@ class TestSamplerOracle:
 
     @pytest.mark.parametrize("fix_diagonal", [True, False])
     def test_sample_shots_every_entry(self, fix_diagonal):
-        n, m, seed = 7, 13, 21
+        n, m, seed = 30, 13, 21
         _, qt, w = sampled_pair(n=n, m=m, seed=seed, fix_diagonal=fix_diagonal)
         for i in range(n):
             for j in range(i, n):
@@ -341,13 +341,13 @@ class TestSamplerOracle:
 
     def test_sample_cross_every_entry(self):
         rng = np.random.default_rng(22)
-        xtr, xte = rng.uniform(-1, 1, size=(5, 3)), rng.uniform(-1, 1, size=(4, 3))
+        xtr, xte = rng.uniform(-1, 1, size=(20, 3)), rng.uniform(-1, 1, size=(12, 3))
         noise, m, seed = make_noise(0.05, layers=4), 11, 8
         fid = kernels.cross_fidelity(xtr, xte)
         probs = (1.0 - noise.rate) * fid + noise.rate * 2.0**-3
         got = kernels.sample_cross(fid, noise, 3, m, seed)
-        for t in range(4):
-            for i in range(5):
+        for t in range(12):
+            for i in range(20):
                 g = stream(seed, "cross", t, i)
                 assert got[t, i] == g.binomial(m, probs[t, i]) / m
 

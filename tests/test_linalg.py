@@ -313,3 +313,10 @@ class TestMatrixCsv:
         linalg.save_matrix_csv(m, path)
         back = linalg.load_matrix_csv(path)
         assert np.array_equal(m, back)
+
+    def test_ragged_rows_name_the_file_and_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3\n\n4,5,6\n7,8\n")
+        message = r"m\.csv: row 3 has 2 entries, row 1 has 3$"
+        with pytest.raises(ValueError, match=message):
+            linalg.load_matrix_csv(path)

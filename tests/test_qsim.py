@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qksim import kernels, qsim
 
 from oracles import (
+    feature_states_reference,
     fidelity_density_trace,
     state_matrix_chain,
 )
@@ -58,6 +61,29 @@ class TestFeatureState:
         batch = qsim.feature_states(x)
         for k, row in enumerate(x):
             assert np.allclose(batch[k], qsim.feature_state(row), atol=1e-14)
+
+
+class TestInPlaceEncoder:
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 12])
+    def test_bytes_equal_to_the_reference_encoder(self, num_qubits, n):
+        # tobytes() equality: a signed zero or a last-bit difference fails
+        rng = np.random.default_rng(num_qubits * 1000 + n)
+        x = rng.uniform(-2.5, 2.5, size=(n, num_qubits))
+        got = qsim.feature_states(x)
+        want = feature_states_reference(x)
+        assert got.shape == want.shape == (n, 1 << num_qubits)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_at_most_three_outputs(self):
+        x = np.random.default_rng(12).uniform(-2.0, 2.0, size=(300, 12))
+        tracemalloc.start()
+        try:
+            out = qsim.feature_states(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
 class TestFidelity:

@@ -28,18 +28,35 @@ def test_role_tag_stable():
     assert role_tag("shots") != role_tag("cross")
 
 
+# draws that leave Philox blocks spent, a word buffered or a 32-bit half cached
+SPENDS = [
+    lambda g: g.random(9),
+    lambda g: g.binomial(1000, 0.5),
+    lambda g: g.random(3, dtype=np.float32),
+]
+
+
 def test_entry_streams_matches_fresh_streams():
-    cursor = EntryStreams(42, "shots")
-    for i, j in [(0, 0), (5, 9), (100, 3), (2**40, 1)]:
-        want = stream(42, "shots", i, j)
-        got = cursor.at(i, j)
-        assert got.binomial(37, 0.42) == want.binomial(37, 0.42)
-        want2, got2 = stream(42, "shots", i, j), cursor.at(i, j)
-        assert np.array_equal(got2.uniform(size=10), want2.uniform(size=10))
-        want3, got3 = stream(42, "shots", i, j), cursor.at(i, j)
-        assert [got3.binomial(5, 0.5) for _ in range(4)] == [
-            want3.binomial(5, 0.5) for _ in range(4)
-        ]
+    # a negative seed and indices >= 2^64 wrap modulo 2^64 as in stream()
+    entries = [(0, 0), (5, 9), (100, 3), (2**40, 1), (2**64, 0),
+               (2**64 + 5, 2**65 + 9), (-1, 3)]
+    for seed in (42, -7, 2**64 + 3):
+        cursor = EntryStreams(seed, "shots")
+        for k, (i, j) in enumerate(entries):
+            want = stream(seed, "shots", i, j)
+            got = cursor.at(i, j)
+            assert got.binomial(37, 0.42) == want.binomial(37, 0.42)
+            want2, got2 = stream(seed, "shots", i, j), cursor.at(i, j)
+            assert np.array_equal(got2.uniform(size=10), want2.uniform(size=10))
+            want3, got3 = stream(seed, "shots", i, j), cursor.at(i, j)
+            assert [got3.binomial(5, 0.5) for _ in range(4)] == [
+                want3.binomial(5, 0.5) for _ in range(4)
+            ]
+            want4, got4 = stream(seed, "shots", i, j), cursor.at(i, j)
+            assert np.array_equal(
+                got4.random(3, dtype=np.float32), want4.random(3, dtype=np.float32)
+            )
+            SPENDS[k % len(SPENDS)](cursor.at(i, j))  # the next entry must not see it
 
 
 def test_only_rng_builds_generators():
