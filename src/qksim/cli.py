@@ -390,28 +390,27 @@ def _load_pool_features(config: SweepConfig, n_pool: int, seed: int) -> np.ndarr
 
 
 def _engineer_labels(feats: np.ndarray, gamma_scale: float, ridge: float):
-    """Ideal and RBF pool kernels and the advantage labels engineered on them."""
-    q_all = kernels.gram_ideal(feats)
+    """Pool kernels Q and K, each one shared ``Spectrum``, the RBF width, labels."""
+    q_all = linalg.Spectrum(kernels.gram_ideal(feats), "quantum kernel")
     var = learner.pooled_variance(feats)
     if var <= 0.0:
         raise ValueError("pool has zero feature variance")
-    k_all = kernels.rbf_gram(feats, gamma_scale / (feats.shape[1] * var))
-    labels = datasets.relabel_for_advantage(q_all.matrix, k_all.matrix, ridge=ridge)
-    return q_all, k_all, labels
+    gamma = gamma_scale / (feats.shape[1] * var)
+    k_all = linalg.Spectrum(kernels.rbf_gram(feats, gamma), "classical kernel")
+    labels = datasets.relabel_for_advantage(q_all, k_all, ridge=ridge)
+    return q_all, k_all, gamma, labels
 
 
 def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
     """Pooled features, engineered labels, split, ideal kernels, diagnostics."""
     n_pool = n + config.test_size
     feats = _load_pool_features(config, n_pool, seed)
-    q_all, k_all, labels = _engineer_labels(
+    q_all, k_all, _, labels = _engineer_labels(
         feats, config.relabel_gamma_scale, config.ridge
     )
     pool_ds = datasets.Dataset(features=feats, labels=labels)
     split_ds = datasets.split(pool_ds, n, config.test_size, seed)
-    geo = kernels.geometric_difference(
-        k_all.matrix, q_all.matrix, labels.astype(float), config.ridge
-    )
+    geo = kernels.geometric_difference(k_all, q_all, labels.astype(float), config.ridge)
     train_idx, test_idx = split_ds.train_indices, split_ds.test_indices
     return PoolContext(
         features=feats,
@@ -669,7 +668,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_relabel(args) -> int:
     feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
-    _, k_all, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
+    _, _, gamma, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
     out_ds = datasets.Dataset(features=feats, labels=labels)
     datasets.save_csv(
         out_ds,
@@ -678,7 +677,7 @@ def _cmd_relabel(args) -> int:
             "relabel": {
                 "num_qubits": args.num_qubits,
                 "ridge": args.ridge,
-                "gamma": k_all.params["gamma"],
+                "gamma": gamma,
             },
             "source": str(args.data),
         },

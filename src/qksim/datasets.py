@@ -140,8 +140,8 @@ def generate_synthetic(n: int, d: int, seed: int) -> Dataset:
 
 
 def relabel_for_advantage(
-    q_all: np.ndarray | object,
-    k_all: np.ndarray | object,
+    q_all: linalg.Spectrum | np.ndarray | object,
+    k_all: linalg.Spectrum | np.ndarray | object,
     ridge: float = 0.0,
 ) -> np.ndarray:
     """Engineer +/-1 labels that favor the quantum kernel.
@@ -149,18 +149,18 @@ def relabel_for_advantage(
     Takes the top eigenvector ``v`` of ``sqrt(Q) K^-1 sqrt(Q)`` (the
     continuous maximizer of the complexity ratio), forms the score vector
     ``sqrt(Q) v``, and thresholds at its median: strictly above -> +1,
-    otherwise -1.
+    otherwise -1.  A :class:`linalg.Spectrum` argument lends its decomposition.
 
     The output is balanced: the +1/-1 counts differ by at most one.  When
     median ties would break the balance, tied entries are promoted to +1
     in score order (index order among exact ties).
     """
-    qm = linalg.check_symmetric(q_all, "quantum kernel")
-    km = linalg.check_symmetric(k_all, "classical kernel")
-    if qm.shape != km.shape:
-        raise ValueError(f"kernel shape mismatch: {qm.shape} vs {km.shape}")
-    root_q = linalg.mat_sqrt_psd(qm)
-    core = linalg.sym_matrix(root_q @ linalg.inv_ridge(km, ridge) @ root_q)
+    q = linalg.spectrum(q_all, "quantum kernel")
+    k = linalg.spectrum(k_all, "classical kernel")
+    if q.matrix.shape != k.matrix.shape:
+        raise ValueError(f"kernel shape mismatch: {q.matrix.shape} vs {k.matrix.shape}")
+    root_q = linalg.mat_sqrt_psd(q)
+    core = linalg.sym_matrix(root_q @ linalg.inv_ridge(k, ridge) @ root_q)
     v = linalg.eig_sym(core).eigenvectors[:, 0]
     scores = root_q @ v
 

@@ -49,6 +49,8 @@ def parse_shots(value) -> float | int:
         raise ValueError(f"shot count must be an integer, got {value!r}")
     if m < 1:
         raise ValueError(f"shot count must be >= 1, got {value}")
+    if m > 2**63 - 1:  # numpy's binomial takes a C long
+        raise ValueError(f"shot count must be <= 2**63 - 1, got {value}")
     return m
 
 
@@ -205,9 +207,7 @@ def rbf_gram(x_rows: np.ndarray, gamma: float) -> KernelMatrix:
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     x = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    k = np.exp(-gamma * _sq_dists(x, x))
-    k = (k + k.T) / 2.0
-    np.fill_diagonal(k, 1.0)
+    k = _rbf_gram_of(_sq_dists(x, x), gamma)
     return KernelMatrix(matrix=k, provenance=RBF, params={"gamma": gamma})
 
 
@@ -217,14 +217,22 @@ def rbf_cross(x_train: np.ndarray, x_test: np.ndarray, gamma: float) -> np.ndarr
         raise ValueError(f"gamma must be positive, got {gamma}")
     xtr = np.atleast_2d(np.asarray(x_train, dtype=float))
     xte = np.atleast_2d(np.asarray(x_test, dtype=float))
-    if xtr.shape[1] != xte.shape[1]:
-        raise ValueError(
-            f"feature width mismatch: train {xtr.shape[1]}, test {xte.shape[1]}"
-        )
     return np.exp(-gamma * _sq_dists(xte, xtr))
 
 
+def _rbf_gram_of(sq_dists: np.ndarray, gamma: float) -> np.ndarray:
+    """``exp(-gamma * d)`` on a square distance table, symmetrized, unit diagonal."""
+    k = np.exp(-gamma * sq_dists)
+    k = (k + k.T) / 2.0
+    np.fill_diagonal(k, 1.0)
+    return k
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape[1] != b.shape[1]:  # a holds test rows, b train rows
+        raise ValueError(
+            f"feature width mismatch: train {b.shape[1]}, test {a.shape[1]}"
+        )
     aa = np.sum(a**2, axis=1)[:, None]
     bb = np.sum(b**2, axis=1)[None, :]
     return np.clip(aa + bb - 2.0 * (a @ b.T), 0.0, None)
@@ -269,8 +277,8 @@ def quantum_cross(
 
 
 def geometric_difference(
-    k: KernelMatrix | np.ndarray,
-    q: KernelMatrix | np.ndarray,
+    k: KernelMatrix | linalg.Spectrum | np.ndarray,
+    q: KernelMatrix | linalg.Spectrum | np.ndarray,
     y: np.ndarray,
     ridge: float = 0.0,
 ) -> float:
@@ -280,8 +288,8 @@ def geometric_difference(
     y = np.asarray(y, dtype=float)
     if km.shape != qm.shape or km.shape[0] != y.shape[0]:
         raise ValueError("kernel/label dimension mismatch")
-    num = float(y @ linalg.inv_ridge(km, ridge) @ y)
-    den = float(y @ linalg.inv_ridge(qm, ridge) @ y)
+    num = float(y @ linalg.inv_ridge(k, ridge) @ y)
+    den = float(y @ linalg.inv_ridge(q, ridge) @ y)
     return num / den
 
 
@@ -301,7 +309,14 @@ def load_kernel(path) -> KernelMatrix:
     sidecar_path = path.with_suffix(path.suffix + ".json")
     provenance, params = IDEAL, {}
     if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        try:
+            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar_path}: not valid JSON: {exc}") from exc
+        if not isinstance(sidecar, dict):
+            raise ValueError(f"{sidecar_path}: sidecar must be a JSON object")
         provenance = sidecar.get("provenance", IDEAL)
         params = sidecar.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"{sidecar_path}: params must be a JSON object")
     return KernelMatrix(matrix=matrix, provenance=provenance, params=params)

@@ -150,8 +150,8 @@ def grid_search_rbf(
 ) -> GridSearchResult:
     """Exhaustive RBF hyperparameter search on a held-out validation set.
 
-    Scores the 10 x 18 grid of kernel widths and ridges: each width's
-    kernel is decomposed once and solved for all ridges at once,
+    Scores the 10 x 18 grid of widths and ridges on one distance table:
+    each width's kernel is decomposed once and solved for all ridges at once,
     ``alpha = V (V'y / (lam + ridge))``, filling one column of a ridge-major
     accuracy table.  The first maximum of that table wins; as both grids
     ascend, ties break toward the smaller ridge, then the smaller gamma.
@@ -170,10 +170,11 @@ def grid_search_rbf(
             "1 / (d * Var) is undefined"
         )
     scale = 1.0 / (xtr.shape[1] * var)
+    d_train, d_val = kernels._sq_dists(xtr, xtr), kernels._sq_dists(xva, xtr)
     table = np.empty((len(LAMBDA_GRID), len(GAMMA_GRID)))
     for j, gmul in enumerate(GAMMA_GRID):
-        dec = linalg.eig_sym(kernels.rbf_gram(xtr, gmul * scale))
-        k_val = kernels.rbf_cross(xtr, xva, gmul * scale)
+        dec = linalg.eig_sym(kernels._rbf_gram_of(d_train, gmul * scale))
+        k_val = np.exp(-(gmul * scale) * d_val)  # rbf_cross on the same table
         shifted = np.stack([_shifted(dec, lam) for lam in LAMBDA_GRID], axis=1)
         v = dec.eigenvectors
         coef = v @ ((v.T @ ytr)[:, None] / shifted)

@@ -53,8 +53,9 @@ def sym_matrix(entries: np.ndarray) -> np.ndarray:
         raise ValueError("matrix dimension must be >= 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    upper = np.triu(a)
-    return upper + np.triu(a, 1).T
+    out = np.triu(a)
+    out += np.triu(a, 1).T
+    return out
 
 
 def check_symmetric(m: np.ndarray | object, name: str = "matrix") -> np.ndarray:
@@ -103,11 +104,11 @@ class EigenDecomposition:
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first nonzero component is >= 0."""
+    """Flip, in place, each column of ``v`` whose first nonzero entry is < 0."""
     nonzero = np.abs(v) > 1e-12
     first = np.argmax(nonzero, axis=0)
     lead = v[first, np.arange(v.shape[1])]
-    return np.where(nonzero.any(axis=0) & (lead < 0), -v, v)
+    return np.negative(v, out=v, where=nonzero.any(axis=0) & (lead < 0))
 
 
 def eig_sym(m: np.ndarray | object) -> EigenDecomposition:
@@ -119,9 +120,10 @@ def eig_sym(m: np.ndarray | object) -> EigenDecomposition:
     a = check_symmetric(m)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
+    vecs = vecs[:, order]  # a reordered copy, so LAPACK's output is freed
     return EigenDecomposition(
         eigenvalues=np.ascontiguousarray(vals[order]),
-        eigenvectors=_fix_column_signs(vecs[:, order]),
+        eigenvectors=_fix_column_signs(vecs),
     )
 
 

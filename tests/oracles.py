@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qksim import bounds, calibrate, cli, kernels, learner, linalg, qsim
+from qksim import bounds, calibrate, cli, datasets, kernels, learner, linalg, qsim
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -178,6 +178,20 @@ def grid_search_rbf_reference(x_train, y_train, x_val, y_val):
             ):
                 best = learner.GridSearchResult(gamma=gamma, ridge=lam, accuracy=acc)
     return best
+
+
+def pool_labels_reference(config, n, seed):
+    """A cell's engineered labels and geometric difference from bare pool
+    matrices, so that relabelling and the ratio each check and decompose the
+    quantum kernel Q and the classical kernel K afresh."""
+    feats = cli._load_pool_features(config, n + config.test_size, seed)
+    var = learner.pooled_variance(feats)
+    gamma = config.relabel_gamma_scale / (feats.shape[1] * var)
+    q = kernels.gram_ideal(feats).matrix
+    k = kernels.rbf_gram(feats, gamma).matrix
+    labels = datasets.relabel_for_advantage(q, k, ridge=config.ridge)
+    geo = kernels.geometric_difference(k, q, labels.astype(float), config.ridge)
+    return labels, geo
 
 
 def sweep_quantum_record(config, pool, n, m, p_tilde, method, seed):

@@ -119,6 +119,9 @@ class TestSweepConfig:
         pytest.param({"noise_rates": [], "mixing": "bogus"}, None,
                      "bad noise model: unknown mixing variant: 'bogus'",
                      id="no-noise-rates-mixing-bogus"),
+        # numpy's binomial takes a C long: this failed every finite-shot record
+        ("shots", [10**19],
+         "bad shots entry: shot count must be <= 2**63 - 1, got 10000000000000000000"),
     ])
     def test_bad_value_fails_the_sweep_at_load(
         self, tmp_path, capsys, key, value, message
@@ -201,6 +204,19 @@ class TestRunSweep:
             if rec.error is None:
                 assert 0.0 <= rec.train_accuracy <= 1.0
                 assert 0.0 <= rec.test_accuracy <= 1.0
+
+    def test_pool_matches_its_unshared_reference(self):
+        # build_pool checks and decomposes each pool kernel once for the labels
+        # and the geometric difference; the reference does so for each reader
+        config = cli.SweepConfig.from_dict(small_config(train_sizes=[8, 40]))
+        for n in config.train_sizes:
+            for seed in config.seeds:
+                pool = cli.build_pool(config, n, seed)
+                labels, geo = oracles.pool_labels_reference(config, n, seed)
+                assert pool.labels.tobytes() == labels.tobytes()
+                assert np.float64(pool.geometric_difference).tobytes() == (
+                    np.float64(geo).tobytes()
+                )
 
     def test_rbf_selection_never_sees_test_rows(self, monkeypatch):
         config = cli.SweepConfig.from_dict(small_config())
@@ -461,9 +477,9 @@ class TestStagedSweep:
 
     def test_each_spectrum_is_computed_once_where_it_varies(self, monkeypatch):
         sampled, references, repairs, rbf_grams = [], [], [], []
-        eig_sym_calls, eigvalsh_calls = [], []
+        pool_qs, eig_sym_calls, eigvalsh_calls = [], [], []
         sample_shots, build_pool = kernels.sample_shots, cli.build_pool
-        rbf_gram = kernels.rbf_gram
+        rbf_gram, gram_ideal = kernels.rbf_gram, kernels.gram_ideal
         calibrate_and_report = calibrate.calibrate_and_report
         eig_sym, eigvalsh = linalg.eig_sym, np.linalg.eigvalsh
 
@@ -487,6 +503,11 @@ class TestStagedSweep:
             rbf_grams.append((len(x), out.matrix.tobytes()))
             return out
 
+        def spy_gram_ideal(x):
+            out = gram_ideal(x)
+            pool_qs.append(out.matrix.tobytes())
+            return out
+
         def spy_eig_sym(m):
             eig_sym_calls.append(np.asarray(m).tobytes())
             return eig_sym(m)
@@ -499,6 +520,7 @@ class TestStagedSweep:
         monkeypatch.setattr(cli, "build_pool", spy_pool)
         monkeypatch.setattr(calibrate, "calibrate_and_report", spy_report)
         monkeypatch.setattr(kernels, "rbf_gram", spy_rbf)
+        monkeypatch.setattr(kernels, "gram_ideal", spy_gram_ideal)
         monkeypatch.setattr(linalg, "eig_sym", spy_eig_sym)
         monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
         config = cli.SweepConfig.from_dict(
@@ -523,6 +545,13 @@ class TestStagedSweep:
         finals = [k for rows, k in rbf_grams if rows in config.train_sizes]
         assert len(set(finals)) == len(finals) == 2 * 2
         for k in finals:
+            assert eig_sym_calls.count(k) == 1
+        # each cell's pool Q and K, shared by the labels and the geometric difference
+        pool_rows = {n + config.test_size for n in config.train_sizes}
+        pool_ks = [k for rows, k in rbf_grams if rows in pool_rows]
+        assert len(set(pool_qs)) == len(pool_qs) == 2 * 2
+        assert len(set(pool_ks)) == len(pool_ks) == 2 * 2
+        for k in pool_qs + pool_ks:
             assert eig_sym_calls.count(k) == 1
 
 
@@ -949,6 +978,32 @@ class TestExitCodes:
             1, f"config error: {message}\n"
         )
 
+    @pytest.mark.parametrize("command", ["calibrate", "bound"])
+    @pytest.mark.parametrize("text, problem", [
+        ("{bad", "not valid JSON: "),  # then the parser's own text
+        ('["ideal"]', "sidecar must be a JSON object"),
+        ('{"provenance": "ideal", "params": [2]}', "params must be a JSON object"),
+    ], ids=["not-json", "list", "params-list"])
+    def test_malformed_sidecar_names_its_file(
+        self, tmp_path, capsys, command, text, problem
+    ):
+        # these ended in the JSON parser's text or in "'list' object has no
+        # attribute 'get'", naming no file
+        kernel, data = self.kernel_and_data(tmp_path)
+        sidecar = Path(kernel + ".json")
+        sidecar.write_text(text, encoding="utf-8")
+        if problem.startswith("not valid JSON"):
+            with pytest.raises(json.JSONDecodeError) as parsed:
+                json.loads(text)
+            problem += str(parsed.value)
+        extra = {
+            "calibrate": ["--method", "clip", "--out", str(tmp_path / "o.csv")],
+            "bound": ["--data", data, "--num-qubits", "2"],
+        }[command]
+        assert self.main(capsys, command, "--kernel", kernel, *extra) == (
+            2, f"runtime error: {sidecar}: {problem}\n"
+        )
+
     def test_sweep_without_output_is_config_error(self, tmp_path, capsys):
         assert self.sweep(tmp_path, capsys, small_config()) == (
             1, "config error: no output path (config.output or --out)\n"
@@ -1029,6 +1084,11 @@ class TestExitCodes:
         (["calibrate", "--method", "nearest", "--delta", "inf"],
          "bad delta entry: expected a finite number, got inf"),
         (["bound", "--ridge", "inf"], "bad ridge entry: expected a finite number, got inf"),
+        # exited 2 with "Python int too large to convert to C long"
+        (["kernel", "--shots", "10000000000000000000", "--p-tilde", "0.01"],
+         "bad shots entry: shot count must be <= 2**63 - 1, got 10000000000000000000"),
+        (["bound", "--shots", "9223372036854775808"],
+         "bad shots entry: shot count must be <= 2**63 - 1, got 9223372036854775808"),
     ])
     def test_bad_library_flag_is_config_error_before_any_file_is_read(
         self, tmp_path, capsys, argv, message

@@ -145,6 +145,13 @@ class TestSampleShots:
         with pytest.raises(ValueError, match=message):
             kernels.parse_shots(value)
 
+    def test_parse_shots_takes_a_c_long(self):
+        assert kernels.parse_shots(2**63 - 1) == 2**63 - 1
+        assert kernels.parse_shots(str(2**63 - 1)) == 2**63 - 1
+        for value in (2**63, 1e19, str(2**63)):
+            with pytest.raises(ValueError, match=r"must be <= 2\*\*63 - 1"):
+                kernels.parse_shots(value)
+
     def test_certain_entries_are_exact(self):
         x = np.array([[0.3, 0.1], [0.3, 0.1]])  # duplicate rows: fidelity 1
         q = kernels.gram_ideal(x)

@@ -251,6 +251,20 @@ class TestGridSearchRbf:
         )
         assert learner.grid_search_rbf(*args) == grid_search_rbf_reference(*args)
 
+    def test_distances_are_computed_once_per_call(self, monkeypatch):
+        # one train and one validation table serve all 10 widths
+        calls = []
+        sq_dists = kernels._sq_dists
+
+        def spy(a, b):
+            calls.append((a.shape, b.shape))
+            return sq_dists(a, b)
+
+        monkeypatch.setattr(kernels, "_sq_dists", spy)
+        x, y = noisy_circle_data(7, 30, 2)
+        learner.grid_search_rbf(x[:18], y[:18], x[18:], y[18:])
+        assert calls == [((18, 2), (18, 2)), ((12, 2), (18, 2))]
+
     def test_matches_reference_through_ridge_ties(self):
         x, y = noisy_circle_data(6, 12, 2)
         args = (x[:8], y[:8], x[8:], y[8:])

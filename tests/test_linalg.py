@@ -1,3 +1,7 @@
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,12 +93,12 @@ class TestEigSym:
         cases = [v] + [
             np.linalg.eigh(random_symmetric(rng, dim))[1] for dim in (1, 2, 9, 40)
         ]
-        for case in cases:
-            got = linalg._fix_column_signs(case)
-            ref = fix_column_signs_loop(case)
+        for case in cases:  # copies: the helper negates in place
+            got = linalg._fix_column_signs(case.copy())
+            ref = fix_column_signs_loop(case.copy())
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
-        got = linalg._fix_column_signs(v)
+        got = linalg._fix_column_signs(v.copy())
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -109,6 +113,71 @@ class TestEigSym:
                     dec.reconstruct(spectrum),
                     reconstruct_diag(dec.eigenvectors, spectrum),
                 )
+
+
+class TestTemporaries:
+    """The helpers make their n x n temporaries in place, and never in a
+    caller's array."""
+
+    @staticmethod
+    def peak_squares(fn, n):
+        """Traced peak of ``fn()``, in units of one n x n float64 matrix."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - base) / (8 * n * n)
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_at_n_500(self):
+        # the out-of-place forms peaked at 3.03, 4.14 and 4.03 matrices
+        n = 500
+        m = random_symmetric(np.random.default_rng(13), n)
+        dec = linalg.eig_sym(m)
+        lam = 1.0 / (np.abs(dec.eigenvalues) + 0.5)
+        assert self.peak_squares(lambda: linalg.sym_matrix(m), n) <= 2.25
+        assert self.peak_squares(lambda: linalg.eig_sym(m), n) <= 2.25
+        assert self.peak_squares(lambda: dec.reconstruct(lam), n) <= 3.25
+
+    def test_inputs_are_unchanged(self):
+        rng = np.random.default_rng(14)
+        for dim in (1, 2, 9, 40):
+            a = rng.normal(size=(dim, dim))
+            before = a.tobytes()
+            linalg.sym_matrix(a)
+            assert a.tobytes() == before
+            s = linalg.sym_matrix(a)
+            before = s.tobytes()
+            first = linalg.eig_sym(s)
+            assert s.tobytes() == before
+            again = linalg.eig_sym(s)
+            assert first.eigenvectors.tobytes() == again.eigenvectors.tobytes()
+
+
+def test_only_linalg_decomposes():
+    # every kernel decomposition goes through linalg, which shares results and
+    # fixes eigenvector signs; the verifier's density-matrix check is the one
+    # other caller, on a complex state that no kernel reads
+    src = Path(__file__).resolve().parents[1] / "src" / "qksim"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.Name, ast.alias)):
+                name = getattr(node, "id", None) or node.name
+            else:
+                continue
+            if name in ("eigh", "eigvalsh"):
+                owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                owner = max(owners, key=lambda f: f.lineno) if owners else None
+                found.append(f"{path.name}: {owner.name if owner else '<module>'}")
+    assert found == ["qsim.py: check_density_matrix"]
 
 
 class TestMatSqrtPsd:
