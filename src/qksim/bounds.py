@@ -70,12 +70,12 @@ class IdealTerms:
 
 def ideal_terms(q: np.ndarray | object, y: np.ndarray) -> IdealTerms:
     """Invert Q once for every (m, p) evaluated against it."""
-    qm = linalg.check_symmetric(q, "Q")
+    qs = linalg.Spectrum(q, "Q")
     y = np.asarray(y, dtype=float)
-    n = qm.shape[0]
+    n = qs.matrix.shape[0]
     if y.shape != (n,):
         raise ValueError(f"labels must have length {n}")
-    q_inv = linalg.inv_ridge(qm, 0.0)
+    q_inv = linalg.inv_ridge(qs, 0.0)
     return IdealTerms(n=n, c1=float(y @ q_inv @ y), c_q=linalg.spectral_norm(q_inv))
 
 
@@ -119,9 +119,8 @@ def theorem1_bound(
 def breakdown_threshold(q: np.ndarray | object, n: int, num_qubits: int) -> float:
     """Effective rate beyond which the noise term is unconditionally infinite:
     p > 1 / (n c_Q (1 + 2^-(N+1)))."""
-    qm = linalg.check_symmetric(q, "Q")
     # c_Q = ||Q^-1||_2, which for PSD Q is 1 / lambda_min
-    c_q = linalg.spectral_norm(linalg.inv_ridge(qm, 0.0))
+    c_q = linalg.spectral_norm(linalg.inv_ridge(linalg.Spectrum(q, "Q"), 0.0))
     return _breakdown_p(n, c_q, num_qubits)
 
 
@@ -153,12 +152,11 @@ class SaturationReport:
 def saturation_diagnostic(
     q: np.ndarray | object, w_hat: np.ndarray | object, ridge: float = 0.0
 ) -> SaturationReport:
-    qm = linalg.check_symmetric(q, "Q")
-    wm = linalg.check_symmetric(w_hat, "W")
-    if qm.shape != wm.shape:
-        raise ValueError(f"shape mismatch: {qm.shape} vs {wm.shape}")
-    n = qm.shape[0]
-    diff = linalg.inv_ridge(qm, ridge) - linalg.inv_ridge(wm, ridge)
+    qs, ws = linalg.Spectrum(q, "Q"), linalg.Spectrum(w_hat, "W")
+    if qs.matrix.shape != ws.matrix.shape:
+        raise ValueError(f"shape mismatch: {qs.matrix.shape} vs {ws.matrix.shape}")
+    n = qs.matrix.shape[0]
+    diff = linalg.inv_ridge(qs, ridge) - linalg.inv_ridge(ws, ridge)
     s2 = float(np.linalg.norm(diff, 2))
     s_frob = float(np.linalg.norm(diff, "fro"))
     eps = float(np.mean(np.abs(diff)))

@@ -10,7 +10,10 @@ the generalization-bound checks).  Finite measurement budgets replace each
 expectation with a Bernoulli mean of ``m`` draws.
 
 All sampling is keyed per entry through :mod:`qksim.rng`, so kernel entries
-may be produced in any order with identical results.
+may be produced in any order with identical results.  Both samplers draw a
+whole kernel in one array pass, ``rng.EntryStreams.binomial``, whose every
+entry has the bits of ``stream(seed, role, i, j).binomial(m, p)``; both check
+first that the entries are probabilities.
 """
 from __future__ import annotations
 
@@ -175,9 +178,8 @@ def sample_shots(qt: KernelMatrix, m, seed: int) -> KernelMatrix:
             f"sample_shots expects a noisy-expectation kernel, got {qt.provenance!r}"
         )
     probs = qt.matrix
-    if np.min(probs) < 0.0 or np.max(probs) > 1.0:
-        raise ValueError("kernel entries must be probabilities in [0, 1]")
     m = parse_shots(m)
+    _check_probabilities(probs, m)
     params = dict(qt.params)
     params.update(shots="inf" if m is INF_SHOTS else int(m), seed=seed)
     if m is INF_SHOTS:
@@ -186,19 +188,34 @@ def sample_shots(qt: KernelMatrix, m, seed: int) -> KernelMatrix:
         )
     n = qt.dim
     fixed_diag = bool(qt.params.get("fix_diagonal", False))
-    upper = ((i, j) for i in range(n) for j in range(i + 1 if fixed_diag else i, n))
-    w = _shot_means(probs, m, EntryStreams(seed, "shots"), upper)
+    rows, cols = np.triu_indices(n, k=1 if fixed_diag else 0)
+    w = _shot_means(probs, m, EntryStreams(seed, "shots"), rows, cols)
     w = np.where(np.tri(n, k=-1, dtype=bool), w.T, w)  # mirror the upper triangle
     if fixed_diag:
         np.fill_diagonal(w, 1.0)
     return KernelMatrix(matrix=w, provenance=SHOT_SAMPLED, params=params)
 
 
-def _shot_means(probs: np.ndarray, m: int, streams: EntryStreams, entries):
-    """Mean of ``m`` draws at each listed ``(i, j)`` from its own stream."""
+def _check_probabilities(probs: np.ndarray, m) -> None:
+    """Reject entries outside [0, 1], and NaN too when shots are drawn from
+    them; an exact kernel passes NaN on to the finiteness check of the stage
+    that reads it, which names the matrix."""
+    inside = (probs >= 0.0) & (probs <= 1.0)
+    if m is INF_SHOTS:
+        inside |= np.isnan(probs)
+    if not np.all(inside):
+        raise ValueError("kernel entries must be probabilities in [0, 1]")
+
+
+def _shot_means(
+    probs: np.ndarray, m: int, streams: EntryStreams, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Mean of ``m`` draws at each listed ``(rows[k], cols[k])`` from its own
+    stream, drawn for all entries at once by ``EntryStreams.binomial``."""
     out = np.empty_like(probs)
-    for i, j in entries:
-        out[i, j] = streams.at(i, j).binomial(m, probs[i, j]) / m
+    counts = streams.binomial(m, probs[rows, cols], rows, cols)
+    # Python's int / int rounds once; float64 division agrees while both fit in 53 bits
+    out[rows, cols] = counts / m if m <= 2**53 else [c / m for c in counts.tolist()]
     return out
 
 
@@ -259,9 +276,11 @@ def sample_cross(
     if noise is not None:
         fid = noise.depolarize(fid, num_qubits)
     m = parse_shots(m)
+    _check_probabilities(fid, m)
     if m is INF_SHOTS:
         return fid
-    return _shot_means(fid, m, EntryStreams(seed, "cross"), np.ndindex(fid.shape))
+    rows, cols = np.indices(fid.shape).reshape(2, -1)
+    return _shot_means(fid, m, EntryStreams(seed, "cross"), rows, cols)
 
 
 def quantum_cross(

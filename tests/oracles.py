@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qksim import bounds, calibrate, cli, datasets, kernels, learner, linalg, qsim
+from qksim import bounds, calibrate, cli, datasets, kernels, learner, linalg, qsim, rng
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -103,6 +103,17 @@ def feature_states_reference(x_rows: np.ndarray) -> np.ndarray:
     psi = a.reshape(dim, n) * 2.0 ** (-num_qubits / 2.0)
     psi = psi * phase
     return psi.T
+
+
+def shot_means_reference(probs: np.ndarray, m: int, seed: int, role: str, entries):
+    """Per-entry loop: the mean of ``m`` draws from a fresh ``(seed, role, i, j)``
+    stream at each listed ``(i, j)``; unlisted entries stay NaN.  The array
+    sampler behind ``kernels.sample_shots`` and ``sample_cross`` must match it
+    bit for bit."""
+    out = np.full(probs.shape, np.nan)
+    for i, j in entries:
+        out[i, j] = rng.stream(seed, role, i, j).binomial(m, probs[i, j]) / m
+    return out
 
 
 def two_pass_variance(x_rows: np.ndarray) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qksim import bounds, datasets, kernels
+from qksim import bounds, datasets, kernels, linalg
 
 
 def noise(p_tilde, layers=8):
@@ -194,3 +194,69 @@ class TestHoeffding:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             bounds.hoeffding_violation_test(1.5, 10, 0.1, 2000, seed=0)
+
+
+class TestOneSpectrumPerMatrix:
+    """Each bound function checks a matrix once: through its one Spectrum."""
+
+    @staticmethod
+    def kernel(n=12, seed=4):
+        x = np.random.default_rng(seed).uniform(-1, 1, size=(n, 2))
+        return kernels.gram_ideal(x).matrix + 0.1 * np.eye(n)
+
+    @staticmethod
+    def count_checks(monkeypatch, target):
+        calls, check = [0], linalg.check_symmetric
+
+        def spy(m, name="matrix"):
+            a = linalg.as_matrix(m)
+            calls[0] += a.shape == target.shape and a.tobytes() == target.tobytes()
+            return check(m, name)
+
+        monkeypatch.setattr(linalg, "check_symmetric", spy)
+        return calls
+
+    def test_checks_q_no_more_than_one_spectrum(self, monkeypatch):
+        q = self.kernel()
+        y = np.array([1.0, -1.0] * 6)
+        calls = self.count_checks(monkeypatch, q)
+        linalg.Spectrum(q, "Q").decomposition
+        one = calls[0]
+        for run in (
+            lambda: bounds.ideal_terms(q, y),
+            lambda: bounds.breakdown_threshold(q, 12, 2),
+            lambda: bounds.saturation_diagnostic(q, q + 0.01),
+        ):
+            calls[0] = 0
+            run()
+            assert calls[0] == one
+
+    def test_same_bits_as_separate_inverses(self):
+        q, w = self.kernel(), self.kernel(seed=5)
+        y = np.array([1.0, -1.0] * 6)
+        q_inv = linalg.inv_ridge(q, 0.0)
+        terms = bounds.ideal_terms(q, y)
+        assert terms.c1 == float(y @ q_inv @ y)
+        assert terms.c_q == linalg.spectral_norm(q_inv)
+        got = bounds.breakdown_threshold(q, 12, 2)
+        assert got == 1.0 / (12 * terms.c_q * (1.0 + 2.0**-3))
+        diff = linalg.inv_ridge(q, 0.1) - linalg.inv_ridge(w, 0.1)
+        report = bounds.saturation_diagnostic(q, w, ridge=0.1)
+        assert report.s2 == float(np.linalg.norm(diff, 2))
+        assert report.eps_mean == float(np.mean(np.abs(diff)))
+
+    def test_error_texts_and_order(self):
+        bad = np.array([[1.0, 0.2], [0.7, 1.0]])
+        nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="^Q is not symmetric$"):
+            bounds.ideal_terms(bad, np.ones(3))  # Q before the labels
+        with pytest.raises(ValueError, match="^labels must have length 2$"):
+            bounds.ideal_terms(np.eye(2), np.ones(3))
+        with pytest.raises(ValueError, match="^Q has non-finite entries$"):
+            bounds.breakdown_threshold(nan, 2, 2)
+        with pytest.raises(ValueError, match="^Q must be square, got shape"):
+            bounds.saturation_diagnostic(np.ones((2, 3)), bad)  # Q before W
+        with pytest.raises(ValueError, match="^W is not symmetric$"):
+            bounds.saturation_diagnostic(np.eye(3), bad)  # W before the shapes
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(3, 3\) vs \(2, 2\)$"):
+            bounds.saturation_diagnostic(np.eye(3), np.eye(2))

@@ -447,7 +447,8 @@ class TestStagedSweep:
 
         def spy_inv(m, ridge=0.0):
             if ridge == 0.0:  # the bound inverts the already ridged ideal kernel
-                calls["q_inv"].append((len(m), np.asarray(m).tobytes()))
+                q = linalg.as_matrix(m)  # an array or a Spectrum
+                calls["q_inv"].append((len(q), q.tobytes()))
             return inv_ridge(m, ridge)
 
         monkeypatch.setattr(kernels, "sample_shots", spy_shots)

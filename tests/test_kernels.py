@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qksim import kernels
-from qksim.rng import stream
+from qksim import cli, kernels, rng
+from qksim.rng import EntryStreams, stream
 
-from oracles import gram_density_trace
+from oracles import gram_density_trace, shot_means_reference
 
 
 def make_noise(p_tilde=0.0, layers=8, mixing=kernels.MIX_INVERSE_DIM):
@@ -376,6 +378,148 @@ class TestSamplerOracle:
         assert np.array_equal(got, kernels.sample_cross(fid, noise, 2, m, seed=4))
         if noise is not None and noise.rate == 0.0:  # mixing at rate 0 is exact
             assert np.array_equal(got, kernels.sample_cross(fid, None, 2, m, seed=4))
+
+
+def assert_draws_match_streams(m, probs, seed=3, role="shots", reps=40):
+    """``EntryStreams.binomial`` equals one fresh stream's ``binomial`` per entry."""
+    p = np.repeat(np.asarray(probs, dtype=float), reps)
+    i = np.arange(p.size)
+    j = (7 * i) % 11
+    got = EntryStreams(seed, role).binomial(m, p, i, j)
+    want = [
+        stream(seed, role, a, b).binomial(m, q)
+        for a, b, q in zip(i.tolist(), j.tolist(), p.tolist())
+    ]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def count_scalar_draws(monkeypatch) -> list[int]:
+    """Spy on the scalar path: ``calls[0]`` counts ``EntryStreams.at``."""
+    calls, at = [0], EntryStreams.at
+
+    def spy(self, i=0, j=0):
+        calls[0] += 1
+        return at(self, i, j)
+
+    monkeypatch.setattr(EntryStreams, "at", spy)
+    return calls
+
+
+class TestArraySampler:
+    """The array pass draws every entry with its scalar stream's bits."""
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 100, 1000, 10**6, 2**53 + 1, 2**63 - 1])
+    def test_edge_cases_match_streams(self, m):
+        at30 = 30.0 / m  # m p = 30 switches numpy from inversion to BTPE
+        probs = [0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16, 0.25, 0.9]
+        for p in (np.nextafter(at30, 0.0), at30, np.nextafter(at30, 1.0)):
+            if p <= 1.0:
+                probs += [p, 1.0 - p]
+        assert_draws_match_streams(m, probs)
+
+    @pytest.mark.parametrize("m", [2**53 + 1, 10**17 + 3, 2**63 - 1])
+    def test_means_round_like_python_int_division(self, m):
+        # above 2**53 float64(count) / float64(m) rounds twice; count / m once
+        probs = np.array([[1.0, 0.3, 0.5], [0.3, 1.0, 0.7], [0.5, 0.7, 1.0]])
+        qt = kernels.KernelMatrix(probs, kernels.NOISY_EXPECTATION, {"fix_diagonal": True})
+        w = kernels.sample_shots(qt, m, seed=6).matrix
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert w[i, j] == stream(6, "shots", i, j).binomial(m, probs[i, j]) / m
+
+    def test_inversion_restart_is_left_to_the_scalar_path(self):
+        # Binomial(1000, 0.001) walks to X = 15 at most; a uniform past the
+        # mass up to there makes numpy restart on the stream's next double
+        p, u = np.array([0.001, 0.001]), np.array([1 - 2**-53, 0.5])
+        _, left = rng._inversion(1000, p, u, np.ones(2, dtype=bool))
+        assert left.tolist() == [True, False]
+
+    def test_forced_restart_draws_from_the_entry_stream(self, monkeypatch):
+        block = rng.philox_block
+
+        def restarting(seed, role, i, j):
+            words = block(seed, role, i, j)
+            words[0, 1] = np.uint64((1 << 64) - 1)  # first double 1 - 2**-53
+            return words
+
+        monkeypatch.setattr(rng, "philox_block", restarting)
+        calls = count_scalar_draws(monkeypatch)
+        p, i, j = np.full(3, 0.001), np.arange(3), np.zeros(3, dtype=int)
+        got = EntryStreams(4, "shots").binomial(1000, p, i, j)
+        assert calls[0] == 1  # only the forced entry leaves the array pass
+        assert got.tolist() == [stream(4, "shots", k, 0).binomial(1000, 0.001) for k in range(3)]
+
+    def test_step52_entries_draw_from_their_streams(self, monkeypatch):
+        # at m = 10**6, p = 0.5 a BTPE candidate off the parallelogram is
+        # almost always more than 20 from the mode: numpy's Step 52
+        calls = count_scalar_draws(monkeypatch)
+        assert_draws_match_streams(10**6, [0.5], reps=200)
+        assert 0 < calls[0] < 200
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        m=st.one_of(st.integers(1, 3000), st.integers(1, 2**63 - 1)),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_property_matches_streams(self, m, p):
+        assert_draws_match_streams(m, [p], seed=11, role="cross", reps=8)
+
+    def test_sweep_shaped_batch_equals_reference_and_rarely_goes_scalar(self, monkeypatch):
+        # the shots-sweep train Gram: N=2, n=200, rate 0.05, pinned diagonal;
+        # a change that sends every entry back through the per-entry cursor
+        # fails here, not only in the benchmark
+        config = cli.SweepConfig.from_dict({
+            "dataset": {"kind": "synthetic"}, "test_size": 100, "noise_rates": [0.05],
+            "methods": ["nearest"], "num_qubits": 2, "train_sizes": [200],
+            "shots": [10], "seeds": [0],
+        })
+        pool = cli.build_pool(config, 200, 0)
+        ideal = kernels.KernelMatrix(pool.q_train_ideal, kernels.IDEAL, {"num_qubits": 2})
+        qt = kernels.apply_noise(ideal, make_noise(0.05), fix_diagonal=True)
+        rows, cols = np.triu_indices(200, k=1)
+        upper = list(zip(rows.tolist(), cols.tolist()))
+        calls = count_scalar_draws(monkeypatch)
+        for m in (10, 100, 1000):
+            w = kernels.sample_shots(qt, m, seed=0).matrix
+            want = shot_means_reference(qt.matrix, m, 0, "shots", upper)
+            assert np.array_equal(w[rows, cols], want[rows, cols])
+        assert calls[0] <= 0.10 * 3 * len(upper), calls[0]
+
+
+class TestProbabilityCheck:
+    """Both samplers reject non-probabilities before any draw."""
+
+    MESSAGE = r"kernel entries must be probabilities in \[0, 1\]"
+
+    @staticmethod
+    def noisy(bad):
+        probs = np.full((3, 3), 0.5)
+        probs[0, 1] = probs[1, 0] = bad
+        np.fill_diagonal(probs, 1.0)
+        return kernels.KernelMatrix(probs, kernels.NOISY_EXPECTATION, {"fix_diagonal": True})
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    @pytest.mark.parametrize("m", [1, 10, 1000])
+    def test_both_samplers_reject(self, bad, m):
+        qt = self.noisy(bad)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            kernels.sample_shots(qt, m, seed=0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            kernels.sample_cross(qt.matrix[:2], None, 2, m, seed=0)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5])
+    def test_out_of_range_rejected_at_exact_shots(self, bad):
+        qt = self.noisy(bad)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            kernels.sample_shots(qt, "inf", seed=0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            kernels.sample_cross(qt.matrix[:2], None, 2, "inf", seed=0)
+
+    def test_nan_passes_exact_shots_to_the_next_stage(self):
+        # no draw reads it; the stage that reads the matrix names it
+        qt = self.noisy(np.nan)
+        assert np.isnan(kernels.sample_shots(qt, "inf", seed=0).matrix[0, 1])
+        assert np.isnan(kernels.sample_cross(qt.matrix[:2], None, 2, "inf", seed=0)[0, 1])
 
 
 class TestGeometricDifference:

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qksim.rng import EntryStreams, role_tag, stream
+from qksim.rng import EntryStreams, philox_block, role_tag, stream
 
 
 def test_streams_deterministic():
@@ -59,6 +59,26 @@ def test_entry_streams_matches_fresh_streams():
             SPENDS[k % len(SPENDS)](cursor.at(i, j))  # the next entry must not see it
 
 
+def test_philox_block_matches_numpy_philox():
+    # numpy bumps word 0 of the counter before its first block; the same
+    # wrap cases as above, given as Python ints and as an index array
+    entries = [(0, 0), (5, 9), (100, 3), (2**40, 1), (2**64, 0),
+               (2**64 + 5, 2**65 + 9), (-1, 3)]
+    mask = (1 << 64) - 1
+    for seed in (42, -7, 2**64 + 3):
+        key = np.array([seed & mask, role_tag("cross")], dtype=np.uint64)
+        words = philox_block(seed, "cross", *zip(*entries))
+        assert words.shape == (4, len(entries)) and words.dtype == np.uint64
+        for k, (i, j) in enumerate(entries):
+            counter = np.array([0, i & mask, j & mask, 0], dtype=np.uint64)
+            want = np.random.Philox(counter=counter, key=key).random_raw(4)
+            assert np.array_equal(words[:, k], want), (seed, i, j)
+    rows, cols = np.indices((3, 4)).reshape(2, -1)
+    words = philox_block(5, "shots", rows, cols)
+    for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        assert np.array_equal(words[:, k], stream(5, "shots", i, j).bit_generator.random_raw(4))
+
+
 def test_only_rng_builds_generators():
     # every draw in the package goes through a keyed stream of qksim.rng
     src = Path(__file__).resolve().parents[1] / "src" / "qksim"
@@ -71,3 +91,13 @@ def test_only_rng_builds_generators():
         if call in path.read_text(encoding="utf-8")
     ]
     assert found == []
+
+
+def test_array_draws_take_transcendentals_from_libm():
+    # numpy's SIMD log and exp differ from the C library's in the last bit
+    # on some inputs, which can flip a draw; numpy's binomial calls libm
+    source = (Path(__file__).resolve().parents[1] / "src" / "qksim" / "rng.py").read_text(
+        encoding="utf-8"
+    )
+    assert [f for f in ("np.log", "np.exp", "np.expm1") if f in source] == []
+    assert "math.log1p" in source and "math.exp" in source and "math.log" in source
