@@ -4,7 +4,9 @@
 calibration method, seed) at three levels: the (train size, seed) cell, the
 (shots, noise rate) point and the method.  Each quantum record fills its
 fields in order: pool, sampled kernel W, the spectra of the ideal kernel Q
-and of W, repair and fit, cross kernel, c1, ideal bound terms and bound.  A
+and of W, repair and fit, cross kernel, c1, ideal bound terms and bound.
+The pool encodes each of the cell's rows once: the ideal train kernel and the
+(test, train) cross block are both blocks of the pooled rows' Gram matrix.  A
 stage shared by several records runs through ``_once`` on a memo: the
 cell's memo keeps the pool, Q's spectrum, c1 and the ideal terms, and a
 fresh memo per point keeps W, its spectrum, the cross kernel and the bound.
@@ -360,7 +362,7 @@ class PoolContext:
     test_idx: np.ndarray
     y_train: np.ndarray
     q_train_ideal: np.ndarray
-    q_cross_ideal: np.ndarray  # (test, train) fidelities
+    q_cross_ideal: np.ndarray  # (test, train) block of the pool Gram matrix
     geometric_difference: float
 
 
@@ -402,7 +404,10 @@ def _engineer_labels(feats: np.ndarray, gamma_scale: float, ridge: float):
 
 
 def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
-    """Pooled features, engineered labels, split, ideal kernels, diagnostics."""
+    """Pooled features, engineered labels, split, ideal kernels, diagnostics.
+
+    The ideal train kernel and cross block are sliced from the pool's Gram
+    matrix, so no row is encoded twice."""
     n_pool = n + config.test_size
     feats = _load_pool_features(config, n_pool, seed)
     q_all, k_all, _, labels = _engineer_labels(
@@ -419,7 +424,7 @@ def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
         test_idx=test_idx,
         y_train=labels[train_idx].astype(float),
         q_train_ideal=q_all.matrix[np.ix_(train_idx, train_idx)],
-        q_cross_ideal=kernels.cross_fidelity(feats[train_idx], feats[test_idx]),
+        q_cross_ideal=q_all.matrix[np.ix_(test_idx, train_idx)],
         geometric_difference=geo,
     )
 

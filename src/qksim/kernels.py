@@ -1,13 +1,15 @@
 """Kernel matrix construction: ideal, noisy-expectation, shot-sampled, RBF.
 
 The pipeline mirrors the physical estimation chain, for the train Gram
-matrix and the (test, train) cross block alike.  The ideal kernel holds
-state fidelities.  Depolarization acts on the inversion-test output, which
-for an effective rate ``p`` turns an entry ``q`` into ``(1 - p) * q + p *
-c_N``, ``c_N`` being the mixing constant (``2^-N`` for the uniform outcome
-of the maximally mixed state; ``2^-(N+1)`` reproduces the constant used by
-the generalization-bound checks).  Finite measurement budgets replace each
-expectation with a Bernoulli mean of ``m`` draws.
+matrix and the (test, train) cross block alike.  ``cross_fidelity`` encodes
+the train and test rows it is given; a sweep, which holds the Gram matrix of
+its pooled rows, takes the cross block from that matrix instead.  The ideal
+kernel holds state fidelities.  Depolarization acts on the inversion-test
+output, which for an effective rate ``p`` turns an entry ``q`` into ``(1 -
+p) * q + p * c_N``, ``c_N`` being the mixing constant (``2^-N`` for the
+uniform outcome of the maximally mixed state; ``2^-(N+1)`` reproduces the
+constant used by the generalization-bound checks).  Finite measurement
+budgets replace each expectation with a Bernoulli mean of ``m`` draws.
 
 All sampling is keyed per entry through :mod:`qksim.rng`, so kernel entries
 may be produced in any order with identical results.  Both samplers draw a

@@ -6,6 +6,8 @@ chains, two-pass statistics.  Keep these slow and obvious.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from qksim import bounds, calibrate, cli, datasets, kernels, learner, linalg, qsim, rng
@@ -203,6 +205,14 @@ def pool_labels_reference(config, n, seed):
     labels = datasets.relabel_for_advantage(q, k, ridge=config.ridge)
     geo = kernels.geometric_difference(k, q, labels.astype(float), config.ridge)
     return labels, geo
+
+
+def with_cross_fidelity(pool):
+    """A sweep cell's pool whose ideal cross block is encoded afresh from the
+    train and test rows by ``kernels.cross_fidelity``, instead of sliced from
+    the pool Gram matrix."""
+    fid = kernels.cross_fidelity(pool.features[pool.train_idx], pool.features[pool.test_idx])
+    return dataclasses.replace(pool, q_cross_ideal=fid)
 
 
 def sweep_quantum_record(config, pool, n, m, p_tilde, method, seed):

@@ -470,10 +470,12 @@ class TestStagedSweep:
         }
         for key in ("shots", "cross"):
             assert sorted(calls[key], key=str) == sorted(coords, key=str)
-        for key in ("fid", "c1"):
-            assert len(calls[key]) == len(set(calls[key])) == 2 * 2
-        # per cell: the pool Gram matrix, then the train and the test rows
-        assert len(encoded) == 3 * 2 * 2
+        assert len(calls["c1"]) == len(set(calls["c1"])) == 2 * 2
+        # per cell the pool rows are encoded once, for the pool Gram matrix;
+        # the cross block is sliced from it, so no row is encoded again
+        assert calls["fid"] == []
+        pools = [n + config.test_size for n in config.train_sizes for _ in config.seeds]
+        assert sorted(encoded) == sorted(pools)
         assert len(calls["q_inv"]) == len(set(calls["q_inv"])) == 2 * 2
 
     def test_each_spectrum_is_computed_once_where_it_varies(self, monkeypatch):
@@ -554,6 +556,51 @@ class TestStagedSweep:
         assert len(set(pool_ks)) == len(pool_ks) == 2 * 2
         for k in pool_qs + pool_ks:
             assert eig_sym_calls.count(k) == 1
+
+
+class TestCrossBlock:
+    """The sweep's ideal cross block is the test x train block of the pool Gram
+    matrix, which encodes every pool row once."""
+
+    @staticmethod
+    def pool(num_qubits, n, test_size, seed=0):
+        config = cli.SweepConfig.from_dict(
+            small_config(num_qubits=num_qubits, train_sizes=[n], test_size=test_size)
+        )
+        return cli.build_pool(config, n, seed)
+
+    @staticmethod
+    def fidelities(pool):
+        return oracles.with_cross_fidelity(pool).q_cross_ideal
+
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_cross_fidelity_bit_for_bit(self, num_qubits, seed):
+        pool = self.pool(num_qubits, n=40, test_size=20, seed=seed)
+        assert pool.q_cross_ideal.shape == (20, 40)
+        assert np.array_equal(pool.q_cross_ideal, self.fidelities(pool))
+
+    def test_wide_states_agree_to_round_off(self):
+        # at N=12 a row's amplitudes depend on the rows encoded with it (BLAS
+        # blocking in the phase table), so the two blocks may differ in the
+        # last bits: 51 of these 1800 entries do with scipy-openblas 0.3.31
+        pool = self.pool(12, n=60, test_size=30)
+        gap = np.abs(pool.q_cross_ideal - self.fidelities(pool))
+        assert float(np.max(gap)) <= 1e-15
+
+    def test_wide_sweep_matches_the_cross_fidelity_path(self, monkeypatch):
+        config = cli.SweepConfig.from_dict(
+            small_config(
+                num_qubits=12, train_sizes=[60], test_size=30, shots=[10, "inf"],
+                methods=["clip", "nearest"],
+            )
+        )
+        records = cli.run_sweep(config)
+        build_pool = cli.build_pool
+        monkeypatch.setattr(
+            cli, "build_pool", lambda *args: oracles.with_cross_fidelity(build_pool(*args))
+        )
+        assert_same_records(records, cli.run_sweep(config))
 
 
 class TestSweepMetamorphic:
