@@ -116,15 +116,9 @@ def theorem1_bound(
     )
 
 
-def breakdown_threshold(q: np.ndarray | object, n: int, num_qubits: int) -> float:
+def _breakdown_p(n: int, c_q: float, num_qubits: int) -> float:
     """Effective rate beyond which the noise term is unconditionally infinite:
     p > 1 / (n c_Q (1 + 2^-(N+1)))."""
-    # c_Q = ||Q^-1||_2, which for PSD Q is 1 / lambda_min
-    c_q = linalg.spectral_norm(linalg.inv_ridge(linalg.Spectrum(q, "Q"), 0.0))
-    return _breakdown_p(n, c_q, num_qubits)
-
-
-def _breakdown_p(n: int, c_q: float, num_qubits: int) -> float:
     return 1.0 / (n * c_q * (1.0 + 2.0 ** (-(num_qubits + 1))))
 
 

@@ -7,7 +7,9 @@ Each transform works in the eigenbasis of the input:
 * ``shift``   adds ``|min(lambda_min, 0)|`` to the whole diagonal,
 * ``nearest_psd``  raises every eigenvalue below ``delta`` to ``delta``.
 
-All four run through :func:`repair`, one decomposition per matrix.
+All four run through :func:`repair`, one decomposition per matrix.  It
+returns a ``Spectrum``, the input's own at a fixed point, so the report and
+the fit share its decompositions; the four named functions return arrays.
 
 Against a PSD reference matrix, clip and flip provably never increase
 the Frobenius distance.  Shift does not share that guarantee: expanding
@@ -43,45 +45,54 @@ METHODS = (CLIP, FLIP, SHIFT, NEAREST)
 _SHIFT_TRACE_TOL = 1e-6
 
 
-def repair(w: np.ndarray | Spectrum, method: str, delta: float = 0.0) -> np.ndarray:
-    """``w``, or the matrix of its :class:`Spectrum`, repaired by ``method``;
-    at or above the floor, an exact copy."""
+def repair(w: np.ndarray | Spectrum, method: str, delta: float = 0.0) -> Spectrum:
+    """``w`` repaired by ``method``: ``w``'s own :class:`Spectrum` for ``"none"``
+    and at or above the method's floor, else one new Spectrum."""
     ws = linalg.spectrum(w)
-    if method == SHIFT:
-        return ws.matrix + abs(min(ws.lam_min, 0.0)) * np.eye(len(ws.matrix))
     if method not in METHODS + (NONE,):
         raise ValueError(f"unknown calibration method: {method!r}")
     if method == NEAREST and delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
+    if method == SHIFT:
+        if ws.lam_min >= 0.0:
+            return ws
+        return Spectrum(ws.matrix + abs(ws.lam_min) * np.eye(len(ws.matrix)))
     floor = delta if method == NEAREST else 0.0
     if method == NONE or ws.decomposition.eigenvalues[-1] >= floor:
-        return ws.matrix.copy()
+        return ws
     dec = ws.decomposition
     if method == CLIP:
-        return dec.reconstruct(np.clip(dec.eigenvalues, 0.0, None))
+        return Spectrum(dec.reconstruct(np.clip(dec.eigenvalues, 0.0, None)))
     if method == FLIP:
-        return dec.reconstruct(np.abs(dec.eigenvalues))
-    return dec.reconstruct(np.maximum(dec.eigenvalues, floor))
+        return Spectrum(dec.reconstruct(np.abs(dec.eigenvalues)))
+    return Spectrum(dec.reconstruct(np.maximum(dec.eigenvalues, floor)))
+
+
+def _repaired(w: np.ndarray | object, method: str, delta: float = 0.0) -> np.ndarray:
+    """:func:`repair`'s matrix as a new array, a copy of ``w`` at a fixed point."""
+    ws = linalg.spectrum(w)
+    out = repair(ws, method, delta)
+    return out.matrix.copy() if out is ws else out.matrix
 
 
 def clip(w: np.ndarray | object) -> np.ndarray:
     """Zero all negative eigenvalues; equals the input iff it is PSD."""
-    return repair(w, CLIP)
+    return _repaired(w, CLIP)
 
 
 def flip(w: np.ndarray | object) -> np.ndarray:
     """Replace every eigenvalue by its absolute value; Frobenius-norm preserving."""
-    return repair(w, FLIP)
+    return _repaired(w, FLIP)
 
 
 def shift(w: np.ndarray | object) -> np.ndarray:
     """Add |min(lambda_min, 0)| to the diagonal; off-diagonal entries unchanged."""
-    return repair(w, SHIFT)
+    return _repaired(w, SHIFT)
 
 
 def nearest_psd(w: np.ndarray | object, delta: float = 0.0) -> np.ndarray:
     """Raise every eigenvalue below ``delta`` to ``delta`` (delta >= 0)."""
-    return repair(w, NEAREST, delta)
+    return _repaired(w, NEAREST, delta)
 
 
 @dataclass(frozen=True)
@@ -109,9 +120,9 @@ def calibrate_and_report(
     w: np.ndarray | Spectrum,
     method: str,
     delta: float = 0.0,
-) -> tuple[np.ndarray, CalibrationReport]:
+) -> tuple[Spectrum, CalibrationReport]:
     """Apply one transform to ``w`` and report distances to the reference ``q``;
-    either may be its :class:`Spectrum`.  ``method="none"`` passes ``w`` through."""
+    either may be its :class:`Spectrum`.  Returns :func:`repair`'s Spectrum."""
     qs, ws = linalg.spectrum(q, "reference"), linalg.spectrum(w, "kernel")
     qm, wm = qs.matrix, ws.matrix
     if qm.shape != wm.shape:
@@ -119,7 +130,7 @@ def calibrate_and_report(
     repaired = repair(ws, method, delta)
 
     dist_before = float(np.linalg.norm(qm - wm, "fro"))
-    dist_after = float(np.linalg.norm(qm - repaired, "fro"))
+    dist_after = float(np.linalg.norm(qm - repaired.matrix, "fro"))
 
     passed: bool | None = None
     if method in (CLIP, FLIP, SHIFT):
@@ -135,6 +146,6 @@ def calibrate_and_report(
         dist_before=dist_before,
         dist_after=dist_after,
         min_eig_before=ws.lam_min,
-        min_eig_after=linalg.spectrum(repaired, "matrix", ws).lam_min,
+        min_eig_after=repaired.lam_min,
         passed_lemma=passed,
     )

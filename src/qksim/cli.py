@@ -12,8 +12,9 @@ cell's memo keeps the pool, Q's spectrum, c1 and the ideal terms, and a
 fresh memo per point keeps W, its spectrum, the cross kernel and the bound.
 A memo keeps a stage's value or its failure, so a shared stage runs once at
 its level, failing or not, and a record keeps exactly the fields it filled
-before a failing step.  Output records are sorted by coordinate and
-serialize byte-identically.
+before a failing step.  The report and the fit share the repair's Spectrum,
+W's own at its fixed point, and W with Q's bytes takes Q's (``_w_spectrum``).
+Output records are sorted by coordinate and serialize byte-identically.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  Each config
 value and flag passes its input rule before any data file is read.  A failed
@@ -460,6 +461,14 @@ def _sampled_kernel(
     return kernels.sample_shots(noisy, m, seed).matrix
 
 
+def _w_spectrum(w: np.ndarray, q_spec: linalg.Spectrum) -> linalg.Spectrum:
+    """W's Spectrum: Q's when W has Q's shape and bytes (noise rate 0, exact shots)."""
+    q = q_spec.matrix
+    if w.shape == q.shape and w.tobytes() == q.tobytes():
+        return q_spec
+    return linalg.Spectrum(w, "kernel")
+
+
 def _ideal_terms(config: SweepConfig, pool: PoolContext) -> bounds.IdealTerms:
     # bound terms need a nonsingular ideal kernel; the configured ridge
     # regularizes the rank-deficient small-qubit Gram matrices
@@ -489,10 +498,9 @@ def _quantum_record(
         y_train, num_qubits = pool.y_train, config.num_qubits
         noise = kernels.NoiseModel(p_tilde, config.layers, config.mixing)
         w = _once(point, "w", _sampled_kernel, config, pool, noise, m, seed)
-        # checked in calibrate_and_report's order: the reference, then the kernel;
-        # at rate 0 and exact shots W has Q's bytes, and so Q's spectrum
+        # checked in calibrate_and_report's order: the reference, then the kernel
         q_spec = _once(cell, "q_spec", linalg.Spectrum, pool.q_train_ideal, "reference")
-        w_spec = _once(point, "w_spec", linalg.spectrum, w, "kernel", q_spec)
+        w_spec = _once(point, "w_spec", _w_spectrum, w, q_spec)
         calibrated, report = calibrate.calibrate_and_report(
             q_spec, w_spec, method, delta=config.nearest_delta
         )
@@ -501,10 +509,8 @@ def _quantum_record(
         rec.min_eig_before = report.min_eig_before
         rec.min_eig_after = report.min_eig_after
         rec.passed_lemma = report.passed_lemma
-        # a repair that returns W unchanged is fitted on W's decomposition
-        cal_spec = linalg.spectrum(calibrated, "matrix", w_spec)
-        model = learner.fit_krr(cal_spec, y_train, config.ridge)
-        _, train_pred = learner.predict(model, calibrated)
+        model = learner.fit_krr(calibrated, y_train, config.ridge)
+        _, train_pred = learner.predict(model, calibrated.matrix)
         rec.train_accuracy = learner.accuracy(train_pred, y_train.astype(int))
         cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
         cross = _once(
@@ -631,7 +637,7 @@ def _cmd_calibrate(args) -> int:
     else:
         repaired = calibrate.repair(w.matrix, args.method, args.delta)
     out_kernel = kernels.KernelMatrix(
-        matrix=repaired,
+        matrix=repaired.matrix,
         provenance=kernels.CALIBRATED_PREFIX + args.method,
         params=dict(w.params, method=args.method, delta=args.delta),
     )

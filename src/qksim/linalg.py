@@ -147,16 +147,9 @@ class Spectrum:
         return float(np.min(self.eigenvalues))
 
 
-def spectrum(m: np.ndarray | object, name: str = "matrix", *held: Spectrum) -> Spectrum:
-    """``m`` as a :class:`Spectrum`: itself, the first of ``held`` with ``m``'s
-    shape and bytes (so LAPACK's results for it are the same bits), or a new one."""
-    if isinstance(m, Spectrum):
-        return m
-    a = as_matrix(m)
-    for s in held:
-        if s.matrix.shape == a.shape and s.matrix.tobytes() == a.tobytes():
-            return s
-    return Spectrum(m, name)
+def spectrum(m: np.ndarray | object, name: str = "matrix") -> Spectrum:
+    """``m`` if it is a :class:`Spectrum`, else a new one checked as ``name``."""
+    return m if isinstance(m, Spectrum) else Spectrum(m, name)
 
 
 def mat_sqrt_psd(m: np.ndarray | object) -> np.ndarray:

@@ -105,12 +105,6 @@ def fidelity(x1: np.ndarray, x2: np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def density_matrix(x: np.ndarray) -> np.ndarray:
-    """Pure-state density matrix of the encoded feature vector."""
-    psi = feature_state(x)
-    return np.outer(psi, psi.conj())
-
-
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Validate Hermiticity, unit trace, and near-positivity."""
     rho = np.asarray(rho, dtype=complex)

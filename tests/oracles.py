@@ -245,9 +245,10 @@ def sweep_quantum_record(config, pool, n, m, p_tilde, method, seed):
         )
         noisy = kernels.apply_noise(q_ideal, noise, fix_diagonal=True)
         sampled = kernels.sample_shots(noisy, m, seed)
-        calibrated, report = calibrate.calibrate_and_report(
+        repaired, report = calibrate.calibrate_and_report(
             pool.q_train_ideal, sampled.matrix, method, delta=config.nearest_delta
         )
+        calibrated = repaired.matrix  # an array: the fit decomposes it afresh
         rec.dist_before = report.dist_before
         rec.dist_after = report.dist_after
         rec.min_eig_before = report.min_eig_before

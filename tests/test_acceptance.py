@@ -183,7 +183,9 @@ def test_criterion_6_bound_formula():
 
     breakdown_ok = True
     for n in (5, 30, 100):
-        thr = bounds.breakdown_threshold(np.eye(n), n, num_qubits)
+        thr = bounds.theorem1_bound(
+            np.eye(n), np.ones(n), "inf", kernels.NoiseModel(0.0), num_qubits
+        ).breakdown_p
         for m in (10, 100, 10**4):
             for p in (thr * (1 + 1e-12), thr * 1.5, min(thr * 20, 1.0)):
                 breakdown_ok &= (

@@ -10,6 +10,13 @@ def noise(p_tilde, layers=8):
     return kernels.NoiseModel(rate_per_layer=p_tilde, layers=layers)
 
 
+def breakdown_p(q, num_qubits):
+    """``theorem1_bound(...).breakdown_p`` for ``q``; the labels, shots and
+    noise rate do not enter it."""
+    n = len(q)
+    return bounds.theorem1_bound(q, np.ones(n), "inf", noise(0.0), num_qubits).breakdown_p
+
+
 class TestTheorem1Bound:
     def test_identity_kernel_ideal_term(self):
         n = 8
@@ -30,7 +37,7 @@ class TestTheorem1Bound:
         n = 50
         y = np.array([1.0, -1.0] * 25)
         q = np.eye(n)
-        threshold = bounds.breakdown_threshold(q, n, 2)
+        threshold = breakdown_p(q, 2)
         p_tilde = min(threshold * 1.5, 1.0)
         report = bounds.theorem1_bound(q, y, 100, noise(p_tilde, layers=1), 2)
         assert report.p > threshold
@@ -55,23 +62,23 @@ class TestTheorem1Bound:
 class TestBreakdownThreshold:
     def test_identity_formula(self):
         for n in (4, 10):
-            got = bounds.breakdown_threshold(np.eye(n), n, 3)
+            got = breakdown_p(np.eye(n), 3)
             assert got == pytest.approx(1.0 / (n * (1.0 + 2.0**-4)))
 
     def test_hundred_points_two_qubits(self):
-        got = bounds.breakdown_threshold(np.eye(100), 100, 2)
+        got = breakdown_p(np.eye(100), 2)
         assert got == pytest.approx(1.0 / 112.5)
         assert got == pytest.approx(8.888888888888889e-3)
 
     def test_doubling_n_halves_threshold(self):
-        a = bounds.breakdown_threshold(np.eye(10), 10, 2)
-        b = bounds.breakdown_threshold(np.eye(10), 20, 2)
+        a = breakdown_p(np.eye(10), 2)
+        b = breakdown_p(np.eye(20), 2)
         assert b == pytest.approx(a / 2)
 
     def test_breakdown_consistency_with_c2(self):
         # c2 collapses to zero whenever p exceeds the threshold
         n, num_qubits, delta = 30, 2, 0.05
-        threshold = bounds.breakdown_threshold(np.eye(n), n, num_qubits)
+        threshold = breakdown_p(np.eye(n), num_qubits)
         for m in (10, 100, 10**4):
             for scale in (1.0 + 1e-12, 1.1, 2.0, 10.0):
                 p = min(threshold * scale, 1.0)
@@ -224,7 +231,7 @@ class TestOneSpectrumPerMatrix:
         one = calls[0]
         for run in (
             lambda: bounds.ideal_terms(q, y),
-            lambda: bounds.breakdown_threshold(q, 12, 2),
+            lambda: bounds.theorem1_bound(q, y, 10, noise(0.0), 2),
             lambda: bounds.saturation_diagnostic(q, q + 0.01),
         ):
             calls[0] = 0
@@ -238,7 +245,7 @@ class TestOneSpectrumPerMatrix:
         terms = bounds.ideal_terms(q, y)
         assert terms.c1 == float(y @ q_inv @ y)
         assert terms.c_q == linalg.spectral_norm(q_inv)
-        got = bounds.breakdown_threshold(q, 12, 2)
+        got = bounds.theorem1_bound(q, y, 10, noise(0.0), 2).breakdown_p
         assert got == 1.0 / (12 * terms.c_q * (1.0 + 2.0**-3))
         diff = linalg.inv_ridge(q, 0.1) - linalg.inv_ridge(w, 0.1)
         report = bounds.saturation_diagnostic(q, w, ridge=0.1)
@@ -253,7 +260,7 @@ class TestOneSpectrumPerMatrix:
         with pytest.raises(ValueError, match="^labels must have length 2$"):
             bounds.ideal_terms(np.eye(2), np.ones(3))
         with pytest.raises(ValueError, match="^Q has non-finite entries$"):
-            bounds.breakdown_threshold(nan, 2, 2)
+            bounds.theorem1_bound(nan, np.ones(2), 10, noise(0.0), 2)
         with pytest.raises(ValueError, match="^Q must be square, got shape"):
             bounds.saturation_diagnostic(np.ones((2, 3)), bad)  # Q before W
         with pytest.raises(ValueError, match="^W is not symmetric$"):

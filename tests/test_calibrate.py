@@ -154,7 +154,7 @@ class TestCalibrateAndReport:
         assert report.dist_before == pytest.approx(1.2)
         assert report.dist_after == pytest.approx(1.0)
         assert report.passed_lemma
-        assert np.allclose(out, np.diag([1.0, 0.0]))
+        assert np.allclose(out.matrix, np.diag([1.0, 0.0]))
 
     def test_shift_requires_unit_trace_average(self):
         q = np.eye(2)
@@ -263,8 +263,10 @@ def equivalence_pairs():
 
 
 def assert_same_outcome(got, want):
-    """Bit-identical repaired matrices and equal report fields of equal types."""
-    (got_m, got_r), (want_m, want_r) = got, want
+    """Bit-identical repaired matrices and equal report fields of equal types;
+    ``got`` holds a Spectrum, ``want`` the reference's array."""
+    (got_s, got_r), (want_m, want_r) = got, want
+    got_m = got_s.matrix
     assert got_m.dtype == want_m.dtype and got_m.shape == want_m.shape
     assert np.array_equal(got_m, want_m) and got_m.tobytes() == want_m.tobytes()
     got_d, want_d = got_r.to_dict(), want_r.to_dict()
@@ -328,6 +330,8 @@ class TestSpectrumMatchesReference:
         assert calibrate.shift(w).tobytes() == ref[calibrate.SHIFT](w).tobytes()
         want = ref[calibrate.NEAREST](w, DELTA).tobytes()
         assert calibrate.nearest_psd(w, DELTA).tobytes() == want
+        for op in (calibrate.clip, calibrate.flip, calibrate.shift, calibrate.nearest_psd):
+            assert not np.shares_memory(op(w), w)  # a new array, also at a fixed point
 
     @pytest.mark.parametrize("name, q, w", equivalence_pairs())
     @pytest.mark.parametrize("method", calibrate.METHODS)
@@ -336,7 +340,22 @@ class TestSpectrumMatchesReference:
         want = (ref(w, DELTA) if method == calibrate.NEAREST else ref(w)).tobytes()
         ws = calibrate.Spectrum(w, "kernel")
         for arg in (w, ws, ws):  # the second Spectrum call reuses its cache
-            assert calibrate.repair(arg, method, DELTA).tobytes() == want
+            assert calibrate.repair(arg, method, DELTA).matrix.tobytes() == want
+
+    @pytest.mark.parametrize("name, q, w", equivalence_pairs())
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_a_fixed_point_returns_its_own_spectrum(self, name, q, w, method):
+        # at or above the method's floor the repair is W's own Spectrum, whose
+        # decompositions the report and the fit reuse; below it, a new one
+        floor = {calibrate.NEAREST: DELTA, calibrate.NONE: -np.inf}.get(method, 0.0)
+        fixed = float(np.min(np.linalg.eigvalsh(w))) >= floor
+        qs, ws = calibrate.Spectrum(q, "reference"), calibrate.Spectrum(w, "kernel")
+        out = calibrate.repair(ws, method, DELTA)
+        assert isinstance(out, linalg.Spectrum)
+        assert (out is ws) == fixed
+        if not fixed:
+            assert "eigenvalues" not in vars(out) and "decomposition" not in vars(out)
+        assert (calibrate.calibrate_and_report(qs, ws, method, DELTA)[0] is ws) == fixed
 
     @pytest.mark.parametrize("q, w, method, delta", [
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2), calibrate.CLIP, 0.0),

@@ -478,13 +478,32 @@ class TestStagedSweep:
         assert sorted(encoded) == sorted(pools)
         assert len(calls["q_inv"]) == len(set(calls["q_inv"])) == 2 * 2
 
+    def test_w_reuses_q_spectrum_only_on_equal_shape_and_bytes(self):
+        m = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
+        q_spec = linalg.Spectrum(m, "reference")
+        assert cli._w_spectrum(m.copy(), q_spec) is q_spec
+        assert cli._w_spectrum(m.T, q_spec) is q_spec  # a view, same values
+        negative_zero = m.copy()
+        negative_zero[0, 1] = negative_zero[1, 0] = -0.0
+        assert np.array_equal(negative_zero, m)
+        fresh = cli._w_spectrum(negative_zero, q_spec)
+        assert fresh is not q_spec
+        assert fresh.matrix.tobytes() == negative_zero.tobytes()
+        flat = np.eye(2).reshape(1, 4)
+        square = linalg.Spectrum(np.eye(2), "reference")
+        for reshaped in (flat, flat.T):
+            assert reshaped.tobytes() == square.matrix.tobytes()
+            with pytest.raises(ValueError, match="kernel must be square"):
+                cli._w_spectrum(reshaped, square)
+
     def test_each_spectrum_is_computed_once_where_it_varies(self, monkeypatch):
         sampled, references, repairs, rbf_grams = [], [], [], []
-        pool_qs, eig_sym_calls, eigvalsh_calls = [], [], []
+        pool_qs, eig_sym_calls, eigvalsh_calls, checks = [], [], [], []
         sample_shots, build_pool = kernels.sample_shots, cli.build_pool
         rbf_gram, gram_ideal = kernels.rbf_gram, kernels.gram_ideal
         calibrate_and_report = calibrate.calibrate_and_report
         eig_sym, eigvalsh = linalg.eig_sym, np.linalg.eigvalsh
+        check_symmetric, in_eig_sym = linalg.check_symmetric, [False]
 
         def spy_shots(qt, m, seed):
             out = sample_shots(qt, m, seed)
@@ -498,7 +517,7 @@ class TestStagedSweep:
 
         def spy_report(q, w, method, delta=0.0):
             repaired, report = calibrate_and_report(q, w, method, delta)
-            repairs.append(repaired.tobytes())
+            repairs.append((repaired is w, repaired.matrix.tobytes()))
             return repaired, report
 
         def spy_rbf(x, gamma):
@@ -513,7 +532,16 @@ class TestStagedSweep:
 
         def spy_eig_sym(m):
             eig_sym_calls.append(np.asarray(m).tobytes())
-            return eig_sym(m)
+            in_eig_sym[0] = True
+            try:
+                return eig_sym(m)
+            finally:
+                in_eig_sym[0] = False
+
+        def spy_check(m, name="matrix"):
+            if not in_eig_sym[0]:  # eig_sym checks its input again
+                checks.append(linalg.as_matrix(m).tobytes())
+            return check_symmetric(m, name)
 
         def spy_eigvalsh(a, UPLO="L"):
             eigvalsh_calls.append(np.asarray(a).tobytes())
@@ -526,6 +554,7 @@ class TestStagedSweep:
         monkeypatch.setattr(kernels, "gram_ideal", spy_gram_ideal)
         monkeypatch.setattr(linalg, "eig_sym", spy_eig_sym)
         monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+        monkeypatch.setattr(linalg, "check_symmetric", spy_check)
         config = cli.SweepConfig.from_dict(
             small_config(
                 train_sizes=[6, 8], shots=[5, 20], methods=list(calibrate.METHODS)
@@ -536,11 +565,17 @@ class TestStagedSweep:
         sampled = [w.tobytes() for w in sampled]
         assert len(set(sampled)) == len(sampled) == 2 * 2 * 2 * 2
         assert len(set(references)) == len(references) == 2 * 2
-        # some repairs return W unchanged: a new matrix with W's bytes, whose
-        # report and fit take W's eigvalsh and eig_sym
-        assert any(r in sampled for r in repairs)
+        # a repair at its fixed point returns W's own Spectrum, whose report and
+        # fit take W's eigvalsh and eig_sym; any other repair is one new Spectrum
+        assert any(kept for kept, _ in repairs)
+        assert all((r in sampled) == kept for kept, r in repairs)
         for w in sampled:
             assert eig_sym_calls.count(w) == eigvalsh_calls.count(w) == 1
+        changed = [r for kept, r in repairs if not kept]
+        assert changed and len(set(changed)) == len(changed)
+        for r in changed:
+            assert checks.count(r) == eigvalsh_calls.count(r) == 1
+            assert eig_sym_calls.count(r) == 1
         for q in references:
             assert eigvalsh_calls.count(q) == 1
             assert eig_sym_calls.count(q) <= 1
@@ -883,7 +918,7 @@ class TestCommands:
             if method != calibrate.CLIP:
                 return repair(w, method, delta)
             m = linalg.spectrum(w).matrix
-            return m + np.eye(len(m))  # W + I: further from Q than W
+            return linalg.Spectrum(m + np.eye(len(m)))  # W + I: further from Q than W
 
         monkeypatch.setattr(calibrate, "repair", bad_clip)
         assert cli.main(["check", "--trials", "20"]) == 2

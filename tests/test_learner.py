@@ -141,7 +141,8 @@ class TestModelComplexity:
         assert float(np.min(np.linalg.eigvalsh(q.matrix))) > 1e-3  # well-posed
         y = np.where(rng.normal(size=6) > 0, 1.0, -1.0)
         ridge = 1e-8
-        phi = np.array([real_embedding(qsim.density_matrix(row)) for row in x])
+        states = [qsim.feature_state(row) for row in x]
+        phi = np.array([real_embedding(np.outer(psi, psi.conj())) for psi in states])
         want = primal_ridge_norm_sq(phi, y, ridge)
         got = learner.model_complexity_c1(q, y, ridge)
         assert got == pytest.approx(want, rel=1e-6)

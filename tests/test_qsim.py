@@ -116,13 +116,19 @@ class TestFidelity:
             qsim.fidelity(np.zeros(2), np.zeros(3))
 
 
+def pure_state(x):
+    """Density matrix of the encoded feature vector ``x``."""
+    psi = qsim.feature_state(np.asarray(x))
+    return np.outer(psi, psi.conj())
+
+
 class TestDepolarize:
     def test_p_zero_is_identity_map(self):
-        rho = qsim.density_matrix(np.array([0.3, -0.7]))
+        rho = pure_state([0.3, -0.7])
         assert np.allclose(qsim.depolarize(rho, 0.0), rho)
 
     def test_p_one_is_maximally_mixed(self):
-        rho = qsim.density_matrix(np.array([0.3, -0.7]))
+        rho = pure_state([0.3, -0.7])
         assert np.allclose(qsim.depolarize(rho, 1.0), np.eye(4) / 4)
 
     def test_half_mix_single_qubit(self):
@@ -131,7 +137,7 @@ class TestDepolarize:
         assert np.allclose(out, np.diag([0.75, 0.25]))
 
     def test_output_is_valid_state(self):
-        rho = qsim.density_matrix(np.array([1.0, 2.0]))
+        rho = pure_state([1.0, 2.0])
         out = qsim.depolarize(rho, 0.3)
         qsim.check_density_matrix(out)
 
