@@ -68,8 +68,17 @@ class IdealTerms:
     c_q: float
 
 
-def ideal_terms(q: np.ndarray | object, y: np.ndarray) -> IdealTerms:
-    """Invert Q once for every (m, p) evaluated against it."""
+def ideal_terms(
+    q: np.ndarray | object, y: np.ndarray, ridge: float = 0.0
+) -> IdealTerms:
+    """Invert ``Q + ridge * I`` once for every (m, p) evaluated against it; the
+    terms need a nonsingular Q, and the ridge regularizes the rank-deficient
+    Gram matrices of few qubits."""
+    if ridge < 0:
+        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    q = linalg.as_matrix(q)
+    if ridge > 0.0 and q.ndim == 2:
+        q = q + ridge * np.eye(*q.shape)
     qs = linalg.Spectrum(q, "Q")
     y = np.asarray(y, dtype=float)
     n = qs.matrix.shape[0]

@@ -17,13 +17,15 @@ W's own at its fixed point, and W with Q's bytes takes Q's (``_w_spectrum``).
 Output records are sorted by coordinate and serialize byte-identically.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  Each config
-value and flag passes its input rule before any data file is read.  A failed
-sweep coordinate is a record carrying its error text, with exit 0; exit 2
+value and flag is judged by its input rule alone before any data file is read;
+a flag's text reaches its rule as the value a JSON config would hold there.
+A failed coordinate is a record carrying its error text, with exit 0; exit 2
 means no results were written.  Everything is pinned by the config and seeds.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -112,6 +114,7 @@ NONNEGATIVE = _rule(_real, lambda x: x >= 0.0, ">= 0")
 POSITIVE = _rule(_real, lambda x: x > 0.0, "> 0")
 PROBABILITY = _rule(_real, lambda x: 0.0 < x < 1.0, "in (0, 1)")
 SHOTS = _rule(kernels.parse_shots)
+INTEGER = _rule(_integer)
 
 
 def _noise_model(rate, layers, mixing) -> kernels.NoiseModel:
@@ -131,8 +134,8 @@ CONFIG_RULES = {
     "shots": _each(SHOTS),
     "noise_rates": _each(REAL),
     "methods": _each(_choice(calibrate.METHODS + (calibrate.NONE,))),
-    "seeds": _each(_rule(_integer), nonempty=True),
-    "layers": _rule(_integer),
+    "seeds": _each(INTEGER, nonempty=True),
+    "layers": INTEGER,
     "ridge": NONNEGATIVE,
     "nearest_delta": NONNEGATIVE,
     "relabel_gamma_scale": POSITIVE,
@@ -143,20 +146,30 @@ CONFIG_RULES = {
 }
 
 # the noise flags that ``kernel`` and ``bound`` share
-NOISE_FLAGS = {"shots": SHOTS, "p_tilde": REAL}
+NOISE_FLAGS = {"shots": SHOTS, "p_tilde": REAL, "layers": INTEGER}
 
-# the rule of each checked flag, by subcommand and dest; ``main`` applies
-# them before the handler runs, so no bad value reaches a file read
+# the rule of each checked flag by subcommand and dest, its value's only judge;
+# ``main`` applies them before the handler runs, so no bad value reaches a file
 FLAG_RULES = {
-    "kernel": {**NOISE_FLAGS, "num_qubits": QUBITS},
+    "sweep": {"seed": INTEGER},
+    "kernel": {**NOISE_FLAGS, "num_qubits": QUBITS, "seed": INTEGER},
     "calibrate": {"delta": NONNEGATIVE},
     "train": {"ridge": NONNEGATIVE},
     "relabel": {"ridge": NONNEGATIVE, "gamma_scale": POSITIVE, "num_qubits": QUBITS},
     "bound": {
         **NOISE_FLAGS, "delta": PROBABILITY, "ridge": NONNEGATIVE, "num_qubits": QUBITS,
     },
-    "check": {"trials": COUNT},
+    "check": {"trials": COUNT, "seed": INTEGER},
 }
+
+
+def _json_value(value):
+    """Flag text as a JSON config would hold it: an int if it reads as one,
+    else a float if it reads as one, else the text; a default passes as is."""
+    for kind in (int, float) if isinstance(value, str) else ():
+        with contextlib.suppress(ValueError):
+            return kind(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -254,14 +267,8 @@ class ResultRecord:
     def sort_key(self):
         kind_rank = 0 if self.kind == QUANTUM else 1
         m_key = -1.0 if self.m is None else float(self.m)  # float("inf") is inf
-        return (
-            self.n,
-            kind_rank,
-            m_key,
-            self.p_tilde if self.p_tilde is not None else -1.0,
-            self.method or "",
-            self.seed,
-        )
+        p_key = -1.0 if self.p_tilde is None else self.p_tilde
+        return (self.n, kind_rank, m_key, p_key, self.method or "", self.seed)
 
 
 # serialized column order
@@ -469,13 +476,6 @@ def _w_spectrum(w: np.ndarray, q_spec: linalg.Spectrum) -> linalg.Spectrum:
     return linalg.Spectrum(w, "kernel")
 
 
-def _ideal_terms(config: SweepConfig, pool: PoolContext) -> bounds.IdealTerms:
-    # bound terms need a nonsingular ideal kernel; the configured ridge
-    # regularizes the rank-deficient small-qubit Gram matrices
-    q_ridged = pool.q_train_ideal + config.ridge * np.eye(len(pool.train_idx))
-    return bounds.ideal_terms(q_ridged, pool.y_train)
-
-
 def _quantum_record(
     config: SweepConfig, cell: dict, point: dict,
     n: int, m, p_tilde: float, method: str, seed: int,
@@ -522,7 +522,9 @@ def _quantum_record(
         rec.c1 = _once(
             cell, "c1", learner.model_complexity_c1, q_spec, y_train, config.ridge
         )
-        terms = _once(cell, "terms", _ideal_terms, config, pool)
+        terms = _once(
+            cell, "terms", bounds.ideal_terms, pool.q_train_ideal, y_train, config.ridge
+        )
         bound = _once(
             point, "bound", bounds.theorem1_bound,
             terms, y_train, m, noise, num_qubits, config.bound_delta,
@@ -680,20 +682,10 @@ def _cmd_train(args) -> int:
 def _cmd_relabel(args) -> int:
     feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
     _, _, gamma, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
-    out_ds = datasets.Dataset(features=feats, labels=labels)
-    datasets.save_csv(
-        out_ds,
-        args.out,
-        meta={
-            "relabel": {
-                "num_qubits": args.num_qubits,
-                "ridge": args.ridge,
-                "gamma": gamma,
-            },
-            "source": str(args.data),
-        },
-    )
-    print(f"wrote relabeled dataset ({out_ds.n} rows) to {args.out}")
+    relabel = {"num_qubits": args.num_qubits, "ridge": args.ridge, "gamma": gamma}
+    meta = {"relabel": relabel, "source": str(args.data)}
+    datasets.save_csv(datasets.Dataset(features=feats, labels=labels), args.out, meta)
+    print(f"wrote relabeled dataset ({len(labels)} rows) to {args.out}")
     return 0
 
 
@@ -704,11 +696,10 @@ def _cmd_bound(args) -> int:
     if num_qubits is None:
         raise ConfigError("pass --num-qubits (kernel sidecar lacks it)")
     num_qubits = QUBITS("num_qubits", num_qubits)
-    matrix = gram.matrix
-    if args.ridge > 0.0:
-        matrix = matrix + args.ridge * np.eye(gram.dim)
+    y = ds.labels.astype(float)
+    terms = bounds.ideal_terms(gram.matrix, y, args.ridge)
     report = bounds.theorem1_bound(
-        matrix, ds.labels.astype(float), args.shots, args.noise, num_qubits, args.delta
+        terms, y, args.shots, args.noise, num_qubits, args.delta
     )
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -730,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     noise = argparse.ArgumentParser(add_help=False)  # shared by kernel and bound
     noise.add_argument("--shots", default="inf")
-    noise.add_argument("--p-tilde", type=float, default=0.0)
-    noise.add_argument("--layers", type=int, default=8)
+    noise.add_argument("--p-tilde", default=0.0)
+    noise.add_argument("--layers", default=8)
     noise.add_argument(
         "--mixing", default=kernels.MIX_INVERSE_DIM, choices=kernels.MIXINGS
     )
@@ -740,17 +731,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument(
-        "--seed", type=int, default=None, help="restrict the sweep to a single seed"
-    )
+    p_sweep.add_argument("--seed", help="restrict the sweep to a single seed")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_kernel = sub.add_parser(
         "kernel", parents=[noise], help="build and save a kernel matrix"
     )
     p_kernel.add_argument("--data", required=True)
-    p_kernel.add_argument("--num-qubits", type=int, required=True)
-    p_kernel.add_argument("--seed", type=int, default=0)
+    p_kernel.add_argument("--num-qubits", required=True)
+    p_kernel.add_argument("--seed", default=0)
     p_kernel.add_argument(
         "--sample-diagonal",
         action="store_true",
@@ -764,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--method", required=True, choices=calibrate.METHODS + (calibrate.NONE,)
     )
-    p_cal.add_argument("--delta", type=float, default=0.0)
+    p_cal.add_argument("--delta", default=0.0)
     p_cal.add_argument(
         "--reference", default=None, help="ideal kernel CSV; prints a calibration report"
     )
@@ -774,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="fit a kernel ridge classifier")
     p_train.add_argument("--kernel", required=True)
     p_train.add_argument("--data", required=True)
-    p_train.add_argument("--ridge", type=float, default=learner.DEFAULT_QUANTUM_RIDGE)
+    p_train.add_argument("--ridge", default=learner.DEFAULT_QUANTUM_RIDGE)
     p_train.add_argument("--cross", default=None)
     p_train.add_argument("--test-data", default=None)
     p_train.add_argument("--out", default=None)
@@ -782,9 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rel = sub.add_parser("relabel", help="engineer advantage labels for a dataset")
     p_rel.add_argument("--data", required=True)
-    p_rel.add_argument("--num-qubits", type=int, required=True)
-    p_rel.add_argument("--ridge", type=float, default=learner.DEFAULT_QUANTUM_RIDGE)
-    p_rel.add_argument("--gamma-scale", type=float, default=1.0)
+    p_rel.add_argument("--num-qubits", required=True)
+    p_rel.add_argument("--ridge", default=learner.DEFAULT_QUANTUM_RIDGE)
+    p_rel.add_argument("--gamma-scale", default=1.0)
     p_rel.add_argument("--out", required=True)
     p_rel.set_defaults(func=_cmd_relabel)
 
@@ -793,14 +782,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bound.add_argument("--kernel", required=True)
     p_bound.add_argument("--data", required=True)
-    p_bound.add_argument("--num-qubits", type=int, default=None)
-    p_bound.add_argument("--ridge", type=float, default=0.0)
-    p_bound.add_argument("--delta", type=float, default=0.05)
+    p_bound.add_argument("--num-qubits", default=None)
+    p_bound.add_argument("--ridge", default=0.0)
+    p_bound.add_argument("--delta", default=0.05)
     p_bound.set_defaults(func=_cmd_bound)
 
     p_check = sub.add_parser("check", help="run the lemma/property verifier battery")
-    p_check.add_argument("--trials", type=int, default=200)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--trials", default=200)
+    p_check.add_argument("--seed", default=0)
     p_check.set_defaults(func=_cmd_check)
 
     return parser
@@ -811,8 +800,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:  # every checked flag goes through its rule before a data file is read
         for dest, rule in FLAG_RULES.get(args.command, {}).items():
-            if getattr(args, dest) is not None:  # an absent bound --num-qubits
-                setattr(args, dest, rule(dest, getattr(args, dest)))
+            value = getattr(args, dest)
+            if value is not None:  # an absent bound --num-qubits or sweep --seed
+                setattr(args, dest, rule(dest, _json_value(value)))
         if "mixing" in args:  # the noise flags of kernel and bound
             args.noise = _noise_model(args.p_tilde, args.layers, args.mixing)
         return args.func(args)

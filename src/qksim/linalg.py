@@ -115,9 +115,10 @@ def eig_sym(m: np.ndarray | object) -> EigenDecomposition:
     """Spectral decomposition of a symmetric matrix.
 
     Deterministic for a fixed input: descending eigenvalue order plus the
-    column sign convention above.
+    column sign convention above.  A :class:`Spectrum` checked its matrix when
+    it was built and is not checked again; any other input is checked here.
     """
-    a = check_symmetric(m)
+    a = m.matrix if isinstance(m, Spectrum) else check_symmetric(m)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
     vecs = vecs[:, order]  # a reordered copy, so LAPACK's output is freed
@@ -140,7 +141,7 @@ class Spectrum:
 
     @cached_property
     def decomposition(self) -> EigenDecomposition:
-        return eig_sym(self.matrix)
+        return eig_sym(self)
 
     @property
     def lam_min(self) -> float:

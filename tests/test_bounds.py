@@ -252,6 +252,17 @@ class TestOneSpectrumPerMatrix:
         assert report.s2 == float(np.linalg.norm(diff, 2))
         assert report.eps_mean == float(np.mean(np.abs(diff)))
 
+    def test_ideal_terms_add_the_ridge_themselves(self):
+        q = self.kernel()
+        y = np.array([1.0, -1.0] * 6)
+        for ridge in (0.0, 0.5):
+            want = bounds.ideal_terms(q + ridge * np.eye(12), y)
+            assert bounds.ideal_terms(q, y, ridge) == want
+        with pytest.raises(ValueError, match="^ridge must be nonnegative, got -1$"):
+            bounds.ideal_terms(q, y, -1)
+        with pytest.raises(ValueError, match=r"^Q must be square, got shape \(2, 3\)$"):
+            bounds.ideal_terms(np.ones((2, 3)), y, 0.5)
+
     def test_error_texts_and_order(self):
         bad = np.array([[1.0, 0.2], [0.7, 1.0]])
         nan = np.array([[1.0, np.nan], [np.nan, 1.0]])

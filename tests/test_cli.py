@@ -316,10 +316,10 @@ class TestStagedSweep:
     def test_failed_ideal_terms_fail_the_bound_of_every_record(self, monkeypatch):
         ideal_terms = bounds.ideal_terms
 
-        def broken(q, y):  # fails on a kernel; anything else reaches the real one
+        def broken(q, y, ridge=0.0):  # a kernel fails; the rest reach the real one
             if isinstance(q, np.ndarray):
                 raise ValueError("ideal_terms failed, on purpose")
-            return ideal_terms(q, y)
+            return ideal_terms(q, y, ridge)
 
         monkeypatch.setattr(bounds, "ideal_terms", broken)
         config = self.config("pipeline")
@@ -503,7 +503,7 @@ class TestStagedSweep:
         rbf_gram, gram_ideal = kernels.rbf_gram, kernels.gram_ideal
         calibrate_and_report = calibrate.calibrate_and_report
         eig_sym, eigvalsh = linalg.eig_sym, np.linalg.eigvalsh
-        check_symmetric, in_eig_sym = linalg.check_symmetric, [False]
+        check_symmetric = linalg.check_symmetric
 
         def spy_shots(qt, m, seed):
             out = sample_shots(qt, m, seed)
@@ -530,17 +530,12 @@ class TestStagedSweep:
             pool_qs.append(out.matrix.tobytes())
             return out
 
-        def spy_eig_sym(m):
-            eig_sym_calls.append(np.asarray(m).tobytes())
-            in_eig_sym[0] = True
-            try:
-                return eig_sym(m)
-            finally:
-                in_eig_sym[0] = False
+        def spy_eig_sym(m):  # m may be a Spectrum
+            eig_sym_calls.append(linalg.as_matrix(m).tobytes())
+            return eig_sym(m)
 
         def spy_check(m, name="matrix"):
-            if not in_eig_sym[0]:  # eig_sym checks its input again
-                checks.append(linalg.as_matrix(m).tobytes())
+            checks.append(linalg.as_matrix(m).tobytes())
             return check_symmetric(m, name)
 
         def spy_eigvalsh(a, UPLO="L"):
@@ -591,6 +586,10 @@ class TestStagedSweep:
         assert len(set(pool_ks)) == len(pool_ks) == 2 * 2
         for k in pool_qs + pool_ks:
             assert eig_sym_calls.count(k) == 1
+        # each matrix a Spectrum wraps is checked once, by the Spectrum: its
+        # decomposition does not check it again
+        for m in sampled + changed + references + finals + pool_qs + pool_ks:
+            assert checks.count(m) == 1
 
 
 class TestCrossBlock:
@@ -1118,6 +1117,7 @@ class TestExitCodes:
         """Input and output flags naming files that do not exist."""
         missing = str(tmp_path / "missing.csv")
         files = {
+            "sweep": ["--config", missing],
             "kernel": ["--data", missing, "--out", missing],
             "calibrate": ["--kernel", missing, "--out", missing],
             "train": ["--kernel", missing, "--data", missing],
@@ -1172,6 +1172,18 @@ class TestExitCodes:
          "bad shots entry: shot count must be <= 2**63 - 1, got 10000000000000000000"),
         (["bound", "--shots", "9223372036854775808"],
          "bad shots entry: shot count must be <= 2**63 - 1, got 9223372036854775808"),
+        # wrong-kind values that argparse's own type= rejected with exit 2
+        (["kernel", "--num-qubits", "2.5"],
+         "bad num_qubits entry: expected an integer, got 2.5"),
+        (["kernel", "--p-tilde", "abc"],
+         "bad p_tilde entry: could not convert string to float: 'abc'"),
+        (["train", "--ridge", "abc"],
+         "bad ridge entry: could not convert string to float: 'abc'"),
+        (["check", "--trials", "2.5"], "bad trials entry: expected an integer, got 2.5"),
+        (["kernel", "--layers", "1.5"], "bad layers entry: expected an integer, got 1.5"),
+        (["sweep", "--seed", "1.5"], "bad seed entry: expected an integer, got 1.5"),
+        (["kernel", "--shots", "2.5"],
+         "bad shots entry: shot count must be an integer, got 2.5"),
     ])
     def test_bad_library_flag_is_config_error_before_any_file_is_read(
         self, tmp_path, capsys, argv, message
@@ -1195,13 +1207,21 @@ class TestExitCodes:
         ("num_qubits", ["kernel", "--num-qubits"], 0),
         ("num_qubits", ["relabel", "--num-qubits"], 15),
         ("num_qubits", ["bound", "--num-qubits"], -1),
+        # wrong-kind values; a list key holds the value as its one entry
+        ("num_qubits", ["kernel", "--num-qubits"], 2.5),
+        ("noise_rates", ["kernel", "--p-tilde"], "abc"),
+        ("ridge", ["train", "--ridge"], "abc"),
+        ("test_size", ["check", "--trials"], 2.5),
+        ("layers", ["kernel", "--layers"], 1.5),
+        ("seeds", ["sweep", "--seed"], 1.5),
     ])
     def test_config_key_and_flag_print_the_same_condition(
         self, tmp_path, capsys, key, flag, value
     ):
         out = tmp_path / "r.csv"
+        entry = [value] if key in ("noise_rates", "seeds") else value
         code, from_config = self.sweep(
-            tmp_path, capsys, small_config(**{key: value}), "--out", str(out)
+            tmp_path, capsys, small_config(**{key: entry}), "--out", str(out)
         )
         argv = [*flag[:-1], f"{flag[-1]}={value}"]  # "-inf" is not read as a flag
         flag_code, from_flag = self.main(capsys, *argv, *self.flag_files(tmp_path, argv))
@@ -1218,6 +1238,29 @@ class TestExitCodes:
         for command, rules in cli.FLAG_RULES.items():
             dests = {action.dest for action in sub.choices[command]._actions}
             assert set(rules) <= dests, command
+
+    def test_no_ruled_flag_is_judged_by_argparse_too(self):
+        # a type= or choices= would reject a value with exit 2 before its rule
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for command, rules in cli.FLAG_RULES.items():
+            for action in sub.choices[command]._actions:
+                if action.dest in rules:
+                    assert action.type is None, (command, action.dest)
+                    assert action.choices is None, (command, action.dest)
+
+    def test_flag_text_reads_as_its_config_value(self, tmp_path, capsys):
+        # "1e3" is the float 1000.0, a whole shot count, as in a config
+        _, data = self.kernel_and_data(tmp_path)
+        written = []
+        for shots in ("1000", "1e3"):
+            out = tmp_path / f"k{shots}.csv"
+            argv = ["kernel", "--data", data, "--num-qubits", "2", "--shots", shots,
+                    "--p-tilde", "0.05", "--seed", "3", "--out", str(out)]
+            assert self.main(capsys, *argv)[0] == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert cli.SweepConfig.from_dict(small_config(shots=[1e3])).shots == (1000,)
 
     @pytest.mark.parametrize("flag", ["--cross", "--test-data"])
     def test_train_cross_without_test_data_is_config_error_before_any_file_is_read(

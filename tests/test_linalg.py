@@ -306,6 +306,41 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="^kernel must be square"):
             linalg.spectrum(np.eye(2).reshape(1, 4), "kernel")
 
+    @staticmethod
+    def count_checks(monkeypatch):
+        calls, check = [], linalg.check_symmetric
+
+        def spy(m, name="matrix"):
+            calls.append(name)
+            return check(m, name)
+
+        monkeypatch.setattr(linalg, "check_symmetric", spy)
+        return calls
+
+    def test_eig_sym_trusts_a_spectrum_check_and_gives_the_same_bits(self, monkeypatch):
+        m = random_symmetric(np.random.default_rng(43), 9)
+        spec = linalg.Spectrum(m, "kernel")
+        calls = self.count_checks(monkeypatch)
+        dec = linalg.eig_sym(spec)
+        assert calls == []
+        want = linalg.eig_sym(spec.matrix)
+        assert calls == ["matrix"]
+        assert dec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert dec.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        assert spec.decomposition.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        assert calls == ["matrix"]
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "^matrix has non-finite entries$"),
+        (np.eye(2).reshape(1, 4), r"^matrix must be square, got shape \(1, 4\)$"),
+        (np.array([[1.0, 0.5], [0.1, 1.0]]), "^matrix is not symmetric$"),
+    ], ids=["non-finite", "non-square", "asymmetric"])
+    def test_eig_sym_still_checks_an_array(self, monkeypatch, bad, message):
+        calls = self.count_checks(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            linalg.eig_sym(bad)
+        assert calls == ["matrix"]
+
 
 class TestNorms:
     def test_diag_example(self):
