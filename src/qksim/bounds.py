@@ -148,9 +148,6 @@ class SaturationReport:
     eps_mean: float
     sqrt_lower: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def saturation_diagnostic(
     q: np.ndarray | object, w_hat: np.ndarray | object, ridge: float = 0.0
@@ -183,9 +180,6 @@ class HoeffdingReport:
     bound: float
     slack: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def hoeffding_violation_test(

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, calibrate, datasets, kernels, learner, linalg, qsim
-from .rng import stream
+from .rng import SEED_LIMIT, stream
 
 QUANTUM = "quantum"
 RBF_BASELINE = "rbf"
@@ -115,6 +115,7 @@ POSITIVE = _rule(_real, lambda x: x > 0.0, "> 0")
 PROBABILITY = _rule(_real, lambda x: 0.0 < x < 1.0, "in (0, 1)")
 SHOTS = _rule(kernels.parse_shots)
 INTEGER = _rule(_integer)
+SEED = _rule(_integer, lambda n: 0 <= n < SEED_LIMIT, "in [0, 2**64)")
 
 
 def _noise_model(rate, layers, mixing) -> kernels.NoiseModel:
@@ -134,7 +135,7 @@ CONFIG_RULES = {
     "shots": _each(SHOTS),
     "noise_rates": _each(REAL),
     "methods": _each(_choice(calibrate.METHODS + (calibrate.NONE,))),
-    "seeds": _each(INTEGER, nonempty=True),
+    "seeds": _each(SEED, nonempty=True),
     "layers": INTEGER,
     "ridge": NONNEGATIVE,
     "nearest_delta": NONNEGATIVE,
@@ -151,15 +152,15 @@ NOISE_FLAGS = {"shots": SHOTS, "p_tilde": REAL, "layers": INTEGER}
 # the rule of each checked flag by subcommand and dest, its value's only judge;
 # ``main`` applies them before the handler runs, so no bad value reaches a file
 FLAG_RULES = {
-    "sweep": {"seed": INTEGER},
-    "kernel": {**NOISE_FLAGS, "num_qubits": QUBITS, "seed": INTEGER},
+    "sweep": {"seed": SEED},
+    "kernel": {**NOISE_FLAGS, "num_qubits": QUBITS, "seed": SEED},
     "calibrate": {"delta": NONNEGATIVE},
     "train": {"ridge": NONNEGATIVE},
     "relabel": {"ridge": NONNEGATIVE, "gamma_scale": POSITIVE, "num_qubits": QUBITS},
     "bound": {
         **NOISE_FLAGS, "delta": PROBABILITY, "ridge": NONNEGATIVE, "num_qubits": QUBITS,
     },
-    "check": {"trials": COUNT, "seed": INTEGER},
+    "check": {"trials": COUNT, "seed": SEED},
 }
 
 
@@ -402,10 +403,7 @@ def _load_pool_features(config: SweepConfig, n_pool: int, seed: int) -> np.ndarr
 def _engineer_labels(feats: np.ndarray, gamma_scale: float, ridge: float):
     """Pool kernels Q and K, each one shared ``Spectrum``, the RBF width, labels."""
     q_all = linalg.Spectrum(kernels.gram_ideal(feats), "quantum kernel")
-    var = learner.pooled_variance(feats)
-    if var <= 0.0:
-        raise ValueError("pool has zero feature variance")
-    gamma = gamma_scale / (feats.shape[1] * var)
+    gamma = learner.rbf_gamma_unit(feats, gamma_scale)
     k_all = linalg.Spectrum(kernels.rbf_gram(feats, gamma), "classical kernel")
     labels = datasets.relabel_for_advantage(q_all, k_all, ridge=ridge)
     return q_all, k_all, gamma, labels
@@ -421,10 +419,8 @@ def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
     q_all, k_all, _, labels = _engineer_labels(
         feats, config.relabel_gamma_scale, config.ridge
     )
-    pool_ds = datasets.Dataset(features=feats, labels=labels)
-    split_ds = datasets.split(pool_ds, n, config.test_size, seed)
+    train_idx, test_idx = datasets.split(n_pool, n, config.test_size, seed)
     geo = kernels.geometric_difference(k_all, q_all, labels.astype(float), config.ridge)
-    train_idx, test_idx = split_ds.train_indices, split_ds.test_indices
     return PoolContext(
         features=feats,
         labels=labels,

@@ -20,12 +20,10 @@ from .rng import stream
 
 @dataclass
 class Dataset:
-    """Feature matrix with +/-1 labels and an optional train/test split."""
+    """Feature matrix with +/-1 labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    train_indices: np.ndarray | None = None
-    test_indices: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -178,16 +176,12 @@ def relabel_for_advantage(
     return labels
 
 
-def split(ds: Dataset, n_train: int, n_test: int, seed: int) -> Dataset:
-    """Seeded permutation split into disjoint train/test index sets."""
-    if n_train < 0 or n_test < 0 or n_train + n_test > ds.n:
-        raise ValueError(
-            f"cannot draw {n_train}+{n_test} rows from a pool of {ds.n}"
-        )
-    perm = stream(seed, "split").permutation(ds.n)
-    return Dataset(
-        features=ds.features,
-        labels=ds.labels,
-        train_indices=np.sort(perm[:n_train]),
-        test_indices=np.sort(perm[n_train : n_train + n_test]),
-    )
+def split(
+    n: int, n_train: int, n_test: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded permutation split of ``range(n)`` into disjoint, sorted
+    (train, test) index arrays."""
+    if n_train < 0 or n_test < 0 or n_train + n_test > n:
+        raise ValueError(f"cannot draw {n_train}+{n_test} rows from a pool of {n}")
+    perm = stream(seed, "split").permutation(n)
+    return np.sort(perm[:n_train]), np.sort(perm[n_train : n_train + n_test])

@@ -1,10 +1,11 @@
 """Kernel matrix construction: ideal, noisy-expectation, shot-sampled, RBF.
 
 The pipeline mirrors the physical estimation chain, for the train Gram
-matrix and the (test, train) cross block alike.  ``cross_fidelity`` encodes
-the train and test rows it is given; a sweep, which holds the Gram matrix of
-its pooled rows, takes the cross block from that matrix instead.  The ideal
-kernel holds state fidelities.  Depolarization acts on the inversion-test
+matrix and the (test, train) cross block alike.  ``qsim.feature_states``
+encodes the rows; ``gram_ideal`` and ``quantum_cross`` take state fidelities
+from them.  A sweep takes its cross block from the Gram matrix of its pooled
+rows, so each row is encoded once; ``quantum_cross`` encodes the train and
+test rows it is given.  Depolarization acts on the inversion-test
 output, which for an effective rate ``p`` turns an entry ``q`` into ``(1 -
 p) * q + p * c_N``, ``c_N`` being the mixing constant (``2^-N`` for the
 uniform outcome of the maximally mixed state; ``2^-(N+1)`` reproduces the
@@ -257,19 +258,6 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(aa + bb - 2.0 * (a @ b.T), 0.0, None)
 
 
-def cross_fidelity(x_train: np.ndarray, x_test: np.ndarray) -> np.ndarray:
-    """(n_test, n_train) ideal fidelities between encoded test and train rows."""
-    xtr = np.atleast_2d(np.asarray(x_train, dtype=float))
-    xte = np.atleast_2d(np.asarray(x_test, dtype=float))
-    if xtr.shape[1] != xte.shape[1]:
-        raise ValueError(
-            f"feature width mismatch: train {xtr.shape[1]}, test {xte.shape[1]}"
-        )
-    states_tr = qsim.feature_states(xtr)
-    states_te = qsim.feature_states(xte)
-    return np.clip(np.abs(states_te @ states_tr.conj().T) ** 2, 0.0, 1.0)
-
-
 def sample_cross(
     fid: np.ndarray, noise: NoiseModel | None, num_qubits: int, m, seed: int
 ) -> np.ndarray:
@@ -292,9 +280,18 @@ def quantum_cross(
     m=INF_SHOTS,
     seed: int = 0,
 ) -> np.ndarray:
-    """(n_test, n_train) kernel: ``sample_cross`` applied to ``cross_fidelity``."""
-    fid = cross_fidelity(x_train, x_test)
-    return sample_cross(fid, noise, np.atleast_2d(x_train).shape[1], m, seed)
+    """(n_test, n_train) kernel: ``sample_cross`` applied to the ideal
+    fidelities between the encoded test and train rows."""
+    xtr = np.atleast_2d(np.asarray(x_train, dtype=float))
+    xte = np.atleast_2d(np.asarray(x_test, dtype=float))
+    if xtr.shape[1] != xte.shape[1]:
+        raise ValueError(
+            f"feature width mismatch: train {xtr.shape[1]}, test {xte.shape[1]}"
+        )
+    states_tr = qsim.feature_states(xtr)
+    states_te = qsim.feature_states(xte)
+    fid = np.clip(np.abs(states_te @ states_tr.conj().T) ** 2, 0.0, 1.0)
+    return sample_cross(fid, noise, xtr.shape[1], m, seed)
 
 
 def geometric_difference(

@@ -135,6 +135,18 @@ def pooled_variance(x_rows: np.ndarray) -> float:
     return float(np.var(x))
 
 
+def rbf_gamma_unit(x_rows: np.ndarray, scale: float = 1.0) -> float:
+    """``scale / (d * Var)``: an RBF width in units of the rows' pooled variance."""
+    x = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    var = pooled_variance(x)
+    if var <= 0.0:
+        raise ValueError(
+            "all training coordinates are identical; the gamma scale "
+            "1 / (d * Var) is undefined"
+        )
+    return scale / (x.shape[1] * var)
+
+
 @dataclass(frozen=True)
 class GridSearchResult:
     gamma: float
@@ -163,13 +175,7 @@ def grid_search_rbf(
     for name, x, y in (("train", xtr, ytr), ("validation", xva, yva)):
         if x.shape[0] != y.shape[0]:
             raise ValueError(f"{name} set has {x.shape[0]} rows, {y.shape[0]} labels")
-    var = pooled_variance(xtr)
-    if var <= 0.0:
-        raise ValueError(
-            "all training coordinates are identical; the gamma scale "
-            "1 / (d * Var) is undefined"
-        )
-    scale = 1.0 / (xtr.shape[1] * var)
+    scale = rbf_gamma_unit(xtr)
     d_train, d_val = kernels._sq_dists(xtr, xtr), kernels._sq_dists(xva, xtr)
     table = np.empty((len(LAMBDA_GRID), len(GAMMA_GRID)))
     for j, gmul in enumerate(GAMMA_GRID):

@@ -204,7 +204,7 @@ class InversePerturbationReport:
     passed: bool
 
 
-def _inv_nonsingular(m: np.ndarray, name: str) -> np.ndarray:
+def _inv_nonsingular(m: Spectrum, name: str) -> np.ndarray:
     """Inverse of a symmetric matrix that may be indefinite but not singular."""
     dec = eig_sym(m)
     lam = dec.eigenvalues
@@ -221,13 +221,12 @@ def inverse_perturbation_check(
     Both matrices must be nonsingular (definiteness is not required);
     norms are spectral.  Applies only when ``||A^-1 (A - B)|| < 1``.
     """
-    am = check_symmetric(a, "A")
-    bm = check_symmetric(b, "B")
-    if am.shape != bm.shape:
-        raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    a_inv = _inv_nonsingular(am, "A")
-    b_inv = _inv_nonsingular(bm, "B")
-    diff = am - bm
+    sa, sb = Spectrum(a, "A"), Spectrum(b, "B")  # eig_sym trusts a Spectrum
+    if sa.matrix.shape != sb.matrix.shape:
+        raise ValueError(f"shape mismatch: {sa.matrix.shape} vs {sb.matrix.shape}")
+    a_inv = _inv_nonsingular(sa, "A")
+    b_inv = _inv_nonsingular(sb, "B")
+    diff = sa.matrix - sb.matrix
     coupling = float(np.linalg.norm(a_inv @ diff, 2))
     if coupling >= 1.0:
         return InversePerturbationReport(

@@ -26,19 +26,6 @@ MAX_QUBITS = 14
 MAX_VERIFIER_QUBITS = 3
 
 
-def _check_features(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
-    if x.shape[0] < 1 or x.shape[0] > MAX_QUBITS:
-        raise ValueError(
-            f"feature length must be in [1, {MAX_QUBITS}], got {x.shape[0]}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("feature vector has non-finite components")
-    return x
-
-
 def spin_table(num_qubits: int) -> np.ndarray:
     """(2^N, N) table of spins z_j = +/-1 per basis state, bit 0 first."""
     dim = 1 << num_qubits
@@ -86,23 +73,6 @@ def feature_states(x_rows: np.ndarray) -> np.ndarray:
     _hadamard_wall(psi, num_qubits)
     psi *= phase
     return psi.T
-
-
-def feature_state(x: np.ndarray) -> np.ndarray:
-    """Amplitude vector of the encoded state for one feature vector."""
-    x = _check_features(x)
-    return feature_states(x[None, :])[0]
-
-
-def fidelity(x1: np.ndarray, x2: np.ndarray) -> float:
-    """Squared overlap of the two encoded states; symmetric, in [0, 1]."""
-    a = _check_features(x1)
-    b = _check_features(x2)
-    if a.shape != b.shape:
-        raise ValueError(f"feature length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    overlap = np.vdot(feature_state(b), feature_state(a))
-    value = float(np.abs(overlap) ** 2)
-    return min(max(value, 0.0), 1.0)
 
 
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # seeds are in [0, 2**64), the range of the key's first word
 _LOW32 = np.uint64(0xFFFFFFFF)
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bump per round
@@ -38,14 +40,24 @@ def role_tag(role: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def stream_key(seed: int, role: str) -> tuple[int, int]:
+    """The Philox key ``(seed, role_tag(role))`` of every ``(seed, role, *, *)``
+    stream.  A seed outside ``[0, 2**64)`` is an error, not an alias of one
+    inside."""
+    seed = operator.index(seed)  # an int, never a float rounded to one
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed, role_tag(role)
+
+
 def stream(seed: int, role: str, i: int = 0, j: int = 0) -> np.random.Generator:
     """Generator for the ``(seed, role, i, j)`` stream.
 
-    Backed by the Philox counter-based bit generator: the key holds
-    (seed, role tag) and the counter block holds (i, j), leaving 2^64
-    draws of headroom inside each stream.
+    Backed by the Philox counter-based bit generator: the key is
+    :func:`stream_key` and the counter block holds (i, j), which wrap modulo
+    2^64, leaving 2^64 draws of headroom inside each stream.
     """
-    key = np.array([seed & _MASK64, role_tag(role)], dtype=np.uint64)
+    key = np.array(stream_key(seed, role), dtype=np.uint64)
     counter = np.array([0, i & _MASK64, j & _MASK64, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
@@ -54,12 +66,12 @@ def philox_block(seed: int, role: str, i, j) -> np.ndarray:
     """The first four words of every ``stream(seed, role, i[k], j[k])``, shape (4, k).
 
     numpy bumps the counter before it fills its buffer, so this is the
-    Philox4x64-10 block of counter ``(1, i, j, 0)`` under key ``(seed,
-    role_tag(role))``; indices wrap modulo 2^64 as in :func:`stream`.
+    Philox4x64-10 block of counter ``(1, i, j, 0)`` under key
+    ``stream_key(seed, role)``; indices wrap modulo 2^64 as in :func:`stream`.
     """
+    k0, k1 = stream_key(seed, role)
     c1, c2 = _words(i), _words(j)
     c0, c3 = np.ones_like(c1), np.zeros_like(c1)
-    k0, k1 = seed & _MASK64, role_tag(role)
     for _ in range(10):
         hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
         hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
@@ -100,12 +112,13 @@ class EntryStreams:
     ``at(i, j)`` yields draws bitwise identical to ``stream(seed, role, i,
     j)``: it writes ``(i, j)`` into one counter array and hands one state dict
     to the ``Philox.state`` setter, which copies it: no per-entry dict or array.
-    Instances hold mutable cursor state: one per worker, never shared.
+    Each sampler builds its own instance for the kernel it draws; the cursor
+    state is mutable, so an instance is never shared between threads.
     """
 
     def __init__(self, seed: int, role: str):
         self._seed, self._role = seed, role
-        key = np.array([seed & _MASK64, role_tag(role)], dtype=np.uint64)
+        key = np.array(stream_key(seed, role), dtype=np.uint64)
         self._bit_gen = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bit_gen)
         self._state = self._bit_gen.state

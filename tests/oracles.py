@@ -209,9 +209,10 @@ def pool_labels_reference(config, n, seed):
 
 def with_cross_fidelity(pool):
     """A sweep cell's pool whose ideal cross block is encoded afresh from the
-    train and test rows by ``kernels.cross_fidelity``, instead of sliced from
-    the pool Gram matrix."""
-    fid = kernels.cross_fidelity(pool.features[pool.train_idx], pool.features[pool.test_idx])
+    train and test rows by an exact ``kernels.quantum_cross``, instead of
+    sliced from the pool Gram matrix."""
+    x_train, x_test = pool.features[pool.train_idx], pool.features[pool.test_idx]
+    fid = kernels.quantum_cross(x_train, x_test, None, "inf")
     return dataclasses.replace(pool, q_cross_ideal=fid)
 
 

@@ -186,7 +186,7 @@ class TestHoeffding:
         assert report.passed
 
     @pytest.mark.parametrize("q, m, gap, seed", [
-        (0.1, 10, 0.1, 0), (0.5, 100, 0.2, 3), (0.9, 20, 0.15, -1),
+        (0.1, 10, 0.1, 0), (0.5, 100, 0.2, 3), (0.9, 20, 0.15, 2**64 - 1),
     ])
     def test_draws_through_the_sweep_sampler(self, q, m, gap, seed):
         means = kernels.sample_cross(np.full((1, 2000), q), None, 1, m, seed)[0]

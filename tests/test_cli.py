@@ -417,9 +417,9 @@ class TestStagedSweep:
             assert rec.train_accuracy is None
 
     def test_each_stage_runs_once_where_it_varies(self, monkeypatch):
-        calls = {"shots": [], "cross": [], "fid": [], "c1": [], "q_inv": []}
+        calls = {"shots": [], "cross": [], "encoded_cross": [], "c1": [], "q_inv": []}
         sample_shots, sample_cross = kernels.sample_shots, kernels.sample_cross
-        cross_fidelity, feature_states = kernels.cross_fidelity, qsim.feature_states
+        quantum_cross, feature_states = kernels.quantum_cross, qsim.feature_states
         model_complexity_c1 = learner.model_complexity_c1
         inv_ridge = linalg.inv_ridge
         encoded = []
@@ -428,9 +428,9 @@ class TestStagedSweep:
             calls["shots"].append((qt.dim, seed, m, qt.params["p_tilde"]))
             return sample_shots(qt, m, seed)
 
-        def spy_fid(x_train, x_test):
-            calls["fid"].append((len(x_train), np.asarray(x_train).tobytes()))
-            return cross_fidelity(x_train, x_test)
+        def spy_quantum_cross(x_train, x_test, *args):
+            calls["encoded_cross"].append((len(x_train), np.asarray(x_train).tobytes()))
+            return quantum_cross(x_train, x_test, *args)
 
         def spy_cross(fid, noise, num_qubits, m, seed):
             calls["cross"].append((fid.shape[1], seed, m, noise.rate_per_layer))
@@ -452,7 +452,7 @@ class TestStagedSweep:
             return inv_ridge(m, ridge)
 
         monkeypatch.setattr(kernels, "sample_shots", spy_shots)
-        monkeypatch.setattr(kernels, "cross_fidelity", spy_fid)
+        monkeypatch.setattr(kernels, "quantum_cross", spy_quantum_cross)
         monkeypatch.setattr(kernels, "sample_cross", spy_cross)
         monkeypatch.setattr(qsim, "feature_states", spy_encode)
         monkeypatch.setattr(learner, "model_complexity_c1", spy_c1)
@@ -473,7 +473,7 @@ class TestStagedSweep:
         assert len(calls["c1"]) == len(set(calls["c1"])) == 2 * 2
         # per cell the pool rows are encoded once, for the pool Gram matrix;
         # the cross block is sliced from it, so no row is encoded again
-        assert calls["fid"] == []
+        assert calls["encoded_cross"] == []
         pools = [n + config.test_size for n in config.train_sizes for _ in config.seeds]
         assert sorted(encoded) == sorted(pools)
         assert len(calls["q_inv"]) == len(set(calls["q_inv"])) == 2 * 2
@@ -832,6 +832,65 @@ class TestCommands:
         assert 0.0 <= summary["train_accuracy"] <= 1.0
         assert model_path.exists()
 
+    def test_sweep_seed_writes_the_full_sweeps_rows_of_that_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(seeds=[0, 1, 2])))
+        full, one = tmp_path / "full.csv", tmp_path / "one.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(full)]) == 0
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(one),
+                         "--seed", "1"]) == 0
+        header, *rows = full.read_bytes().splitlines(keepends=True)
+        column = header.decode().rstrip("\n").split(",").index("seed")
+        of_seed = [row for row in rows if row.decode().split(",")[column] == "1"]
+        assert len(of_seed) == len(rows) // 3
+        assert one.read_bytes() == b"".join([header, *of_seed])
+
+    def test_calibrate_without_reference_writes_the_repair(self, tmp_path, capsys):
+        data = self.write_dataset(tmp_path, n=16)
+        sampled, fixed = tmp_path / "w.csv", tmp_path / "wc.csv"
+        assert cli.main([
+            "kernel", "--data", str(data), "--num-qubits", "2",
+            "--p-tilde", "0.05", "--shots", "10", "--seed", "2", "--out", str(sampled),
+        ]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            "calibrate", "--kernel", str(sampled), "--method", "nearest",
+            "--delta", "0.1", "--out", str(fixed),
+        ]) == 0
+        assert capsys.readouterr().out == f"wrote calibrated kernel to {fixed}\n"
+        w = kernels.load_kernel(sampled)
+        assert float(np.min(np.linalg.eigvalsh(w.matrix))) < 0.1  # the repair acts
+        want = calibrate.repair(w.matrix, calibrate.NEAREST, 0.1).matrix
+        got = kernels.load_kernel(fixed)
+        assert got.matrix.tobytes() == want.tobytes()
+        assert got.provenance == "calibrated:nearest"
+        assert got.params == dict(w.params, method="nearest", delta=0.1)
+
+    def test_train_with_cross_kernel_scores_the_test_rows(self, tmp_path, capsys):
+        train = datasets.generate_synthetic(12, 2, 3)
+        test = datasets.generate_synthetic(8, 2, 4)
+        y_train, y_test = np.array([1, -1] * 6), np.array([1, 1, -1, 1, -1, -1, 1, -1])
+        data, test_data = tmp_path / "data.csv", tmp_path / "test.csv"
+        datasets.save_csv(datasets.Dataset(train.features, y_train), data)
+        datasets.save_csv(datasets.Dataset(test.features, y_test), test_data)
+        gram = kernels.gram_ideal(train.features)
+        kernel, cross_path = tmp_path / "q.csv", tmp_path / "cross.csv"
+        kernels.save_kernel(gram, kernel)
+        cross = kernels.quantum_cross(train.features, test.features)
+        linalg.save_matrix_csv(cross, cross_path)
+        assert cli.main([
+            "train", "--kernel", str(kernel), "--data", str(data), "--ridge", "0.01",
+            "--cross", str(cross_path), "--test-data", str(test_data),
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        # the library on the matrices as the files hold them
+        model = learner.fit_krr(kernels.load_kernel(kernel), y_train.astype(float), 0.01)
+        _, pred = learner.predict(model, linalg.load_matrix_csv(cross_path))
+        assert summary["test_accuracy"] == learner.accuracy(pred, y_test)
+        _, train_pred = learner.predict(model, gram.matrix)
+        assert summary["train_accuracy"] == learner.accuracy(train_pred, y_train)
+        assert summary["ridge"] == 0.01
+
     @pytest.mark.parametrize("command", ["kernel", "relabel"])
     def test_too_few_features_is_config_error(self, tmp_path, capsys, command):
         data = self.write_dataset(tmp_path, d=2)
@@ -925,12 +984,13 @@ class TestCommands:
         assert "FAIL clip-distance: never increases Frobenius distance" in lines
         assert [line.split()[0] for line in lines].count("PASS") == 6
 
-    def test_check_takes_any_integer_seed(self):
+    def test_check_takes_the_largest_seed(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-m", "qksim", "check", "--trials", "20", "--seed", "-1"],
+            [sys.executable, "-m", "qksim", "check", "--trials", "20",
+             "--seed", str(2**64 - 1)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
@@ -1182,6 +1242,13 @@ class TestExitCodes:
         (["check", "--trials", "2.5"], "bad trials entry: expected an integer, got 2.5"),
         (["kernel", "--layers", "1.5"], "bad layers entry: expected an integer, got 1.5"),
         (["sweep", "--seed", "1.5"], "bad seed entry: expected an integer, got 1.5"),
+        # seeds outside [0, 2**64) would alias seeds inside it
+        (["sweep", "--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+        (["sweep", "--seed", "18446744073709551616"],
+         "seed must be in [0, 2**64), got 18446744073709551616"),
+        (["kernel", "--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+        (["check", "--seed", "18446744073709551616"],
+         "seed must be in [0, 2**64), got 18446744073709551616"),
         (["kernel", "--shots", "2.5"],
          "bad shots entry: shot count must be an integer, got 2.5"),
     ])
@@ -1214,6 +1281,9 @@ class TestExitCodes:
         ("test_size", ["check", "--trials"], 2.5),
         ("layers", ["kernel", "--layers"], 1.5),
         ("seeds", ["sweep", "--seed"], 1.5),
+        ("seeds", ["sweep", "--seed"], -1),
+        ("seeds", ["kernel", "--seed"], 2**64),
+        ("seeds", ["check", "--seed"], -1),
     ])
     def test_config_key_and_flag_print_the_same_condition(
         self, tmp_path, capsys, key, flag, value

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qksim import datasets, kernels, linalg
+from qksim.rng import stream
 
 from oracles import covariance_eigensolve
 
@@ -146,6 +147,32 @@ class TestRelabel:
         labels = datasets.relabel_for_advantage(q, q, ridge=1e-8)
         assert abs(int(np.sum(labels == 1)) - int(np.sum(labels == -1))) <= 1
 
+    def test_median_ties_are_promoted_in_index_order(self):
+        # Q = I and a diagonal K give the exact score vector e_3 (the smallest
+        # k): the seven zeros tie at the median 0, and the first three by index
+        # join index 3 on +1
+        k = np.diag([3.0, 2.0, 5.0, 1.5, 4.0, 6.0, 2.5, 7.0])
+        labels = datasets.relabel_for_advantage(np.eye(8), k, ridge=0.0)
+        assert labels.tolist() == [1, 1, 1, 1, -1, -1, -1, -1]
+
+    def test_median_ties_are_promoted_by_score_then_index(self, monkeypatch):
+        # scores = sqrt(I) v = v for the top eigenvector v of the core matrix;
+        # median 0.25 leaves two entries above it, so two of the -1 entries
+        # are promoted: the tied 0.25s at indices 2 and 4, not index 1 (0.1)
+        # before them nor the tied index 6 after them
+        v = np.array([0.5, 0.1, 0.25, -0.5, 0.25, 0.0, 0.25, 0.75])
+        eig_sym = linalg.eig_sym
+
+        def core_with_top_vector_v(m):
+            if isinstance(m, linalg.Spectrum):  # Q's and K's own decompositions
+                return eig_sym(m)
+            return linalg.EigenDecomposition(np.ones(1), v[:, None])
+
+        monkeypatch.setattr(linalg, "eig_sym", core_with_top_vector_v)
+        q = linalg.Spectrum(np.eye(8))
+        labels = datasets.relabel_for_advantage(q, linalg.Spectrum(np.eye(8)))
+        assert labels.tolist() == [1, -1, 1, -1, 1, -1, -1, 1]
+
     def test_rayleigh_dominance_over_random_directions(self):
         # the continuous score vector beats 10^4 random unit directions
         rng = np.random.default_rng(4)
@@ -184,27 +211,28 @@ class TestRelabel:
 
 class TestSplit:
     def test_all_train(self):
-        ds = datasets.generate_synthetic(8, 2, seed=0)
-        out = datasets.split(ds, 8, 0, seed=1)
-        assert np.array_equal(np.sort(out.train_indices), np.arange(8))
-        assert out.test_indices.size == 0
+        train, test = datasets.split(8, 8, 0, seed=1)
+        assert np.array_equal(train, np.arange(8))
+        assert test.size == 0
 
     def test_same_seed_same_split(self):
-        ds = datasets.generate_synthetic(20, 2, seed=0)
-        a = datasets.split(ds, 12, 8, seed=5)
-        b = datasets.split(ds, 12, 8, seed=5)
-        assert np.array_equal(a.train_indices, b.train_indices)
-        assert np.array_equal(a.test_indices, b.test_indices)
+        a = datasets.split(20, 12, 8, seed=5)
+        b = datasets.split(20, 12, 8, seed=5)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_disjoint_and_exact_sizes(self):
-        ds = datasets.generate_synthetic(30, 2, seed=0)
         for seed in range(100):
-            out = datasets.split(ds, 18, 12, seed=seed)
-            assert out.train_indices.size == 18
-            assert out.test_indices.size == 12
-            assert not set(out.train_indices) & set(out.test_indices)
+            train, test = datasets.split(30, 18, 12, seed=seed)
+            assert train.size == 18
+            assert test.size == 12
+            assert not set(train) & set(test)
+
+    def test_sorted_heads_of_the_split_stream_permutation(self):
+        perm = stream(3, "split").permutation(30)
+        train, test = datasets.split(30, 18, 7, seed=3)
+        assert np.array_equal(train, np.sort(perm[:18]))
+        assert np.array_equal(test, np.sort(perm[18:25]))
 
     def test_insufficient_rows(self):
-        ds = datasets.generate_synthetic(5, 2, seed=0)
-        with pytest.raises(ValueError):
-            datasets.split(ds, 4, 2, seed=0)
+        with pytest.raises(ValueError, match="cannot draw 4\\+2 rows from a pool of 5"):
+            datasets.split(5, 4, 2, seed=0)

@@ -298,11 +298,13 @@ class TestQuantumCross:
         cross = kernels.quantum_cross(xtr, xte, make_noise(0.0), "inf", seed=0)
         from qksim import qsim
 
+        def encode(x):
+            return qsim.feature_states(x[None, :])[0]
+
         for t in range(3):
             for i in range(4):
-                assert cross[t, i] == pytest.approx(
-                    qsim.fidelity(xte[t], xtr[i]), abs=1e-12
-                )
+                fidelity = abs(np.vdot(encode(xtr[i]), encode(xte[t]))) ** 2
+                assert cross[t, i] == pytest.approx(fidelity, abs=1e-12)
 
     def test_same_point_gives_one(self):
         x = np.array([[0.5, -0.5]])
@@ -328,7 +330,7 @@ class TestQuantumCross:
         assert np.allclose(np.round(a * 25), a * 25, atol=1e-12)
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="feature width mismatch: train 2, test 3"):
             kernels.quantum_cross(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
@@ -352,7 +354,7 @@ class TestSamplerOracle:
         rng = np.random.default_rng(22)
         xtr, xte = rng.uniform(-1, 1, size=(20, 3)), rng.uniform(-1, 1, size=(12, 3))
         noise, m, seed = make_noise(0.05, layers=4), 11, 8
-        fid = kernels.cross_fidelity(xtr, xte)
+        fid = kernels.quantum_cross(xtr, xte, None, "inf")
         probs = (1.0 - noise.rate) * fid + noise.rate * 2.0**-3
         got = kernels.sample_cross(fid, noise, 3, m, seed)
         for t in range(12):
@@ -373,7 +375,7 @@ class TestSamplerOracle:
     def test_quantum_cross_composes_the_stages(self, noise, m):
         rng = np.random.default_rng(23)
         xtr, xte = rng.uniform(-1, 1, size=(6, 2)), rng.uniform(-1, 1, size=(3, 2))
-        fid = kernels.cross_fidelity(xtr, xte)
+        fid = kernels.quantum_cross(xtr, xte, None, "inf")
         got = kernels.quantum_cross(xtr, xte, noise, m, seed=4)
         assert np.array_equal(got, kernels.sample_cross(fid, noise, 2, m, seed=4))
         if noise is not None and noise.rate == 0.0:  # mixing at rate 0 is exact

@@ -141,7 +141,7 @@ class TestModelComplexity:
         assert float(np.min(np.linalg.eigvalsh(q.matrix))) > 1e-3  # well-posed
         y = np.where(rng.normal(size=6) > 0, 1.0, -1.0)
         ridge = 1e-8
-        states = [qsim.feature_state(row) for row in x]
+        states = qsim.feature_states(x)
         phi = np.array([real_embedding(np.outer(psi, psi.conj())) for psi in states])
         want = primal_ridge_norm_sq(phi, y, ridge)
         got = learner.model_complexity_c1(q, y, ridge)
@@ -207,6 +207,25 @@ class TestGridSearchRbf:
         assert learner.pooled_variance(x) == pytest.approx(
             two_pass_variance(x), rel=1e-12
         )
+
+    def test_width_unit_is_scale_over_width_times_variance(self):
+        x = np.random.default_rng(6).normal(size=(9, 3))
+        var = float(np.var(x))
+        assert learner.rbf_gamma_unit(x) == 1.0 / (3 * var)
+        assert learner.rbf_gamma_unit(x, 2.5) == 2.5 / (3 * var)
+
+    def test_grid_and_pool_share_the_width_rule(self):
+        # one rule, one error: the grid's unit and the pool's relabelling width
+        flat, y = np.ones((4, 2)), np.array([1.0, -1.0, 1.0, -1.0])
+        message = (r"all training coordinates are identical; the gamma scale "
+                   r"1 / \(d \* Var\) is undefined")
+        for call in (
+            lambda: learner.rbf_gamma_unit(flat),
+            lambda: learner.grid_search_rbf(flat, y, flat, y),
+            lambda: cli._engineer_labels(flat, 1.0, 1e-8),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_separable_blobs_reach_full_accuracy(self):
         rng = np.random.default_rng(5)

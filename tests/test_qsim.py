@@ -12,14 +12,24 @@ from oracles import (
 )
 
 
+def encode(x):
+    """The encoded state of one feature vector: a one-row batch."""
+    return qsim.feature_states(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def fidelity(x1, x2):
+    """Squared overlap of two encoded states: a one-entry cross kernel."""
+    return kernels.quantum_cross(np.atleast_2d(x2), np.atleast_2d(x1))[0, 0]
+
+
 class TestFeatureState:
     def test_zero_angles_single_qubit(self):
         # zero phases make both walls cancel: H H |0> = |0>
-        state = qsim.feature_state(np.array([0.0]))
+        state = encode(np.array([0.0]))
         assert np.allclose(state, [1.0, 0.0], atol=1e-15)
 
     def test_zero_angles_two_qubits(self):
-        state = qsim.feature_state(np.zeros(2))
+        state = encode(np.zeros(2))
         expect = np.zeros(4)
         expect[0] = 1.0
         assert np.allclose(state, expect, atol=1e-15)
@@ -29,12 +39,12 @@ class TestFeatureState:
         for num_qubits in (1, 2, 3):
             for _ in range(25):
                 x = rng.uniform(-2.5, 2.5, size=num_qubits)
-                got = qsim.feature_state(x)
+                got = encode(x)
                 want = state_matrix_chain(x)
                 assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_quarter_turn_single_qubit(self):
-        got = qsim.feature_state(np.array([np.pi / 4]))
+        got = encode(np.array([np.pi / 4]))
         want = state_matrix_chain(np.array([np.pi / 4]))
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -42,25 +52,26 @@ class TestFeatureState:
         rng = np.random.default_rng(5)
         for num_qubits in (1, 4, 7):
             x = rng.uniform(-3, 3, size=num_qubits)
-            state = qsim.feature_state(x)
+            state = encode(x)
             assert abs(np.sum(np.abs(state) ** 2) - 1.0) <= 1e-12
 
     def test_dimension_limits(self):
-        with pytest.raises(ValueError):
-            qsim.feature_state(np.zeros(0))
-        with pytest.raises(ValueError):
-            qsim.feature_state(np.zeros(qsim.MAX_QUBITS + 1))
+        for width in (0, qsim.MAX_QUBITS + 1):
+            message = rf"feature width must be in \[1, 14\], got {width}"
+            with pytest.raises(ValueError, match=message):
+                encode(np.zeros(width))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            qsim.feature_state(np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="feature matrix has non-finite entries"):
+            encode(np.array([np.nan, 1.0]))
 
-    def test_batch_agrees_with_single(self):
+    def test_a_rows_state_does_not_depend_on_its_batch(self):
         rng = np.random.default_rng(31)
         x = rng.uniform(-1, 1, size=(6, 3))
         batch = qsim.feature_states(x)
         for k, row in enumerate(x):
-            assert np.allclose(batch[k], qsim.feature_state(row), atol=1e-14)
+            assert np.allclose(batch[k], encode(row), atol=1e-14)
+            assert np.allclose(batch[k], qsim.feature_states(x[k:])[0], atol=1e-14)
 
 
 class TestInPlaceEncoder:
@@ -90,35 +101,44 @@ class TestFidelity:
     def test_self_fidelity(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, size=3)
-        assert qsim.fidelity(x, x) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vectors(self):
-        assert qsim.fidelity(np.zeros(2), np.zeros(2)) == pytest.approx(1.0)
+        assert fidelity(np.zeros(2), np.zeros(2)) == pytest.approx(1.0)
 
     def test_symmetric(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             x1, x2 = rng.uniform(-2, 2, size=(2, 3))
-            assert abs(qsim.fidelity(x1, x2) - qsim.fidelity(x2, x1)) <= 1e-12
+            assert abs(fidelity(x1, x2) - fidelity(x2, x1)) <= 1e-12
 
     def test_matches_density_trace_oracle(self):
         rng = np.random.default_rng(12)
         for num_qubits in (1, 2, 3):
             for _ in range(15):
                 x1, x2 = rng.uniform(-2, 2, size=(2, num_qubits))
-                got = qsim.fidelity(x1, x2)
+                got = fidelity(x1, x2)
                 want = fidelity_density_trace(x1, x2)
                 assert abs(got - want) <= 1e-10
                 assert 0.0 <= got <= 1.0
 
+    def test_gram_entries_are_pair_fidelities(self):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-2, 2, size=(5, 3))
+        g = kernels.gram_ideal(x).matrix
+        for i in range(5):
+            for j in range(5):
+                want = 1.0 if i == j else fidelity(x[i], x[j])
+                assert abs(g[i, j] - want) <= 1e-12
+
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            qsim.fidelity(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="feature width mismatch: train 3, test 2"):
+            kernels.quantum_cross(np.zeros((1, 3)), np.zeros((1, 2)))
 
 
 def pure_state(x):
     """Density matrix of the encoded feature vector ``x``."""
-    psi = qsim.feature_state(np.asarray(x))
+    psi = encode(x)
     return np.outer(psi, psi.conj())
 
 

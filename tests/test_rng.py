@@ -1,8 +1,10 @@
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qksim.rng import EntryStreams, philox_block, role_tag, stream
+from qksim.rng import EntryStreams, philox_block, role_tag, stream, stream_key
 
 
 def test_streams_deterministic():
@@ -37,10 +39,10 @@ SPENDS = [
 
 
 def test_entry_streams_matches_fresh_streams():
-    # a negative seed and indices >= 2^64 wrap modulo 2^64 as in stream()
+    # seeds at both edges of [0, 2^64); indices wrap modulo 2^64 as in stream()
     entries = [(0, 0), (5, 9), (100, 3), (2**40, 1), (2**64, 0),
                (2**64 + 5, 2**65 + 9), (-1, 3)]
-    for seed in (42, -7, 2**64 + 3):
+    for seed in (42, 0, 2**64 - 1):
         cursor = EntryStreams(seed, "shots")
         for k, (i, j) in enumerate(entries):
             want = stream(seed, "shots", i, j)
@@ -65,8 +67,8 @@ def test_philox_block_matches_numpy_philox():
     entries = [(0, 0), (5, 9), (100, 3), (2**40, 1), (2**64, 0),
                (2**64 + 5, 2**65 + 9), (-1, 3)]
     mask = (1 << 64) - 1
-    for seed in (42, -7, 2**64 + 3):
-        key = np.array([seed & mask, role_tag("cross")], dtype=np.uint64)
+    for seed in (42, 0, 2**64 - 1):
+        key = np.array([seed, role_tag("cross")], dtype=np.uint64)
         words = philox_block(seed, "cross", *zip(*entries))
         assert words.shape == (4, len(entries)) and words.dtype == np.uint64
         for k, (i, j) in enumerate(entries):
@@ -77,6 +79,26 @@ def test_philox_block_matches_numpy_philox():
     words = philox_block(5, "shots", rows, cols)
     for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
         assert np.array_equal(words[:, k], stream(5, "shots", i, j).bit_generator.random_raw(4))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 3])
+def test_seeds_outside_the_key_range_are_errors_not_aliases(seed):
+    # seed & (2^64 - 1) would draw seed 2^64 - 1's data for -1 and seed 0's for 2^64
+    message = re.escape(f"seed must be in [0, 2**64), got {seed}")
+    for build in (
+        lambda: stream(seed, "pool"),
+        lambda: EntryStreams(seed, "shots"),
+        lambda: philox_block(seed, "cross", [0], [0]),
+        lambda: stream_key(seed, "pool"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_seed_must_be_an_integer():
+    with pytest.raises(TypeError):
+        stream_key(3.0, "pool")
+    assert stream_key(np.uint64(2**64 - 1), "pool") == (2**64 - 1, role_tag("pool"))
 
 
 def test_only_rng_builds_generators():
