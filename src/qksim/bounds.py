@@ -105,7 +105,12 @@ def theorem1_bound(
     n, c1, c_q = ideal.n, ideal.c1, ideal.c_q
     p = noise.rate
     c2 = c2_constant(n, m, p, c_q, num_qubits, delta)
-    if c2 == 0.0:
+    if math.isinf(m) and p > 0.0:
+        # c2 -> 0, but sqrt(m) c2 -> c_Q^-2 / (p mix) - n / c_Q: the noise
+        # floor, positive exactly below breakdown_p
+        limit = c_q**-2 / (p * (1.0 + 2.0 ** (-(num_qubits + 1)))) - n / c_q
+        term_noise = math.sqrt(n / limit) if limit > 0.0 else math.inf
+    elif c2 == 0.0:
         term_noise = math.inf
     else:
         ratio = n / (c2 * math.sqrt(m))  # 0 at the m = inf sentinel

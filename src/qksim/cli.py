@@ -237,7 +237,7 @@ class SweepConfig:
         return cls.from_dict(raw)
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultRecord:
     kind: str
     n: int

@@ -54,6 +54,8 @@ def feature_states(x_rows: np.ndarray) -> np.ndarray:
     with s = sum_j x_j z_j, so the phase table costs O(2^N) per row.
     """
     x = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    if x.ndim != 2:
+        raise ValueError(f"feature matrix must be 2-D (rows x features), got {x.ndim}-D")
     n, num_qubits = x.shape
     if num_qubits < 1 or num_qubits > MAX_QUBITS:
         raise ValueError(

@@ -6,16 +6,13 @@ independent and never overlap, so matrix entries can be produced in any
 order, or in parallel, with bitwise identical results.
 
 ``EntryStreams.binomial`` draws a whole array of entries with the bits of
-one ``stream(seed, role, i, j).binomial(m, p)`` per entry.  It computes the
-first Philox4x64-10 block of every stream at once (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11) and replays numpy's binomial on
-those four doubles: inversion, or BTPE (Kachitvichyanukul & Schmeiser,
-"Binomial random variate generation", CACM 31(2), 1988) with two attempts.
-An entry the block cannot finish (an inversion restart, a third BTPE
-attempt, BTPE Step 52 or a Step 50 product of more than 20 terms) is drawn
-from its scalar stream.  Logarithms and exponentials come from ``math``, the
-C library that numpy's binomial calls, never from numpy's SIMD ``log`` and
-``exp``, which differ from it in the last bit on some inputs.
+one ``stream(seed, role, i, j).binomial(m, p)`` per entry; no entry is drawn
+from a scalar stream.  Grouped by the algorithm numpy's binomial takes, the
+entries get their Philox4x64-10 blocks at once (Salmon et al., SC'11), on
+which numpy's inversion or BTPE (Kachitvichyanukul & Schmeiser, CACM 31(2),
+1988) is replayed, each step on the entries still live.  ``log`` and ``exp``
+come from ``math``, the C library numpy's binomial calls, never from numpy's
+SIMD versions, which differ from it in the last bit on some inputs.
 """
 from __future__ import annotations
 
@@ -31,7 +28,7 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bump per round
 _CHUNK = 4096  # entries per array pass; bounds the temporaries' memory
-_PRODUCT_TERMS = 20  # BTPE Step 50 terms multiplied out; beyond, Step 52 or scalar
+_MIN_LIVE = 128  # fewest entries gathered into new arrays: 1 KiB of float64
 
 
 def role_tag(role: str) -> int:
@@ -62,16 +59,15 @@ def stream(seed: int, role: str, i: int = 0, j: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def philox_block(seed: int, role: str, i, j) -> np.ndarray:
-    """The first four words of every ``stream(seed, role, i[k], j[k])``, shape (4, k).
-
+def philox_block(seed: int, role: str, i, j, block=1) -> np.ndarray:
+    """Words ``4 (block - 1)`` to ``4 block - 1`` of every ``stream(seed, role,
+    i[k], j[k])``, shape (4, k), ``block`` being one number or one per stream:
     numpy bumps the counter before it fills its buffer, so this is the
-    Philox4x64-10 block of counter ``(1, i, j, 0)`` under key
-    ``stream_key(seed, role)``; indices wrap modulo 2^64 as in :func:`stream`.
-    """
+    Philox4x64-10 block of counter ``(block, i, j, 0)`` under key
+    ``stream_key(seed, role)``; indices wrap as in :func:`stream`."""
     k0, k1 = stream_key(seed, role)
     c1, c2 = _words(i), _words(j)
-    c0, c3 = np.ones_like(c1), np.zeros_like(c1)
+    c0, c3 = np.zeros_like(c1) + np.asarray(block, dtype=np.uint64), np.zeros_like(c1)
     for _ in range(10):
         hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
         hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
@@ -88,146 +84,145 @@ def _words(v) -> np.ndarray:
 
 
 def _mulhilo(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of each 128-bit product ``a * b``, built from 32-bit
-    halves in place: ``hi = ah*bh + (al*bh >> 32) + (ah*bl >> 32) + carry``."""
+    """High and low words of each 128-bit product ``a * b``, from 32-bit
+    halves: ``hi = ah*bh + (t >> 32) + ((t % 2**32 + al*bh) >> 32)`` with
+    ``t = (al*bl >> 32) + ah*bl``."""
     b_lo, b_hi = b & _LOW32, b >> 32
     lo = a * b
-    a_lo, hi = a & _LOW32, a >> 32
-    lh, hl = a_lo * b_hi, hi * b_lo
-    hi *= b_hi
-    hi += lh >> 32
-    hi += hl >> 32
-    a_lo *= b_lo  # the carry out of the middle 64 bits
-    a_lo >>= 32
-    a_lo += lh & _LOW32
-    a_lo += hl & _LOW32
-    a_lo >>= 32
-    hi += a_lo
+    a_lo, a_hi = a & _LOW32, a >> 32
+    t = a_lo * b_lo
+    t >>= 32
+    t += a_hi * b_lo  # no partial sum exceeds 64 bits
+    hi = a_hi * b_hi
+    hi += t >> 32
+    t &= _LOW32
+    t += a_lo * b_hi
+    t >>= 32
+    hi += t
     return hi, lo
 
 
 class EntryStreams:
-    """Cursor over the ``(seed, role, *, *)`` stream family for tight loops.
-
-    ``at(i, j)`` yields draws bitwise identical to ``stream(seed, role, i,
-    j)``: it writes ``(i, j)`` into one counter array and hands one state dict
-    to the ``Philox.state`` setter, which copies it: no per-entry dict or array.
-    Each sampler builds its own instance for the kernel it draws; the cursor
-    state is mutable, so an instance is never shared between threads.
-    """
+    """The ``(seed, role, *, *)`` stream family, drawn a whole kernel at a time."""
 
     def __init__(self, seed: int, role: str):
+        stream_key(seed, role)  # a bad seed fails here, before any draw
         self._seed, self._role = seed, role
-        key = np.array(stream_key(seed, role), dtype=np.uint64)
-        self._bit_gen = np.random.Philox(key=key)
-        self._gen = np.random.Generator(self._bit_gen)
-        self._state = self._bit_gen.state
-        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)  # nothing buffered
-        self._counter = self._state["state"]["counter"]  # words 0 and 3 stay 0
-
-    def at(self, i: int = 0, j: int = 0) -> np.random.Generator:
-        self._counter[1] = i & _MASK64
-        self._counter[2] = j & _MASK64
-        self._bit_gen.state = self._state
-        return self._gen
 
     def binomial(self, m: int, p, i, j) -> np.ndarray:
-        """``at(i[k], j[k]).binomial(m, p[k])`` for every k, bit for bit, as int64.
+        """``stream(seed, role, i[k], j[k]).binomial(m, p[k])`` for every k, as
+        int64, ``m`` in ``[1, 2**63 - 1]`` and ``p`` in ``[0, 1]`` (callers check
+        both).  Round ``k`` reads block ``k`` of the open entries, by chunks."""
+        p, i, j = np.asarray(p, dtype=float).ravel(), np.asarray(i), np.asarray(j)
+        # BTPE runs when min(p, 1 - p) * m > 30, else inversion; inversion
+        # entries first, so all chunks but one run one algorithm
+        live = np.argsort(np.minimum(p, 1.0 - p) * float(m) > 30.0, kind="stable")
+        x, block = np.full(p.size, -1, dtype=np.int64), 1  # -1 while open
+        while live.size:
+            for start in range(0, live.size, _CHUNK):
+                at = live[start : start + _CHUNK]
+                words = philox_block(self._seed, self._role, i[at], j[at], block)
+                draws = _round(m, p[at], (words >> 11) * 2.0**-53)
+                x[at] = draws if block == 1 else np.where(x[at] < 0, draws, x[at])
+            live, block = live[_padded(x[live] < 0)], block + 1
+        return np.where(p > 0.5, m - x, x)  # as numpy does: X drawn at rate 1 - p
 
-        ``m`` is a shot count in ``[1, 2**63 - 1]`` and ``p`` holds
-        probabilities in ``[0, 1]``; callers check both.
-        """
-        p = np.asarray(p, dtype=float).ravel()
-        out = np.empty(p.size, dtype=np.int64)
-        for start in range(0, p.size, _CHUNK):
-            part = slice(start, start + _CHUNK)
-            ip, jp, pp = _words(i[part]), _words(j[part]), p[part]
-            words = philox_block(self._seed, self._role, ip, jp)
-            draws, left = _binomial_block(m, pp, (words >> 11) * 2.0**-53)
-            for k, unfinished in enumerate(left.tolist()):
-                if unfinished:
-                    draws[k] = self.at(int(ip[k]), int(jp[k])).binomial(m, pp[k])
-            out[part] = draws
-        return out
+
+def _round(m: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """numpy's binomial draw at rate ``min(p, 1 - p)`` on each entry's four
+    doubles ``u``, -1 where they run out: inversion's first four walks, BTPE's
+    first two attempts.  At rate 0.5 BTPE is valid wherever it runs (m > 60)."""
+    r = np.where(p > 0.5, 1.0 - p, p)
+    btpe = r * float(m) > 30.0
+    draws = 0 if btpe.all() else _inversion(m, r, u, ~btpe)
+    if btpe.any():
+        draws = np.where(btpe, _btpe(m, np.where(btpe, r, 0.5), u, btpe), draws)
+    return draws
 
 
-def _binomial_block(m: int, p: np.ndarray, u: np.ndarray):
-    """numpy's ``random_binomial(m, p)`` run on each entry's four doubles ``u``.
+def _padded(live: np.ndarray) -> np.ndarray:
+    """``live`` and the first finished entries, to a multiple of ``_MIN_LIVE`` (or
+    all): numpy caches freed buffers under 1 KiB, which would pin the heap."""
+    return live | (np.cumsum(~live) <= -np.count_nonzero(live) % _MIN_LIVE)
 
-    Returns the draws and the mask of entries left unfinished.  As numpy
-    does, ``p > 0.5`` draws ``m - X`` with ``X`` at ``1 - p``, and inversion
-    runs when that rate times ``m`` is at most 30, BTPE otherwise.  Both run
-    over the whole block and masks pick their results, so every array of the
-    pass has the block's size: numpy caches freed buffers under 1 KiB, and
-    subsets of ever-changing small sizes would stay allocated all over the heap.
-    """
+
+def _cut(live, out, result, at, *state):
+    """``(live, result, at, *state)`` cut on their last axis to the ``_padded``
+    live entries once those are at most half, after ``out[at] = result``."""
+    if 2 * np.count_nonzero(live) > live.size or live.size <= _MIN_LIVE:
+        return (live, result, at, *state)
+    out[at] = result
+    keep = np.flatnonzero(_padded(live))
+    return tuple(a.take(keep, axis=-1) for a in (live, result, at, *state))
+
+
+def _inversion(m: int, p: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.ndarray:
+    """numpy's ``random_binomial_inversion`` at each ``todo`` entry; the walk
+    starts at ``(1 - p)**m`` as numpy computes it, ``exp(m * log1p(-p))``.  A
+    walk past its bound restarts on the next double; -1 once ``u4`` is spent."""
     n = float(m)
-    flip = p > 0.5
-    r = np.where(flip, 1.0 - p, p)
-    btpe = r * n > 30.0
-    draws, left = _inversion(m, r, u[0], ~btpe)
-    if btpe.any():  # then m > 60, and rate 0.5 is a valid BTPE input elsewhere
-        y, unfinished = _btpe(m, np.where(btpe, r, 0.5), u, btpe)
-        draws = np.where(btpe, y, draws)
-        left = np.where(btpe, unfinished, left)
-    return np.where(flip, m - draws, draws), left
-
-
-def _inversion(m: int, p: np.ndarray, u: np.ndarray, mask: np.ndarray):
-    """numpy's ``random_binomial_inversion`` on one uniform per ``mask`` entry;
-    an entry whose walk passes its bound would restart on a fresh uniform and
-    is left.  The walk starts at ``(1 - p)**m``, which numpy computes as
-    ``exp(m * log1p(-p))``; at ``p == 0`` that is 1 and the draw is 0."""
-    n = float(m)
-    q = 1.0 - p
-    px = _libm(math.exp, n * _libm(math.log1p, -p))
     mean = n * p
-    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1.0)).astype(np.int64)
-    x = np.zeros(p.size, dtype=np.int64)
-    u = u.copy()  # walked down in place
-    walk = mask & (u > px)
+    limit = np.minimum(n, mean + 10.0 * np.sqrt(mean * (1.0 - p) + 1.0)).astype(np.int64)
+    out, at = np.zeros(p.size, dtype=np.int64), np.arange(p.size)
+    x = np.zeros(p.size, dtype=float if m <= 2**53 else np.int64)  # m - x + 1 exact
+    walk, x, at, r, bound, u = _cut(todo, out, x, at, p, limit.astype(x.dtype), u4[0])
+    q, u = 1.0 - r, u.copy()  # u is walked down in place
+    px = _libm(math.exp, n * _libm(math.log1p, -r, walk), walk)
+    walk = walk & (u > px)  # not in place: todo is read below
     while walk.any():
         x += walk
         walk &= x <= bound
         np.subtract(u, px, out=u, where=walk)
-        np.divide((m - x + 1) * p * px, x * q, out=px, where=walk)
+        np.divide((m - x + 1) * r * px, x * q, out=px, where=walk)
         walk &= u > px
-    return x, x > bound
+        walk, x, at, r, q, bound, u, px = _cut(walk, out, x, at, r, q, bound, u, px)
+    out[at] = x
+    restart = todo & (out > limit)
+    if restart.any():
+        again = _inversion(m, p, u4[1:], restart) if len(u4) > 1 else -1
+        out = np.where(restart, again, out)
+    return out
 
 
-def _btpe(m: int, r: np.ndarray, u: np.ndarray, mask: np.ndarray):
-    """numpy's ``random_binomial_btpe`` for ``r <= 0.5`` at each ``mask`` entry,
-    attempts on doubles 0-1 and 2-3.  Set-up uses only IEEE arithmetic,
-    ``sqrt`` and ``floor``; each step runs over all entries under a mask."""
+def _btpe(m: int, r: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.ndarray:
+    """numpy's ``random_binomial_btpe`` for ``r <= 0.5`` at each ``todo`` entry,
+    attempts on doubles 0-1 and 2-3; set-up uses only IEEE arithmetic."""
     n = float(m)
-    q = 1.0 - r
+    out = np.full(r.size, -1, dtype=np.int64)
+    todo, y, at, r, u4 = _cut(todo, out, np.full(r.size, -1.0), np.arange(r.size), r, u4)
+    setup = np.empty((16, r.size))  # one array: one take cuts it
+    _, q, mode, xm, nrq, p1, xl, xr, c, laml, lamr, p2, p3, p4, s, a = setup
+    setup[0], q[:] = r, 1.0 - r
     fm = n * r + r
-    mode = np.floor(fm)
-    p1 = np.floor(2.195 * np.sqrt(n * r * q) - 4.6 * q) + 0.5
-    xm = mode + 0.5
-    xl, xr = xm - p1, xm + p1
-    c = 0.134 + 20.5 / (15.3 + mode)
-    a = (fm - xl) / (fm - xl * r)
-    laml = a * (1.0 + a / 2.0)
-    a = (xr - fm) / (xr * q)
-    lamr = a * (1.0 + a / 2.0)
-    p2 = p1 * (1.0 + 2.0 * c)
-    p3 = p2 + c / laml
-    p4 = p3 + c / lamr
-    s = r / q
-    a = s * float((m + 1 + 2**63) % 2**64 - 2**63)  # C's int64 n + 1 wraps at 2**63 - 1
-
-    y = np.zeros(r.size)
-    todo = mask
-    done = np.zeros(r.size, dtype=bool)
+    mode[:] = np.floor(fm)
+    nrq[:] = n * r * q
+    p1[:] = np.floor(2.195 * np.sqrt(nrq) - 4.6 * q) + 0.5
+    xm[:] = mode + 0.5
+    xl[:], xr[:] = xm - p1, xm + p1
+    c[:] = 0.134 + 20.5 / (15.3 + mode)
+    a[:] = (fm - xl) / (fm - xl * r)
+    laml[:] = a * (1.0 + a / 2.0)
+    a[:] = (xr - fm) / (xr * q)
+    lamr[:] = a * (1.0 + a / 2.0)
+    p2[:] = p1 * (1.0 + 2.0 * c)
+    p3[:] = p2 + c / laml
+    p4[:] = p3 + c / lamr
+    s[:] = r / q
+    a[:] = s * float((m + 1 + 2**63) % 2**64 - 2**63)  # C's int64 n + 1 wraps
     for draw in (0, 2):
-        uu, v = u[draw] * p4, u[draw + 1]
-        log_v = _libm(math.log, np.where(v > 0.0, v, 1.0))  # v == 0 is rejected
+        # Step 10: the triangle accepts at once; the other entries go on alone
+        uu, v = u4[draw] * setup[13], u4[draw + 1]  # p4
+        tri = todo & (uu <= setup[5])  # p1
+        y = np.where(tri, np.floor(setup[3] - setup[5] * v + uu), y)  # xm - p1 v + u
+        todo, y, at, u4, setup = _cut(todo & ~tri, out, y, at, u4, setup)
+        _, _, mode, xm, nrq, p1, xl, xr, c, laml, lamr, p2, p3, p4, s, a = setup
+        uu, v = u4[draw] * p4, u4[draw + 1]
+        log_v = _libm(math.log, v, todo & (uu > p2) & (v > 0.0))  # v == 0 is rejected
         x = xl + (uu - p1) / c
-        # Steps 10, 20, 30 and 40: the triangle, parallelogram and two tails
+        # Steps 20, 30 and 40: the parallelogram and the two tails
         yk = np.select(
-            [uu <= p1, uu <= p2, uu <= p3],
-            [np.floor(xm - p1 * v + uu), np.floor(x), np.floor(xl + log_v / laml)],
+            [uu <= p2, uu <= p3],
+            [np.floor(x), np.floor(xl + log_v / laml)],
             np.floor(xr - log_v / lamr),
         )
         vk = np.select(
@@ -237,27 +232,72 @@ def _btpe(m: int, r: np.ndarray, u: np.ndarray, mask: np.ndarray):
         )
         # rejections: v > 1 in the parallelogram; v == 0 or y off [0, n] in a
         # tail (the left tail never exceeds n and the right never drops below 0)
-        tested = (uu > p1) & np.where(
-            uu <= p2, vk <= 1.0, (v > 0.0) & (yk >= 0.0) & (yk <= n)
-        )
-        # Step 50 multiplies out |y - mode| <= 20 terms; Step 52, or a longer
-        # product, is left to the scalar path
+        tested = todo & np.where(uu <= p2, vk <= 1.0, (v > 0.0) & (yk >= 0.0) & (yk <= n))
         d = np.where(tested, yk - mode, 0.0)
-        far = np.abs(d) > _PRODUCT_TERMS
-        d = np.where(far, 0.0, d)
-        low = np.where(d > 0.0, mode, mode + d)  # the product runs up from min(y, mode)
-        f = np.ones(r.size)
-        for t in range(1, int(np.max(np.abs(d), initial=0.0)) + 1):
-            term = a / (low + t) - s
-            np.multiply(f, term, out=f, where=d >= t)
-            np.divide(f, term, out=f, where=-d >= t)
-        accept = todo & ((uu <= p1) | (tested & ~far & (vk <= f)))
+        k = np.abs(d)
+        far = tested & (k > 20.0) & (k < nrq / 2.0 - 1.0)  # Step 52, else Step 50
+        near = tested & ~far
+        accept = near & (vk <= _product(a, s, np.where(d > 0.0, mode, mode + d), d, near))
+        if far.any():
+            accept |= _step52(m, setup, yk, vk, k, far)
         y = np.where(accept, yk, y)
-        done |= accept
-        todo = todo & ~accept & ~far
-    return y.astype(np.int64), ~done
+        todo, y, at, u4, setup = _cut(todo & ~accept, out, y, at, u4, setup)
+    out[at] = y
+    return out
 
 
-def _libm(f, v: np.ndarray) -> np.ndarray:
-    """``f`` (a ``math`` function, so the C library's) at every entry of ``v``."""
-    return np.fromiter(map(f, v.tolist()), dtype=float, count=v.size)
+def _product(a, s, low, d, live) -> np.ndarray:
+    """BTPE Step 50's ``F`` at each ``live`` entry, 1 elsewhere: the ``|d|`` terms
+    ``a / i - s``, ``i`` running up from ``low + 1``, multiplied when ``d > 0``
+    and divided when ``d < 0``, in numpy's order.  Sorted longest first, the
+    entries still multiplying are a prefix, stepped in place."""
+    keep, k = np.flatnonzero(_padded(live)), np.where(live, -np.abs(d), 0.0)
+    order = keep.take(np.argsort(k.take(keep)))
+    k, a, s, low, up = (v.take(order) for v in (k, a, s, low, d > 0.0))
+    f, term, down = np.ones(k.size), np.empty(k.size), ~up
+    for t in range(1, int(-k[:1].sum()) + 1):
+        end = np.searchsorted(k, -t, side="right")  # the entries with |d| >= t
+        fe, te = f[:end], term[:end]
+        np.add(low[:end], t, out=te)
+        np.divide(a[:end], te, out=te)
+        np.subtract(te, s[:end], out=te)
+        np.multiply(fe, te, out=fe, where=up[:end])
+        np.divide(fe, te, out=fe, where=down[:end])
+    out = np.ones(d.size)
+    out[order] = f
+    return out
+
+
+def _step52(m: int, setup: np.ndarray, y, v, k, live) -> np.ndarray:
+    """BTPE Step 52 at each ``live`` entry, ``y`` being ``k`` from the mode: accept
+    when ``A = log(v)`` is below the squeeze, or in it and not above the
+    Stirling-series bound.  As in numpy 2.4.6, ``-k * k`` is an int64 product,
+    which wraps, and ``z`` and ``w`` are formed from ``n`` as a double."""
+    n = float(m)
+    keep, accept = np.flatnonzero(_padded(live)), np.zeros(live.size, dtype=bool)
+    r, q, mode, xm, nrq = setup[:5].take(keep, axis=1)
+    y, v, k, live = y.take(keep), v.take(keep), k.take(keep), live.take(keep)
+    rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.1666666666666) / nrq + 0.5)
+    t = (-k.astype(np.int64) * k.astype(np.int64)) / (2.0 * nrq)
+    big_a = np.where(v > 0.0, _libm(math.log, v, live & (v > 0.0)), -np.inf)  # log(0)
+    squeezed = live & (big_a >= t - rho) & (big_a <= t + rho)
+    y = np.where(squeezed, y, mode)  # keeps every log's argument positive
+    f1, x1, z, w = e = np.stack((mode + 1.0, y + 1.0, n + 1.0 - mode, n - y + 1.0))
+    e2 = e * e
+    e = (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / e2) / e2) / e2) / e2) / e / 166320.0
+    bound = (
+        xm * _libm(math.log, f1 / x1, squeezed)
+        + ((m - mode.astype(np.int64)) + 0.5) * _libm(math.log, z / w, squeezed)
+        + (y - mode) * _libm(math.log, w * r / (x1 * q), squeezed)
+        + e[0] + e[1] + e[2] + e[3]
+    )
+    accept[keep] = live & ((big_a < t - rho) | (squeezed & ~(big_a > bound)))
+    return accept
+
+
+def _libm(f, v: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """``f`` (a ``math`` function: the C library's) where ``where``, else f(1) or 0."""
+    keep, out = np.flatnonzero(_padded(where)), np.zeros(v.size)
+    picked = memoryview(np.where(where, v, 1.0).take(keep))  # Python floats, no list
+    out[keep] = np.fromiter(map(f, picked), dtype=float, count=keep.size)
+    return out

@@ -44,11 +44,29 @@ class TestTheorem1Bound:
         assert report.c2 == 0.0
         assert report.term_noise == math.inf
 
-    def test_infinite_shots_with_noise_still_vacuous(self):
+    def test_infinite_shots_with_noise_take_the_limit(self):
+        # Q = I2 breaks down at p = 0.444: at 0.2 the noise term has a floor,
+        # beyond the breakdown rate it stays vacuous
         y = np.array([1.0, -1.0])
         report = bounds.theorem1_bound(np.eye(2), y, "inf", noise(0.2, layers=1), 2)
         assert report.c2 == 0.0
+        assert report.term_noise == pytest.approx(0.9045340, rel=1e-7)
+        report = bounds.theorem1_bound(np.eye(2), y, "inf", noise(0.5, layers=1), 2)
         assert report.term_noise == math.inf
+
+    @pytest.mark.parametrize("n, c_q, num_qubits", [(2, 1.0, 2), (3, 1.0, 3), (4, 0.5, 6)])
+    @pytest.mark.parametrize("share", [0.1, 0.5, 0.8, 1.2, 2.0])
+    def test_infinite_shots_match_large_shots(self, n, c_q, num_qubits, share):
+        # on both sides of breakdown_p, "inf" is the m -> infinity limit; at
+        # m = 10**18 the neglected terms are under 1e-7 of it for these rates
+        ideal = bounds.IdealTerms(n=n, c1=1.0, c_q=c_q)
+        p = share / (n * c_q * (1.0 + 2.0 ** (-(num_qubits + 1))))
+        at_inf = bounds.theorem1_bound(ideal, None, "inf", noise(p, layers=1), num_qubits)
+        large = bounds.theorem1_bound(ideal, None, 10**18, noise(p, layers=1), num_qubits)
+        if share < 1.0:
+            assert at_inf.term_noise == pytest.approx(large.term_noise, rel=1e-6)
+        else:
+            assert at_inf.term_noise == large.term_noise == math.inf
 
     def test_label_length_checked(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,16 @@ class TestQuantumCross:
         with pytest.raises(ValueError, match="feature width mismatch: train 2, test 3"):
             kernels.quantum_cross(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("encode", [
+        lambda x: kernels.gram_ideal(x),
+        lambda x: kernels.quantum_cross(x, x),
+        lambda x: kernels.quantum_cross(np.zeros((2, 2)), x),
+    ])
+    def test_feature_rank_checked(self, encode):
+        # numpy's own "too many values to unpack" named no matrix
+        with pytest.raises(ValueError, match="feature matrix must be 2-D .* got 3-D"):
+            encode(np.zeros((2, 2, 2)))
+
 
 class TestSamplerOracle:
     """Every sampled entry is one Bernoulli mean from its own keyed stream."""
@@ -396,16 +407,62 @@ def assert_draws_match_streams(m, probs, seed=3, role="shots", reps=40):
     assert got.tolist() == want
 
 
-def count_scalar_draws(monkeypatch) -> list[int]:
-    """Spy on the scalar path: ``calls[0]`` counts ``EntryStreams.at``."""
-    calls, at = [0], EntryStreams.at
+def forbid_scalar_draws(monkeypatch) -> list[int]:
+    """Count every Philox bit generator built and every ``rng.stream`` call:
+    the array pass builds none, so ``calls[0]`` must stay 0."""
+    calls, philox, scalar = [0], np.random.Philox, rng.stream
 
-    def spy(self, i=0, j=0):
-        calls[0] += 1
-        return at(self, i, j)
+    def counted(build):
+        def spy(*args, **kwargs):
+            calls[0] += 1
+            return build(*args, **kwargs)
 
-    monkeypatch.setattr(EntryStreams, "at", spy)
+        return spy
+
+    monkeypatch.setattr(np.random, "Philox", counted(philox))
+    monkeypatch.setattr(rng, "stream", counted(scalar))
     return calls
+
+
+def stream_with_first_block(seed, role, i, j, words) -> np.random.Generator:
+    """``stream(seed, role, i, j)`` whose first Philox block reads ``words``;
+    its later blocks are the stream's own."""
+    g = stream(seed, role, i, j)
+    state = g.bit_generator.state
+    state["state"]["counter"][0] = 1  # the first block is the one buffered
+    state.update(buffer=np.array(words, dtype=np.uint64), buffer_pos=0)
+    g.bit_generator.state = state
+    return g
+
+
+def count_blocks(monkeypatch) -> list[int]:
+    """Spy on ``rng.philox_block``: the highest Philox block read for any entry."""
+    seen, philox = [0], rng.philox_block
+
+    def spy(seed, role, i, j, block=1):
+        seen[0] = max(seen[0], int(np.max(block)))
+        return philox(seed, role, i, j, block)
+
+    monkeypatch.setattr(rng, "philox_block", spy)
+    return seen
+
+
+def _index(i, k):
+    """Where stream ``k`` sits in the index array ``i`` of one block call."""
+    return np.flatnonzero(np.asarray(i) == k)
+
+
+@pytest.fixture(scope="module")
+def sweep_gram():
+    """The shots-sweep train Gram: N=2, n=200, rate 0.05, pinned diagonal."""
+    config = cli.SweepConfig.from_dict({
+        "dataset": {"kind": "synthetic"}, "test_size": 100, "noise_rates": [0.05],
+        "methods": ["nearest"], "num_qubits": 2, "train_sizes": [200],
+        "shots": [10], "seeds": [0],
+    })
+    pool = cli.build_pool(config, 200, 0)
+    ideal = kernels.KernelMatrix(pool.q_train_ideal, kernels.IDEAL, {"num_qubits": 2})
+    return kernels.apply_noise(ideal, make_noise(0.05), fix_diagonal=True)
 
 
 class TestArraySampler:
@@ -429,34 +486,49 @@ class TestArraySampler:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert w[i, j] == stream(6, "shots", i, j).binomial(m, probs[i, j]) / m
 
-    def test_inversion_restart_is_left_to_the_scalar_path(self):
+    @pytest.mark.parametrize("m, p", [(1000, 0.001), (2**63 - 1, 1e-18)])
+    def test_inversion_restarts_match_the_stream(self, monkeypatch, m, p):
         # Binomial(1000, 0.001) walks to X = 15 at most; a uniform past the
-        # mass up to there makes numpy restart on the stream's next double
-        p, u = np.array([0.001, 0.001]), np.array([1 - 2**-53, 0.5])
-        _, left = rng._inversion(1000, p, u, np.ones(2, dtype=bool))
-        assert left.tolist() == [True, False]
+        # mass up to there makes numpy restart on the stream's next double.
+        # Entry 1 restarts once; entry 2 spends all four doubles of its first
+        # block and goes on in the next round, on block 2
+        philox, read = rng.philox_block, []
+        top = np.uint64((1 << 64) - 1)  # the double 1 - 2**-53
 
-    def test_forced_restart_draws_from_the_entry_stream(self, monkeypatch):
-        block = rng.philox_block
-
-        def restarting(seed, role, i, j):
-            words = block(seed, role, i, j)
-            words[0, 1] = np.uint64((1 << 64) - 1)  # first double 1 - 2**-53
+        def restarting(seed, role, i, j, block=1):
+            words = philox(seed, role, i, j, block)
+            read.append(block)
+            if block == 1:
+                words[0, _index(i, 1)] = top
+                words[:, _index(i, 2)] = top
             return words
 
         monkeypatch.setattr(rng, "philox_block", restarting)
-        calls = count_scalar_draws(monkeypatch)
-        p, i, j = np.full(3, 0.001), np.arange(3), np.zeros(3, dtype=int)
-        got = EntryStreams(4, "shots").binomial(1000, p, i, j)
-        assert calls[0] == 1  # only the forced entry leaves the array pass
-        assert got.tolist() == [stream(4, "shots", k, 0).binomial(1000, 0.001) for k in range(3)]
+        calls = forbid_scalar_draws(monkeypatch)
+        got = EntryStreams(4, "shots").binomial(m, np.full(3, p), np.arange(3), np.zeros(3, int))
+        assert calls[0] == 0 and read == [1, 2]
+        monkeypatch.undo()
+        for k in range(3):
+            words = philox(4, "shots", [k], [0])[:, 0]
+            words[:1 if k == 1 else 4 if k == 2 else 0] = top
+            want = stream_with_first_block(4, "shots", k, 0, words).binomial(m, p)
+            assert got[k] == want, k
 
-    def test_step52_entries_draw_from_their_streams(self, monkeypatch):
-        # at m = 10**6, p = 0.5 a BTPE candidate off the parallelogram is
-        # almost always more than 20 from the mode: numpy's Step 52
-        calls = count_scalar_draws(monkeypatch)
-        assert_draws_match_streams(10**6, [0.5], reps=200)
-        assert 0 < calls[0] < 200
+    @pytest.mark.parametrize("m, p", [(10**6, 0.5), (2**63 - 1, 0.5), (2**63 - 1, 0.3)])
+    def test_step52_and_later_attempts_match_streams(self, monkeypatch, m, p):
+        # a BTPE candidate off the parallelogram is almost always more than
+        # 20 from the mode here (numpy's Step 52), and some entries reject
+        # both attempts of block 1 and draw their third from block 2
+        squeezed, step52 = [0], rng._step52
+
+        def spy(*args):
+            squeezed[0] += 1
+            return step52(*args)
+
+        monkeypatch.setattr(rng, "_step52", spy)
+        blocks = count_blocks(monkeypatch)
+        assert_draws_match_streams(m, [p], reps=400)
+        assert squeezed[0] > 0 and blocks[0] >= 2
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
@@ -466,26 +538,34 @@ class TestArraySampler:
     def test_property_matches_streams(self, m, p):
         assert_draws_match_streams(m, [p], seed=11, role="cross", reps=8)
 
-    def test_sweep_shaped_batch_equals_reference_and_rarely_goes_scalar(self, monkeypatch):
-        # the shots-sweep train Gram: N=2, n=200, rate 0.05, pinned diagonal;
-        # a change that sends every entry back through the per-entry cursor
-        # fails here, not only in the benchmark
-        config = cli.SweepConfig.from_dict({
-            "dataset": {"kind": "synthetic"}, "test_size": 100, "noise_rates": [0.05],
-            "methods": ["nearest"], "num_qubits": 2, "train_sizes": [200],
-            "shots": [10], "seeds": [0],
-        })
-        pool = cli.build_pool(config, 200, 0)
-        ideal = kernels.KernelMatrix(pool.q_train_ideal, kernels.IDEAL, {"num_qubits": 2})
-        qt = kernels.apply_noise(ideal, make_noise(0.05), fix_diagonal=True)
+    def test_sweep_shaped_batch_equals_reference_with_no_scalar_draws(
+        self, monkeypatch, sweep_gram
+    ):
+        # a change that sends any entry back through a per-entry stream fails
+        # here, not only in the benchmark
         rows, cols = np.triu_indices(200, k=1)
         upper = list(zip(rows.tolist(), cols.tolist()))
-        calls = count_scalar_draws(monkeypatch)
         for m in (10, 100, 1000):
-            w = kernels.sample_shots(qt, m, seed=0).matrix
-            want = shot_means_reference(qt.matrix, m, 0, "shots", upper)
+            want = shot_means_reference(sweep_gram.matrix, m, 0, "shots", upper)
+            calls = forbid_scalar_draws(monkeypatch)
+            w = kernels.sample_shots(sweep_gram, m, seed=0).matrix
+            monkeypatch.undo()
+            assert calls[0] == 0
             assert np.array_equal(w[rows, cols], want[rows, cols])
-        assert calls[0] <= 0.10 * 3 * len(upper), calls[0]
+
+    @pytest.mark.parametrize("m", [10, 100, 1000])
+    def test_sweep_shaped_call_stays_under_2_mib(self, sweep_gram, m):
+        # temporaries are bounded by the chunk, not by the kernel
+        rows, cols = np.triu_indices(200, k=1)
+        probs = sweep_gram.matrix[rows, cols]
+        streams = EntryStreams(0, "shots")
+        tracemalloc.start()
+        try:
+            streams.binomial(m, probs, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
 
 
 class TestProbabilityCheck:

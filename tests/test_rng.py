@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from qksim.rng import EntryStreams, philox_block, role_tag, stream, stream_key
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qksim"
 
 
 def test_streams_deterministic():
@@ -30,35 +33,22 @@ def test_role_tag_stable():
     assert role_tag("shots") != role_tag("cross")
 
 
-# draws that leave Philox blocks spent, a word buffered or a 32-bit half cached
-SPENDS = [
-    lambda g: g.random(9),
-    lambda g: g.binomial(1000, 0.5),
-    lambda g: g.random(3, dtype=np.float32),
-]
-
-
-def test_entry_streams_matches_fresh_streams():
-    # seeds at both edges of [0, 2^64); indices wrap modulo 2^64 as in stream()
+def test_entry_streams_wrap_indices_like_stream():
+    # seeds at both edges of [0, 2^64); indices wrap modulo 2^64 as in
+    # stream(), given as Python ints past int64 or as an index array
     entries = [(0, 0), (5, 9), (100, 3), (2**40, 1), (2**64, 0),
                (2**64 + 5, 2**65 + 9), (-1, 3)]
+    i, j = (list(v) for v in zip(*entries))
+    p = [0.42, 0.5, 0.001, 0.9, 0.3, 0.7, 0.05]
     for seed in (42, 0, 2**64 - 1):
-        cursor = EntryStreams(seed, "shots")
-        for k, (i, j) in enumerate(entries):
-            want = stream(seed, "shots", i, j)
-            got = cursor.at(i, j)
-            assert got.binomial(37, 0.42) == want.binomial(37, 0.42)
-            want2, got2 = stream(seed, "shots", i, j), cursor.at(i, j)
-            assert np.array_equal(got2.uniform(size=10), want2.uniform(size=10))
-            want3, got3 = stream(seed, "shots", i, j), cursor.at(i, j)
-            assert [got3.binomial(5, 0.5) for _ in range(4)] == [
-                want3.binomial(5, 0.5) for _ in range(4)
-            ]
-            want4, got4 = stream(seed, "shots", i, j), cursor.at(i, j)
-            assert np.array_equal(
-                got4.random(3, dtype=np.float32), want4.random(3, dtype=np.float32)
-            )
-            SPENDS[k % len(SPENDS)](cursor.at(i, j))  # the next entry must not see it
+        for m in (37, 1000):
+            got = EntryStreams(seed, "shots").binomial(m, p, i, j)
+            want = [stream(seed, "shots", a, b).binomial(m, q) for a, b, q in zip(i, j, p)]
+            assert got.tolist() == want
+    rows, cols = np.array([3, 7]), np.array([2**63 - 1, 0], dtype=np.uint64)
+    got = EntryStreams(5, "cross").binomial(100, [0.4, 0.6], rows, cols)
+    assert got.tolist() == [stream(5, "cross", 3, 2**63 - 1).binomial(100, 0.4),
+                            stream(5, "cross", 7, 0).binomial(100, 0.6)]
 
 
 def test_philox_block_matches_numpy_philox():
@@ -79,6 +69,18 @@ def test_philox_block_matches_numpy_philox():
     words = philox_block(5, "shots", rows, cols)
     for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
         assert np.array_equal(words[:, k], stream(5, "shots", i, j).bit_generator.random_raw(4))
+
+
+def test_later_philox_blocks_follow_the_stream():
+    # block b holds words 4(b - 1) to 4b - 1, as one number or one per stream
+    rows, cols = np.array([0, 1, 2**64 - 1]), np.array([9, 0, 3], dtype=np.uint64)
+    raw = [stream(8, "shots", int(i), int(j)).bit_generator.random_raw(12)
+           for i, j in zip(rows.tolist(), cols.tolist())]
+    for block in (1, 2, 3):
+        words = philox_block(8, "shots", rows, cols, block)
+        assert np.array_equal(words.T, [r[4 * block - 4 : 4 * block] for r in raw])
+    words = philox_block(8, "shots", rows, cols, np.array([3, 1, 2]))
+    assert np.array_equal(words.T, [raw[0][8:], raw[1][:4], raw[2][4:8]])
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 3])
@@ -112,6 +114,28 @@ def test_only_rng_builds_generators():
         for call in banned
         if call in path.read_text(encoding="utf-8")
     ]
+    assert found == []
+
+
+def test_array_path_builds_no_generator():
+    # every draw of EntryStreams.binomial is replayed on its Philox blocks:
+    # no function it reaches builds a numpy generator or calls stream()
+    tree = ast.parse((SRC / "rng.py").read_text(encoding="utf-8"))
+    funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    reached, todo = set(), ["binomial"]
+    while todo:
+        name = todo.pop()
+        if name in funcs and name not in reached:
+            reached.add(name)
+            todo += [n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)]
+    banned = {"random", "Generator", "Philox", "default_rng", "RandomState", "stream"}
+    found = sorted(
+        f"{name}: {getattr(node, 'attr', getattr(node, 'id', ''))}"
+        for name in reached
+        for node in ast.walk(funcs[name])
+        if getattr(node, "attr", None) in banned or getattr(node, "id", None) in banned
+    )
+    assert {"philox_block", "_inversion", "_btpe", "_step52", "_libm"} <= reached
     assert found == []
 
 
