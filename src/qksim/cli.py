@@ -13,7 +13,8 @@ fresh memo per point keeps W, its spectrum, the cross kernel and the bound.
 A memo keeps a stage's value or its failure, so a shared stage runs once at
 its level, failing or not, and a record keeps exactly the fields it filled
 before a failing step.  The report and the fit share the repair's Spectrum,
-W's own at its fixed point, and W with Q's bytes takes Q's (``_w_spectrum``).
+W's own at its fixed point.  At noise rate 0 and exact shots W is Q, bit for
+bit, so that point samples nothing and takes Q's Spectrum.
 Output records are sorted by coordinate and serialize byte-identically.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  Each config
@@ -464,14 +465,6 @@ def _sampled_kernel(
     return kernels.sample_shots(noisy, m, seed).matrix
 
 
-def _w_spectrum(w: np.ndarray, q_spec: linalg.Spectrum) -> linalg.Spectrum:
-    """W's Spectrum: Q's when W has Q's shape and bytes (noise rate 0, exact shots)."""
-    q = q_spec.matrix
-    if w.shape == q.shape and w.tobytes() == q.tobytes():
-        return q_spec
-    return linalg.Spectrum(w, "kernel")
-
-
 def _quantum_record(
     config: SweepConfig, cell: dict, point: dict,
     n: int, m, p_tilde: float, method: str, seed: int,
@@ -493,10 +486,13 @@ def _quantum_record(
         rec.geometric_difference = pool.geometric_difference
         y_train, num_qubits = pool.y_train, config.num_qubits
         noise = kernels.NoiseModel(p_tilde, config.layers, config.mixing)
-        w = _once(point, "w", _sampled_kernel, config, pool, noise, m, seed)
+        # W is Q bit for bit there: (1 - 0) * q + 0 * c = q, and Q's diagonal is 1
+        exact = noise.rate == 0.0 and m is kernels.INF_SHOTS
+        if not exact:
+            w = _once(point, "w", _sampled_kernel, config, pool, noise, m, seed)
         # checked in calibrate_and_report's order: the reference, then the kernel
         q_spec = _once(cell, "q_spec", linalg.Spectrum, pool.q_train_ideal, "reference")
-        w_spec = _once(point, "w_spec", _w_spectrum, w, q_spec)
+        w_spec = q_spec if exact else _once(point, "w_spec", linalg.Spectrum, w, "kernel")
         calibrated, report = calibrate.calibrate_and_report(
             q_spec, w_spec, method, delta=config.nearest_delta
         )

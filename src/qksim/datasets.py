@@ -34,23 +34,21 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _parse_label(token: str, line_no: int) -> int:
+def _parse_label(token: str, line_no: int) -> float:
     try:
         value = float(token)
     except ValueError as exc:
         raise ValueError(f"line {line_no}: label {token!r} is not numeric") from exc
-    if value in (-1.0, 1.0):
-        return int(value)
-    if value == 0.0:  # 0/1 labels remap to -1/+1
-        return -1
+    if value in (-1.0, 0.0, 1.0):
+        return value
     raise ValueError(f"line {line_no}: unknown label value {token!r}")
 
 
 def load_csv(path) -> Dataset:
     """Read a dataset with header ``f0,...,f{d-1},label``.
 
-    Labels must parse to +/-1; 0/1 labels are remapped to -1/+1.  Errors
-    carry the offending line number.
+    Labels must parse to +/-1, or to 0/1, which remap to -1/+1; a file that
+    mixes the two is rejected.  Errors carry the offending line number.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -65,6 +63,7 @@ def load_csv(path) -> Dataset:
         d = len(cols) - 1
         feats: list[list[float]] = []
         labels: list[int] = []
+        first = None  # (value, line, token) of the first 0 or -1 label
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -78,7 +77,13 @@ def load_csv(path) -> Dataset:
                 feats.append([float(tok) for tok in tokens[:-1]])
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: malformed feature value") from exc
-            labels.append(_parse_label(tokens[-1], line_no))
+            value = _parse_label(tokens[-1], line_no)
+            if value != 1.0:  # a 0 or a -1 fixes the file's label convention
+                first = first or (value, line_no, tokens[-1])
+                if value != first[0]:
+                    raise ValueError(f"line {line_no}: label {tokens[-1]!r} mixes 0/1 "
+                                     f"and +/-1 labels (line {first[1]}: {first[2]!r})")
+            labels.append(1 if value == 1.0 else -1)  # 0/1 labels remap to -1/+1
     if not feats:
         raise ValueError(f"{path}: no data rows")
     return Dataset(

@@ -84,18 +84,8 @@ def fit_krr(
     params = dict(getattr(k, "params", {}) or {})
     params["provenance"] = getattr(k, "provenance", None)
     dec = linalg.spectrum(k).decomposition
-    alpha = dec.reconstruct(1.0 / _shifted(dec, ridge)) @ y  # dec.inv_ridge's bits
+    alpha = dec.inv_ridge(ridge) @ y
     return KernelModel(alpha, y.astype(int), ridge, params)
-
-
-def _shifted(dec: linalg.EigenDecomposition, ridge: float) -> np.ndarray:
-    """``dec.shifted(ridge)``; a singular system's error names the remedy."""
-    try:
-        return dec.shifted(ridge)
-    except linalg.SingularMatrixError as exc:
-        raise linalg.SingularMatrixError(
-            f"{exc}; calibrate the kernel to PSD or increase the ridge"
-        ) from exc
 
 
 def predict(model: KernelModel, k_cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +171,7 @@ def grid_search_rbf(
     for j, gmul in enumerate(GAMMA_GRID):
         dec = linalg.eig_sym(kernels._rbf_gram_of(d_train, gmul * scale))
         k_val = np.exp(-(gmul * scale) * d_val)  # rbf_cross on the same table
-        shifted = np.stack([_shifted(dec, lam) for lam in LAMBDA_GRID], axis=1)
+        shifted = np.stack([dec.shifted(lam) for lam in LAMBDA_GRID], axis=1)
         v = dec.eigenvectors
         coef = v @ ((v.T @ ytr)[:, None] / shifted)
         labels = np.where(k_val @ coef >= 0.0, 1, -1)

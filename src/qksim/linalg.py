@@ -94,7 +94,8 @@ class EigenDecomposition:
         shifted = self.eigenvalues + ridge
         if float(shifted[-1]) <= SINGULAR_TOL:
             raise SingularMatrixError(
-                f"singular system: lambda_min + ridge = {shifted[-1]:.3e}"
+                f"singular system: lambda_min + ridge = {shifted[-1]:.3e}; "
+                "calibrate the kernel to PSD or increase the ridge"
             )
         return shifted
 
@@ -253,7 +254,10 @@ def load_matrix_csv(path) -> np.ndarray:
         for line in fh:
             line = line.strip()
             if line:
-                row = [float(tok) for tok in line.split(",")]
+                try:
+                    row = [float(tok) for tok in line.split(",")]
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {len(rows) + 1}: {exc}") from None
                 if rows and len(row) != len(rows[0]):
                     raise ValueError(
                         f"{path}: row {len(rows) + 1} has {len(row)} entries, "

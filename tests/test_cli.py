@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qksim import bounds, calibrate, cli, datasets, kernels, learner, linalg, qsim
@@ -468,8 +471,11 @@ class TestStagedSweep:
             for m in config.shots
             for p in config.noise_rates
         }
-        for key in ("shots", "cross"):
-            assert sorted(calls[key], key=str) == sorted(coords, key=str)
+        # at noise rate 0 and exact shots W is Q, so that point samples nothing
+        exact = {c for c in coords if c[2] is kernels.INF_SHOTS and c[3] == 0.0}
+        assert exact
+        assert sorted(calls["shots"], key=str) == sorted(coords - exact, key=str)
+        assert sorted(calls["cross"], key=str) == sorted(coords, key=str)
         assert len(calls["c1"]) == len(set(calls["c1"])) == 2 * 2
         # per cell the pool rows are encoded once, for the pool Gram matrix;
         # the cross block is sliced from it, so no row is encoded again
@@ -478,23 +484,32 @@ class TestStagedSweep:
         assert sorted(encoded) == sorted(pools)
         assert len(calls["q_inv"]) == len(set(calls["q_inv"])) == 2 * 2
 
-    def test_w_reuses_q_spectrum_only_on_equal_shape_and_bytes(self):
-        m = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
-        q_spec = linalg.Spectrum(m, "reference")
-        assert cli._w_spectrum(m.copy(), q_spec) is q_spec
-        assert cli._w_spectrum(m.T, q_spec) is q_spec  # a view, same values
-        negative_zero = m.copy()
-        negative_zero[0, 1] = negative_zero[1, 0] = -0.0
-        assert np.array_equal(negative_zero, m)
-        fresh = cli._w_spectrum(negative_zero, q_spec)
-        assert fresh is not q_spec
-        assert fresh.matrix.tobytes() == negative_zero.tobytes()
-        flat = np.eye(2).reshape(1, 4)
-        square = linalg.Spectrum(np.eye(2), "reference")
-        for reshaped in (flat, flat.T):
-            assert reshaped.tobytes() == square.matrix.tobytes()
-            with pytest.raises(ValueError, match="kernel must be square"):
-                cli._w_spectrum(reshaped, square)
+    def test_exact_point_w_is_q_and_takes_q_spectrum(self, monkeypatch):
+        # the fact the sweep relies on: at rate 0 and exact shots the sampled
+        # kernel has Q's bytes, so the sweep hands Q's own Spectrum to the repair
+        calibrate_and_report = calibrate.calibrate_and_report
+        seen = []
+
+        def spy_report(q, w, method, delta=0.0):
+            seen.append(w is q)
+            return calibrate_and_report(q, w, method, delta)
+
+        for mixing in kernels.MIXINGS:
+            for p_tilde in (0.0, -0.0, 1e-300):
+                config = cli.SweepConfig.from_dict(small_config(
+                    shots=["inf"], noise_rates=[p_tilde], mixing=mixing, seeds=[0]
+                ))
+                noise = kernels.NoiseModel(p_tilde, config.layers, mixing)
+                assert noise.rate == 0.0
+                pool = cli.build_pool(config, 8, 0)
+                w = cli._sampled_kernel(config, pool, noise, kernels.INF_SHOTS, 0)
+                assert w.tobytes() == pool.q_train_ideal.tobytes()
+                seen.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(calibrate, "calibrate_and_report", spy_report)
+                    records = cli.run_sweep(config)
+                assert seen == [True]
+                assert all(r.error is None for r in records)
 
     def test_each_spectrum_is_computed_once_where_it_varies(self, monkeypatch):
         sampled, references, repairs, rbf_grams = [], [], [], []
@@ -684,6 +699,56 @@ class TestSweepMetamorphic:
         }
         records = self.sweep(**reversed_lists)
         assert self.file_bytes(records, tmp_path / "r.csv") == full
+
+    # tiny N=2 grids, each axis a nonempty subset of its values; noise rate
+    # 1e-300 folds to 0, so it lands on the exact point like 0.0 does
+    GRIDS = st.fixed_dictionaries({
+        axis: st.lists(st.sampled_from(values), min_size=1, unique=True)
+        for axis, values in dict(
+            train_sizes=[4, 6],
+            seeds=[0, 1],
+            shots=[5, 40, "inf"],
+            noise_rates=[0.0, 1e-300, 0.05],
+            methods=list(calibrate.METHODS + (calibrate.NONE,)),
+        ).items()
+    })
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(
+        grid=GRIDS,
+        mixing=st.sampled_from(kernels.MIXINGS),
+        cross_shots=st.sampled_from(["pipeline", "exact"]),
+        data=st.data(),
+    )
+    def test_generated_grids_split_reverse_and_round_trip(
+        self, grid, mixing, cross_shots, data
+    ):
+        def sweep(**lists):
+            raw = small_config(
+                test_size=4, mixing=mixing, cross_shots=cross_shots,
+                **dict(grid, **lists),
+            )
+            return cli.run_sweep(cli.SweepConfig.from_dict(raw))
+
+        full = sweep()
+        axes = sorted(axis for axis, values in grid.items() if len(values) > 1)
+        if axes:  # split one axis in two and merge the halves' records
+            axis = data.draw(st.sampled_from(axes))
+            cut = data.draw(st.integers(1, len(grid[axis]) - 1))
+            per_cell = axis in ("train_sizes", "seeds")
+            merged = []
+            for k, part in enumerate((grid[axis][:cut], grid[axis][cut:])):
+                merged += [
+                    rec for rec in sweep(**{axis: part})
+                    if k == 0 or per_cell or rec.kind == cli.QUANTUM
+                ]
+            assert_same_records(sorted(merged, key=cli.ResultRecord.sort_key), full)
+        assert_same_records(sweep(**{a: v[::-1] for a, v in grid.items()}), full)
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("csv", "json"):
+                path = Path(tmp) / f"r.{fmt}"
+                cli.emit_results(full, path, fmt)
+                assert_same_records(cli.load_results(path), full)
 
 
 class TestEmitResults:
@@ -907,6 +972,8 @@ class TestCommands:
     @pytest.mark.parametrize("corrupt, message", [
         (lambda cells: ["nan"] + cells[1:], "matrix has non-finite entries"),
         (lambda cells: cells[:2], "line 3: expected 4 fields, got 2"),
+        (lambda cells: cells[:-1] + ["0"],
+         "line 5: label '-1' mixes 0/1 and +/-1 labels (line 3: '0')"),
     ])
     def test_relabel_bad_row_is_runtime_error(self, tmp_path, capsys, corrupt, message):
         data = self.write_dataset(tmp_path, d=3)
@@ -1081,7 +1148,6 @@ class TestExitCodes:
     def test_ragged_matrix_csv_names_its_file_and_row(self, tmp_path, capsys, flag):
         kernel, data = self.kernel_and_data(tmp_path)
         ragged = tmp_path / "ragged.csv"
-        ragged.write_text("1.0,0.5\n0.5\n")
         argv = {
             "--kernel": ["train", "--kernel", str(ragged), "--data", data],
             "--reference": ["calibrate", "--kernel", kernel, "--reference",
@@ -1090,9 +1156,14 @@ class TestExitCodes:
             "--cross": ["train", "--kernel", kernel, "--data", data,
                         "--cross", str(ragged), "--test-data", data],
         }[flag]
-        assert self.main(capsys, *argv) == (
-            2, f"runtime error: {ragged}: row 2 has 1 entries, row 1 has 2\n"
-        )
+        for text, error in [
+            ("1.0,0.5\n0.5\n", "row 2 has 1 entries, row 1 has 2"),
+            ("1.0,0.5\n0.5,abc\n", "row 2: could not convert string to float: 'abc'"),
+        ]:
+            ragged.write_text(text)
+            assert self.main(capsys, *argv) == (
+                2, f"runtime error: {ragged}: {error}\n"
+            )
 
     def test_bound_without_num_qubits_is_config_error(self, tmp_path, capsys):
         kernel, data = self.kernel_and_data(tmp_path)

@@ -41,6 +41,21 @@ class TestCsvIO:
         with pytest.raises(ValueError, match="line 3"):
             datasets.load_csv(path)
 
+    @pytest.mark.parametrize("labels, line, token, first", [
+        ("1,0,-1", 4, "-1", "line 3: '0'"),
+        ("-1,1,0", 4, "0", "line 2: '-1'"),
+        ("0.0,-1.0", 3, "-1.0", "line 2: '0.0'"),
+    ])
+    def test_mixed_label_conventions_rejected(self, tmp_path, labels, line, token, first):
+        path = tmp_path / "d.csv"
+        rows = "".join(f"{k}.5,{v}\n" for k, v in enumerate(labels.split(",")))
+        path.write_text("f0,label\n" + rows)
+        with pytest.raises(ValueError) as got:
+            datasets.load_csv(path)
+        assert str(got.value) == (
+            f"line {line}: label {token!r} mixes 0/1 and +/-1 labels ({first})"
+        )
+
     def test_unknown_label_value(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n1.0,7\n")

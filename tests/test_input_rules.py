@@ -12,7 +12,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qksim import cli
+from qksim import calibrate, cli, kernels, qsim
 
 # the kinds of value a flag's text or a config entry may hold: integers,
 # fractions, inf and nan, integers past a C long, words and the empty string
@@ -112,3 +112,62 @@ def test_config_loads_or_names_the_key(key, value):
         assert names(line, key) or (
             key in ("noise_rates", "layers") and line.startswith(NOISE_MODEL)
         ), line
+
+
+# a valid value for every rule of CONFIG_RULES, each drawn on its own; the
+# noise fields pass their own rules but may still make a bad noise model
+VALID = {
+    "num_qubits": st.integers(1, qsim.MAX_QUBITS),
+    "train_sizes": st.lists(st.integers(1, 50), min_size=1, max_size=3),
+    "test_size": st.integers(1, 50),
+    "shots": st.lists(st.one_of(st.integers(1, 10**6), st.just("inf")), max_size=3),
+    "noise_rates": st.lists(st.floats(-0.5, 1.5), max_size=3),
+    "methods": st.lists(st.sampled_from(calibrate.METHODS + (calibrate.NONE,)),
+                        max_size=3),
+    "seeds": st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    "layers": st.integers(-2, 12),
+    "ridge": st.floats(0.0, 10.0),
+    "nearest_delta": st.floats(0.0, 1.0),
+    "relabel_gamma_scale": st.floats(0.01, 10.0),
+    "bound_delta": st.floats(0.01, 0.99),
+    "cross_shots": st.sampled_from(["pipeline", "exact"]),
+    "output": st.one_of(st.none(), st.text(max_size=5)),
+}
+NOISE_FIELDS = ("noise_rates", "layers", "mixing")
+
+
+def load_error(raw: dict) -> str | None:
+    try:
+        cli.SweepConfig.from_dict(raw)
+    except cli.ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    others=st.fixed_dictionaries(
+        {"dataset": st.just({"kind": "synthetic"})},
+        optional={**VALID, "mixing": st.sampled_from(kernels.MIXINGS + ("bogus",))},
+    ),
+    key=st.sampled_from(sorted(cli.CONFIG_RULES)),
+    value=JSON_VALUES,
+)
+def test_each_rule_judges_its_value_whatever_the_others_hold(others, key, value):
+    raw = dict(BASE, **others)
+    raw[key] = value
+    try:
+        verdict, rule_error = cli.CONFIG_RULES[key](key, value), None
+    except cli.ConfigError as exc:
+        verdict, rule_error = None, str(exc)
+    if rule_error is not None:  # the key's rule alone rejects the value
+        assert load_error(raw) == rule_error
+        return
+    # else the noise-model rule is the only judge left, and it reads the noise
+    # fields only: the same fields on the base config get the same verdict
+    noise = {name: raw[name] for name in NOISE_FIELDS if name in raw}
+    error = load_error(raw)
+    assert error == load_error(dict(BASE, **noise))
+    assert error is None or error.startswith(NOISE_MODEL), error
+    if error is None:
+        assert getattr(cli.SweepConfig.from_dict(raw), key) == verdict

@@ -58,8 +58,20 @@ class TestFitKrr:
         assert learner.accuracy(labels, y.astype(int)) == 1.0
 
     def test_singular_kernel_message_tells_remedy(self):
-        with pytest.raises(linalg.SingularMatrixError, match="calibrate|ridge"):
-            learner.fit_krr(np.diag([1.0, -1e-3]), np.array([1.0, -1.0]), 0.0)
+        # every ridge solve shares EigenDecomposition.shifted and its message
+        k, y = np.diag([1.0, -1e-3]), np.array([1.0, -1.0])
+        for solve in (
+            lambda: learner.fit_krr(k, y, 0.0),
+            lambda: learner.model_complexity_c1(k, y, 0.0),
+            lambda: kernels.geometric_difference(np.eye(2), k, y, 0.0),
+            lambda: kernels.geometric_difference(k, np.eye(2), y, 0.0),
+        ):
+            with pytest.raises(linalg.SingularMatrixError) as got:
+                solve()
+            assert str(got.value) == (
+                "singular system: lambda_min + ridge = -1.000e-03; "
+                "calibrate the kernel to PSD or increase the ridge"
+            )
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
