@@ -7,9 +7,9 @@ Each transform works in the eigenbasis of the input:
 * ``shift``   adds ``|min(lambda_min, 0)|`` to the whole diagonal,
 * ``nearest_psd``  raises every eigenvalue below ``delta`` to ``delta``.
 
-All four run through :func:`repair`, one decomposition per matrix.  It
-returns a ``Spectrum``, the input's own at a fixed point, so the report and
-the fit share its decompositions; the four named functions return arrays.
+All four run through :func:`repair`, one decomposition per W.  It returns a
+``Spectrum``: W's own at a fixed point, else one that carries W's eigenvectors
+with the repaired eigenvalues for the fit; the named functions return arrays.
 
 Against a PSD reference matrix, clip and flip provably never increase
 the Frobenius distance.  Shift does not share that guarantee: expanding
@@ -47,25 +47,31 @@ _SHIFT_TRACE_TOL = 1e-6
 
 def repair(w: np.ndarray | Spectrum, method: str, delta: float = 0.0) -> Spectrum:
     """``w`` repaired by ``method``: ``w``'s own :class:`Spectrum` for ``"none"``
-    and at or above the method's floor, else one new Spectrum."""
+    and at or above the method's floor, else one new Spectrum that carries
+    ``w``'s eigenvectors with the repaired eigenvalues as its decomposition."""
     ws = linalg.spectrum(w)
     if method not in METHODS + (NONE,):
         raise ValueError(f"unknown calibration method: {method!r}")
     if method == NEAREST and delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    if method == SHIFT:
-        if ws.lam_min >= 0.0:
-            return ws
-        return Spectrum(ws.matrix + abs(ws.lam_min) * np.eye(len(ws.matrix)))
     floor = delta if method == NEAREST else 0.0
-    if method == NONE or ws.decomposition.eigenvalues[-1] >= floor:
+    if method == NONE or (
+        ws.lam_min if method == SHIFT else ws.decomposition.eigenvalues[-1]
+    ) >= floor:
         return ws
+    # every repair keeps W's eigenvectors (Higham, LAA 103, 1988)
     dec = ws.decomposition
-    if method == CLIP:
-        return Spectrum(dec.reconstruct(np.clip(dec.eigenvalues, 0.0, None)))
-    if method == FLIP:
-        return Spectrum(dec.reconstruct(np.abs(dec.eigenvalues)))
-    return Spectrum(dec.reconstruct(np.maximum(dec.eigenvalues, floor)))
+    lam, vecs = dec.eigenvalues, dec.eigenvectors
+    if method == SHIFT:
+        lam = lam + abs(ws.lam_min)
+        repaired = ws.matrix + abs(ws.lam_min) * np.eye(len(lam))
+    else:  # np.clip(lam, 0.0, None) is np.maximum(lam, 0.0)
+        lam = np.abs(lam) if method == FLIP else np.maximum(lam, floor)
+        repaired = dec.reconstruct(lam)
+    if method == FLIP:  # the others keep the order, so they share W's array
+        order = np.argsort(-lam, kind="stable")
+        lam, vecs = lam[order], vecs[:, order]
+    return Spectrum(repaired, decomposition=linalg.EigenDecomposition(lam, vecs))
 
 
 def _repaired(w: np.ndarray | object, method: str, delta: float = 0.0) -> np.ndarray:

@@ -97,9 +97,11 @@ def _rule(coerce, holds=lambda v: True, condition: str = ""):
 
 
 def _each(rule, nonempty: bool = False):
-    """A list rule: every entry follows ``rule``; ``nonempty`` rejects []."""
+    """A list rule: every entry follows ``rule`` and no two checked entries are
+    equal, so 0.0 and -0.0 clash; ``nonempty`` rejects []."""
     items = _rule(_items, lambda v: v or not nonempty, "nonempty")
-    return lambda name, value: tuple(rule(name, v) for v in items(name, value))
+    distinct = _rule(tuple, lambda v: len(set(v)) == len(v), "distinct")
+    return lambda name, value: distinct(name, [rule(name, v) for v in items(name, value)])
 
 
 def _choice(options: tuple):

@@ -131,18 +131,24 @@ def eig_sym(m: np.ndarray | object) -> EigenDecomposition:
 
 class Spectrum:
     """A symmetric matrix, checked once.  Its ``eigvalsh`` eigenvalues and its
-    decomposition are each computed on first use; they are not bit-equal."""
+    decomposition are each computed on first use; they are not bit-equal.  A
+    repaired Spectrum is built with its decomposition, the input's eigenvectors
+    and the repaired eigenvalues, so its matrix is not decomposed again."""
 
-    def __init__(self, m: np.ndarray | object, name: str = "matrix"):
+    def __init__(self, m: np.ndarray | object, name: str = "matrix",
+                 decomposition: EigenDecomposition | None = None):
         self.matrix = check_symmetric(m, name)
+        self._decomposition = decomposition
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    @cached_property
+    @property
     def decomposition(self) -> EigenDecomposition:
-        return eig_sym(self)
+        if self._decomposition is None:
+            self._decomposition = eig_sym(self)
+        return self._decomposition
 
     @property
     def lam_min(self) -> float:

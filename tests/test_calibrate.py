@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qksim import calibrate, kernels, linalg
+from qksim import calibrate, kernels, learner, linalg
 
 
 def random_symmetric(rng, dim):
@@ -344,9 +344,10 @@ class TestSpectrumMatchesReference:
 
     @pytest.mark.parametrize("name, q, w", equivalence_pairs())
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_a_fixed_point_returns_its_own_spectrum(self, name, q, w, method):
+    def test_a_fixed_point_returns_its_own_spectrum(self, name, q, w, method, monkeypatch):
         # at or above the method's floor the repair is W's own Spectrum, whose
-        # decompositions the report and the fit reuse; below it, a new one
+        # decompositions the report and the fit reuse; below it, a new one that
+        # holds W's eigenbasis and has not run its own eigvalsh
         floor = {calibrate.NEAREST: DELTA, calibrate.NONE: -np.inf}.get(method, 0.0)
         fixed = float(np.min(np.linalg.eigvalsh(w))) >= floor
         qs, ws = calibrate.Spectrum(q, "reference"), calibrate.Spectrum(w, "kernel")
@@ -354,7 +355,13 @@ class TestSpectrumMatchesReference:
         assert isinstance(out, linalg.Spectrum)
         assert (out is ws) == fixed
         if not fixed:
-            assert "eigenvalues" not in vars(out) and "decomposition" not in vars(out)
+            assert "eigenvalues" not in vars(out)
+            monkeypatch.setattr(linalg, "eig_sym", None)  # no decomposition runs
+            got, want = out.decomposition.eigenvectors, ws.decomposition.eigenvectors
+            columns = sorted(c.tobytes() for c in got.T)
+            assert got.shape == want.shape
+            assert columns == sorted(c.tobytes() for c in want.T)
+            monkeypatch.undo()
         assert (calibrate.calibrate_and_report(qs, ws, method, DELTA)[0] is ws) == fixed
 
     @pytest.mark.parametrize("q, w, method, delta", [
@@ -374,3 +381,54 @@ class TestSpectrumMatchesReference:
         want = failure(oracles.REPAIR_REFERENCES[calibrate.NEAREST], w, -0.5)
         assert failure(calibrate.nearest_psd, w, -0.5) == want
         assert want == (ValueError, "delta must be nonnegative, got -0.5")
+
+
+# the fit on W's eigenbasis and the refit of the repaired matrix solve the same
+# system; where it is conditioned to 1e6 or better their dual coefficients
+# differ by that condition number times a few rounding errors, so 1e-9 relative
+WELL_CONDITIONED = 1e-6
+DUAL_RTOL = 1e-9
+
+
+class TestRepairCarriesTheEigenbasis:
+    """A repaired Spectrum carries W's eigenvectors with the repaired eigenvalues;
+    its fit predicts what a fresh decomposition of the repaired matrix predicts."""
+
+    @pytest.mark.parametrize("name, q, w", equivalence_pairs())
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("ridge", [learner.DEFAULT_QUANTUM_RIDGE, 0.01])
+    def test_fit_matches_the_refit(self, name, q, w, method, ridge):
+        y = np.where(np.random.default_rng(len(w)).normal(size=len(w)) >= 0, 1, -1)
+        ws = calibrate.Spectrum(w, "kernel")
+        out = calibrate.repair(ws, method, DELTA)
+        ref = oracles.repair_refit_reference(w, method, DELTA)
+        assert out.matrix.tobytes() == ref.matrix.tobytes()
+        try:
+            want = learner.fit_krr(ref, y, ridge)
+        except linalg.SingularMatrixError:  # "none" on an indefinite W
+            assert failure(learner.fit_krr, out, y, ridge) == failure(
+                learner.fit_krr, ref, y, ridge
+            )
+            return
+        got = learner.fit_krr(out, y, ridge)
+        for k in (out.matrix, q):  # the train rows, and Q's rows as test rows
+            assert np.array_equal(learner.predict(got, k)[1], learner.predict(want, k)[1])
+        lam = out.decomposition.eigenvalues
+        if lam[-1] + ridge >= WELL_CONDITIONED * lam[0]:
+            err = np.linalg.norm(got.dual_coef - want.dual_coef)
+            assert err <= DUAL_RTOL * np.linalg.norm(want.dual_coef)
+
+    @pytest.mark.parametrize("name, q, w", equivalence_pairs())
+    @pytest.mark.parametrize("method", calibrate.METHODS)
+    def test_carried_spectrum(self, name, q, w, method):
+        ws = calibrate.Spectrum(w, "kernel")
+        out = calibrate.repair(ws, method, DELTA)
+        lam, vecs = out.decomposition.eigenvalues, out.decomposition.eigenvectors
+        assert np.all(np.diff(lam) <= 0.0)  # non-increasing, as eig_sym orders them
+        if out is not ws:  # flip reorders the columns, the others keep W's array
+            w_vecs = ws.decomposition.eigenvectors
+            assert np.shares_memory(vecs, w_vecs) == (method != calibrate.FLIP)
+            # V diag(lam) V' is the repaired matrix up to rounding
+            scale = max(1.0, float(np.max(np.abs(out.matrix))))
+            back = out.decomposition.reconstruct()
+            assert np.max(np.abs(back - out.matrix)) <= 1e-12 * len(w) * scale

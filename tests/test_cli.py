@@ -125,6 +125,17 @@ class TestSweepConfig:
         # numpy's binomial takes a C long: this failed every finite-shot record
         ("shots", [10**19],
          "bad shots entry: shot count must be <= 2**63 - 1, got 10000000000000000000"),
+        # a repeated grid value wrote its records twice; checked entries are
+        # compared, so 0.0 and -0.0 or 10 and 10.0 repeat
+        pytest.param({"seeds": [0, 0], "noise_rates": [0.0, -0.0]}, None,
+                     "noise_rates must be distinct, got (0.0, -0.0)",
+                     id="repeated-seeds-and-noise-rates"),
+        ("seeds", [0, 1, 0], "seeds must be distinct, got (0, 1, 0)"),
+        ("shots", [10, "inf", 10.0], "shots must be distinct, got (10, inf, 10)"),
+        ("shots", ["inf", "inf"], "shots must be distinct, got (inf, inf)"),
+        ("train_sizes", [8, 8.0], "train_sizes must be distinct, got (8, 8)"),
+        ("methods", ["clip", "flip", "clip"],
+         "methods must be distinct, got ('clip', 'flip', 'clip')"),
     ])
     def test_bad_value_fails_the_sweep_at_load(
         self, tmp_path, capsys, key, value, message
@@ -577,6 +588,7 @@ class TestStagedSweep:
         assert len(set(references)) == len(references) == 2 * 2
         # a repair at its fixed point returns W's own Spectrum, whose report and
         # fit take W's eigvalsh and eig_sym; any other repair is one new Spectrum
+        # that carries W's eigenvectors, so nothing decomposes it again
         assert any(kept for kept, _ in repairs)
         assert all((r in sampled) == kept for kept, r in repairs)
         for w in sampled:
@@ -585,7 +597,7 @@ class TestStagedSweep:
         assert changed and len(set(changed)) == len(changed)
         for r in changed:
             assert checks.count(r) == eigvalsh_calls.count(r) == 1
-            assert eig_sym_calls.count(r) == 1
+            assert eig_sym_calls.count(r) == 0
         for q in references:
             assert eigvalsh_calls.count(q) == 1
             assert eig_sym_calls.count(q) <= 1
@@ -691,6 +703,18 @@ class TestSweepMetamorphic:
                 if k == 0 or per_cell or rec.kind == cli.QUANTUM:
                     merged.append(rec)
         assert self.file_bytes(merged, tmp_path / "r.csv") == full
+
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    def test_fits_on_w_eigenbasis_give_the_refit_file(
+        self, tmp_path, monkeypatch, num_qubits
+    ):
+        # a repair's fit on W's eigenvectors changes only the last bits of its
+        # dual coefficients: the file equals that of a sweep whose repairs are
+        # decomposed afresh
+        got = self.file_bytes(self.sweep(num_qubits=num_qubits), tmp_path / "a.csv")
+        monkeypatch.setattr(calibrate, "repair", oracles.repair_refit_reference)
+        records = self.sweep(num_qubits=num_qubits)
+        assert self.file_bytes(records, tmp_path / "b.csv") == got
 
     def test_reversed_lists_give_the_same_file(self, full, tmp_path):
         reversed_lists = {

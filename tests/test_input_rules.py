@@ -114,17 +114,20 @@ def test_config_loads_or_names_the_key(key, value):
         ), line
 
 
-# a valid value for every rule of CONFIG_RULES, each drawn on its own; the
-# noise fields pass their own rules but may still make a bad noise model
+# a valid value for every rule of CONFIG_RULES, each drawn on its own (a list
+# holds no two equal entries); the noise fields pass their own rules but may
+# still make a bad noise model
 VALID = {
     "num_qubits": st.integers(1, qsim.MAX_QUBITS),
-    "train_sizes": st.lists(st.integers(1, 50), min_size=1, max_size=3),
+    "train_sizes": st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True),
     "test_size": st.integers(1, 50),
-    "shots": st.lists(st.one_of(st.integers(1, 10**6), st.just("inf")), max_size=3),
-    "noise_rates": st.lists(st.floats(-0.5, 1.5), max_size=3),
+    "shots": st.lists(
+        st.one_of(st.integers(1, 10**6), st.just("inf")), max_size=3, unique=True
+    ),
+    "noise_rates": st.lists(st.floats(-0.5, 1.5), max_size=3, unique=True),
     "methods": st.lists(st.sampled_from(calibrate.METHODS + (calibrate.NONE,)),
-                        max_size=3),
-    "seeds": st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+                        max_size=3, unique=True),
+    "seeds": st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True),
     "layers": st.integers(-2, 12),
     "ridge": st.floats(0.0, 10.0),
     "nearest_delta": st.floats(0.0, 1.0),
