@@ -8,8 +8,9 @@ and of W, repair and fit, cross kernel, c1, ideal bound terms and bound.
 The pool encodes each of the cell's rows once: the ideal train kernel and the
 (test, train) cross block are both blocks of the pooled rows' Gram matrix.  A
 stage shared by several records runs through ``_once`` on a memo: the
-cell's memo keeps the pool, Q's spectrum, c1 and the ideal terms, and a
-fresh memo per point keeps W, its spectrum, the cross kernel and the bound.
+cell's memo keeps the pool, Q's spectrum, c1, the ideal terms and the stream
+families of the shot samplers (each entry's first Philox block, made once),
+and a fresh memo per point keeps W, its spectrum, the cross kernel and the bound.
 A memo keeps a stage's value or its failure, so a shared stage runs once at
 its level, failing or not, and a record keeps exactly the fields it filled
 before a failing step.  The report and the fit share the repair's Spectrum,
@@ -455,8 +456,14 @@ def _once(memo: dict, key: str, stage, *args):
     return value
 
 
+def _streams(cell: dict, role: str, m, seed: int, entries):
+    """The cell's ``role`` stream family, built once; at exact shots, the seed."""
+    build = kernels.shot_streams if role == "shots" else kernels.cross_streams
+    return seed if m is kernels.INF_SHOTS else _once(cell, role, build, seed, entries)
+
+
 def _sampled_kernel(
-    config: SweepConfig, pool: PoolContext, noise: kernels.NoiseModel, m, seed: int
+    config: SweepConfig, pool: PoolContext, noise: kernels.NoiseModel, m, streams
 ) -> np.ndarray:
     q_ideal = kernels.KernelMatrix(
         matrix=pool.q_train_ideal,
@@ -464,7 +471,7 @@ def _sampled_kernel(
         params={"num_qubits": config.num_qubits},
     )
     noisy = kernels.apply_noise(q_ideal, noise, fix_diagonal=True)
-    return kernels.sample_shots(noisy, m, seed).matrix
+    return kernels.sample_shots(noisy, m, streams).matrix
 
 
 def _quantum_record(
@@ -491,7 +498,8 @@ def _quantum_record(
         # W is Q bit for bit there: (1 - 0) * q + 0 * c = q, and Q's diagonal is 1
         exact = noise.rate == 0.0 and m is kernels.INF_SHOTS
         if not exact:
-            w = _once(point, "w", _sampled_kernel, config, pool, noise, m, seed)
+            shots = _streams(cell, "shots", m, seed, n)
+            w = _once(point, "w", _sampled_kernel, config, pool, noise, m, shots)
         # checked in calibrate_and_report's order: the reference, then the kernel
         q_spec = _once(cell, "q_spec", linalg.Spectrum, pool.q_train_ideal, "reference")
         w_spec = q_spec if exact else _once(point, "w_spec", linalg.Spectrum, w, "kernel")
@@ -508,8 +516,8 @@ def _quantum_record(
         rec.train_accuracy = learner.accuracy(train_pred, y_train.astype(int))
         cross_m = kernels.INF_SHOTS if config.cross_shots == "exact" else m
         cross = _once(
-            point, "cross", kernels.sample_cross,
-            pool.q_cross_ideal, noise, num_qubits, cross_m, seed,
+            point, "cross", kernels.sample_cross, pool.q_cross_ideal, noise, num_qubits,
+            cross_m, _streams(cell, "cross", cross_m, seed, pool.q_cross_ideal.shape),
         )
         _, test_pred = learner.predict(model, cross)
         rec.test_accuracy = learner.accuracy(test_pred, pool.labels[pool.test_idx])

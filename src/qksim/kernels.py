@@ -16,7 +16,8 @@ All sampling is keyed per entry through :mod:`qksim.rng`, so kernel entries
 may be produced in any order with identical results.  Both samplers draw a
 whole kernel in one array pass, ``rng.EntryStreams.binomial``, whose every
 entry has the bits of ``stream(seed, role, i, j).binomial(m, p)``; both check
-first that the entries are probabilities.
+first the matrix's shape and that its entries are probabilities.  Each takes
+a seed, or the family its entries' builder makes, which a sweep cell keeps.
 """
 from __future__ import annotations
 
@@ -168,35 +169,59 @@ def entrywise_noise_bound_ok(
     return bool(np.all(gap[off] <= bound[off] + 1e-12))
 
 
-def sample_shots(qt: KernelMatrix, m, seed: int) -> KernelMatrix:
+def sample_shots(qt: KernelMatrix, m, seed: int | EntryStreams) -> KernelMatrix:
     """Bernoulli-mean estimate of each entry from ``m`` measurement shots.
 
     Entry (i, j), i <= j, is the mean of ``m`` draws from the stream keyed
     by ``(seed, "shots", i, j)``; the lower triangle mirrors it.  When the
     diagonal was pinned upstream it stays exactly 1.  The ``inf`` sentinel
-    bypasses sampling and returns the expectation unchanged.
+    bypasses sampling and returns the expectation unchanged.  ``seed`` may be
+    the kernel's ``shot_streams`` family, reused across shot counts and rates.
     """
     if qt.provenance != NOISY_EXPECTATION:
         raise ValueError(
             f"sample_shots expects a noisy-expectation kernel, got {qt.provenance!r}"
         )
     probs = qt.matrix
+    if np.ndim(probs) != 2 or probs.shape[0] != probs.shape[1]:
+        raise ValueError(f"sample_shots needs a square matrix, got shape {probs.shape}")
     m = parse_shots(m)
     _check_probabilities(probs, m)
-    params = dict(qt.params)
-    params.update(shots="inf" if m is INF_SHOTS else int(m), seed=seed)
+    shots = "inf" if m is INF_SHOTS else int(m)
+    params = dict(qt.params, shots=shots, seed=getattr(seed, "seed", seed))
     if m is INF_SHOTS:
         return KernelMatrix(
             matrix=probs.copy(), provenance=qt.provenance, params=params
         )
-    n = qt.dim
     fixed_diag = bool(qt.params.get("fix_diagonal", False))
-    rows, cols = np.triu_indices(n, k=1 if fixed_diag else 0)
-    w = _shot_means(probs, m, EntryStreams(seed, "shots"), rows, cols)
-    w = np.where(np.tri(n, k=-1, dtype=bool), w.T, w)  # mirror the upper triangle
+    size = qt.dim * (qt.dim - 1 if fixed_diag else qt.dim + 1) // 2
+    streams = _family(seed, "shots", size, shot_streams, qt.dim, fixed_diag)
+    w = _shot_means(probs, m, streams)
+    w = np.where(np.tri(qt.dim, k=-1, dtype=bool), w.T, w)  # mirror the upper triangle
     if fixed_diag:
         np.fill_diagonal(w, 1.0)
     return KernelMatrix(matrix=w, provenance=SHOT_SAMPLED, params=params)
+
+
+def shot_streams(seed: int, n: int, fixed_diag: bool = True) -> EntryStreams:
+    """The ``"shots"`` family of an n x n kernel: its upper triangle, above
+    the diagonal when the diagonal is pinned."""
+    return EntryStreams(seed, "shots", *np.triu_indices(n, k=1 if fixed_diag else 0))
+
+
+def cross_streams(seed: int, shape: tuple[int, int]) -> EntryStreams:
+    """The ``"cross"`` family of a (test, train) block: every entry."""
+    return EntryStreams(seed, "cross", *np.indices(shape).reshape(2, -1))
+
+
+def _family(seed, role: str, size: int, build, *entries) -> EntryStreams:
+    """A fresh ``build(seed, *entries)``, or ``seed`` if it is a family already,
+    which must then be of ``role`` and ``size`` entries."""
+    if not isinstance(seed, EntryStreams):
+        return build(seed, *entries)
+    if (seed.role, seed.i.size) != (role, size):
+        raise ValueError(f"need {size} {role!r} streams, got {seed.i.size} {seed.role!r}")
+    return seed
 
 
 def _check_probabilities(probs: np.ndarray, m) -> None:
@@ -210,15 +235,13 @@ def _check_probabilities(probs: np.ndarray, m) -> None:
         raise ValueError("kernel entries must be probabilities in [0, 1]")
 
 
-def _shot_means(
-    probs: np.ndarray, m: int, streams: EntryStreams, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Mean of ``m`` draws at each listed ``(rows[k], cols[k])`` from its own
+def _shot_means(probs: np.ndarray, m: int, streams: EntryStreams) -> np.ndarray:
+    """Mean of ``m`` draws at each ``(streams.i[k], streams.j[k])`` from its own
     stream, drawn for all entries at once by ``EntryStreams.binomial``."""
-    out = np.empty_like(probs)
-    counts = streams.binomial(m, probs[rows, cols], rows, cols)
+    out, at = np.empty_like(probs), (streams.i, streams.j)
+    counts = streams.binomial(m, probs[at])
     # Python's int / int rounds once; float64 division agrees while both fit in 53 bits
-    out[rows, cols] = counts / m if m <= 2**53 else [c / m for c in counts.tolist()]
+    out[at] = counts / m if m <= 2**53 else [c / m for c in counts.tolist()]
     return out
 
 
@@ -259,18 +282,20 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sample_cross(
-    fid: np.ndarray, noise: NoiseModel | None, num_qubits: int, m, seed: int
+    fid: np.ndarray, noise: NoiseModel | None, num_qubits: int, m, seed: int | EntryStreams
 ) -> np.ndarray:
     """Depolarize (unless ``noise`` is None) and shot-sample ideal cross
-    fidelities; entry (t, i) draws from ``stream(seed, "cross", t, i)``."""
+    fidelities; entry (t, i) draws from ``stream(seed, "cross", t, i)``.
+    ``seed`` may be the block's ``cross_streams`` family."""
+    if np.ndim(fid) != 2:
+        raise ValueError(f"sample_cross needs a 2-D matrix, got shape {np.shape(fid)}")
     if noise is not None:
         fid = noise.depolarize(fid, num_qubits)
     m = parse_shots(m)
     _check_probabilities(fid, m)
     if m is INF_SHOTS:
         return fid
-    rows, cols = np.indices(fid.shape).reshape(2, -1)
-    return _shot_means(fid, m, EntryStreams(seed, "cross"), rows, cols)
+    return _shot_means(fid, m, _family(seed, "cross", fid.size, cross_streams, fid.shape))
 
 
 def quantum_cross(

@@ -5,14 +5,17 @@ Every random draw in the package goes through a stream keyed by
 independent and never overlap, so matrix entries can be produced in any
 order, or in parallel, with bitwise identical results.
 
-``EntryStreams.binomial`` draws a whole array of entries with the bits of
-one ``stream(seed, role, i, j).binomial(m, p)`` per entry; no entry is drawn
-from a scalar stream.  Grouped by the algorithm numpy's binomial takes, the
-entries get their Philox4x64-10 blocks at once (Salmon et al., SC'11), on
-which numpy's inversion or BTPE (Kachitvichyanukul & Schmeiser, CACM 31(2),
-1988) is replayed, each step on the entries still live.  ``log`` and ``exp``
-come from ``math``, the C library numpy's binomial calls, never from numpy's
-SIMD versions, which differ from it in the last bit on some inputs.
+An ``EntryStreams`` family is bound to its entries, and its ``binomial``
+draws them all with the bits of one ``stream(seed, role, i, j).binomial(m,
+p)`` per entry; no entry is drawn from a scalar stream.  Grouped by the
+algorithm numpy's binomial takes, the entries get their Philox4x64-10 blocks
+at once (Salmon et al., SC'11), on which numpy's inversion or BTPE
+(Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) is replayed, each step on
+the entries still live.  Block 1 depends on neither ``m`` nor ``p``: the
+family makes its doubles once, so a sweep cell draws it once per role.
+``log`` and ``exp`` come from ``math``, the C library numpy's binomial calls,
+never from numpy's SIMD versions, which differ from it in the last bit on
+some inputs.
 """
 from __future__ import annotations
 
@@ -103,17 +106,19 @@ def _mulhilo(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
 
 
 class EntryStreams:
-    """The ``(seed, role, *, *)`` stream family, drawn a whole kernel at a time."""
+    """The ``(seed, role, i[k], j[k])`` streams of fixed entries, drawn a kernel
+    at a time; block 1's doubles, read by every draw's round 1, made once."""
 
-    def __init__(self, seed: int, role: str):
+    def __init__(self, seed: int, role: str, i, j):
         stream_key(seed, role)  # a bad seed fails here, before any draw
-        self._seed, self._role = seed, role
+        self.seed, self.role, self.i, self.j = seed, role, np.asarray(i), np.asarray(j)
+        self._first = _uniforms(seed, role, self.i, self.j, 1)
 
-    def binomial(self, m: int, p, i, j) -> np.ndarray:
+    def binomial(self, m: int, p) -> np.ndarray:
         """``stream(seed, role, i[k], j[k]).binomial(m, p[k])`` for every k, as
         int64, ``m`` in ``[1, 2**63 - 1]`` and ``p`` in ``[0, 1]`` (callers check
         both).  Round ``k`` reads block ``k`` of the open entries, by chunks."""
-        p, i, j = np.asarray(p, dtype=float).ravel(), np.asarray(i), np.asarray(j)
+        p, i, j = np.asarray(p, dtype=float).ravel(), self.i, self.j
         # BTPE runs when min(p, 1 - p) * m > 30, else inversion; inversion
         # entries first, so all chunks but one run one algorithm
         live = np.argsort(np.minimum(p, 1.0 - p) * float(m) > 30.0, kind="stable")
@@ -121,11 +126,22 @@ class EntryStreams:
         while live.size:
             for start in range(0, live.size, _CHUNK):
                 at = live[start : start + _CHUNK]
-                words = philox_block(self._seed, self._role, i[at], j[at], block)
-                draws = _round(m, p[at], (words >> 11) * 2.0**-53)
+                u = self._first[:, at] if block == 1 else _uniforms(
+                    self.seed, self.role, i[at], j[at], block
+                )
+                draws = _round(m, p[at], u)
                 x[at] = draws if block == 1 else np.where(x[at] < 0, draws, x[at])
             live, block = live[_padded(x[live] < 0)], block + 1
         return np.where(p > 0.5, m - x, x)  # as numpy does: X drawn at rate 1 - p
+
+
+def _uniforms(seed: int, role: str, i: np.ndarray, j: np.ndarray, block) -> np.ndarray:
+    """numpy's doubles ``(philox_block(seed, role, i, j, block) >> 11) * 2**-53``,
+    shape (4, k), made by chunks into one array."""
+    out = np.empty((4, i.size))
+    for at in (slice(s, s + _CHUNK) for s in range(0, i.size, _CHUNK)):
+        out[:, at] = philox_block(seed, role, i[at], j[at], block) >> 11
+    return np.multiply(out, 2.0**-53, out=out)
 
 
 def _round(m: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:

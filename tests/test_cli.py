@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qksim import bounds, calibrate, cli, datasets, kernels, learner, linalg, qsim
+from qksim import bounds, calibrate, cli, datasets, kernels, learner, linalg, qsim, rng
 
 
 def small_config(**overrides):
@@ -436,10 +436,19 @@ class TestStagedSweep:
         quantum_cross, feature_states = kernels.quantum_cross, qsim.feature_states
         model_complexity_c1 = learner.model_complexity_c1
         inv_ridge = linalg.inv_ridge
-        encoded = []
+        encoded, families = [], {}
+
+        def seed_of(role, n, m, seed):
+            """The int seed of a call; a finite-shot call gets its cell's family."""
+            if m is kernels.INF_SHOTS:
+                return seed
+            assert isinstance(seed, rng.EntryStreams) and seed.role == role
+            families.setdefault((role, n, seed.seed), []).append(seed)
+            return seed.seed
 
         def spy_shots(qt, m, seed):
-            calls["shots"].append((qt.dim, seed, m, qt.params["p_tilde"]))
+            calls["shots"].append((qt.dim, seed_of("shots", qt.dim, m, seed), m,
+                                   qt.params["p_tilde"]))
             return sample_shots(qt, m, seed)
 
         def spy_quantum_cross(x_train, x_test, *args):
@@ -447,7 +456,8 @@ class TestStagedSweep:
             return quantum_cross(x_train, x_test, *args)
 
         def spy_cross(fid, noise, num_qubits, m, seed):
-            calls["cross"].append((fid.shape[1], seed, m, noise.rate_per_layer))
+            calls["cross"].append((fid.shape[1], seed_of("cross", fid.shape[1], m, seed),
+                                   m, noise.rate_per_layer))
             return sample_cross(fid, noise, num_qubits, m, seed)
 
         def spy_encode(x_rows):
@@ -487,6 +497,10 @@ class TestStagedSweep:
         assert exact
         assert sorted(calls["shots"], key=str) == sorted(coords - exact, key=str)
         assert sorted(calls["cross"], key=str) == sorted(coords, key=str)
+        # one stream family per role and cell, shared by its finite-shot points
+        cells = len(config.train_sizes) * len(config.seeds)
+        assert len(families) == 2 * cells
+        assert all(len({id(f) for f in fs}) == 1 for fs in families.values())
         assert len(calls["c1"]) == len(set(calls["c1"])) == 2 * 2
         # per cell the pool rows are encoded once, for the pool Gram matrix;
         # the cross block is sliced from it, so no row is encoded again

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -398,7 +400,7 @@ def assert_draws_match_streams(m, probs, seed=3, role="shots", reps=40):
     p = np.repeat(np.asarray(probs, dtype=float), reps)
     i = np.arange(p.size)
     j = (7 * i) % 11
-    got = EntryStreams(seed, role).binomial(m, p, i, j)
+    got = EntryStreams(seed, role, i, j).binomial(m, p)
     want = [
         stream(seed, role, a, b).binomial(m, q)
         for a, b, q in zip(i.tolist(), j.tolist(), p.tolist())
@@ -452,16 +454,25 @@ def _index(i, k):
     return np.flatnonzero(np.asarray(i) == k)
 
 
-@pytest.fixture(scope="module")
-def sweep_gram():
-    """The shots-sweep train Gram: N=2, n=200, rate 0.05, pinned diagonal."""
-    config = cli.SweepConfig.from_dict({
+def sweep_config(**overrides) -> cli.SweepConfig:
+    """One shots-sweep cell: N=2, n=200, test 100."""
+    raw = {
         "dataset": {"kind": "synthetic"}, "test_size": 100, "noise_rates": [0.05],
         "methods": ["nearest"], "num_qubits": 2, "train_sizes": [200],
         "shots": [10], "seeds": [0],
-    })
-    pool = cli.build_pool(config, 200, 0)
-    ideal = kernels.KernelMatrix(pool.q_train_ideal, kernels.IDEAL, {"num_qubits": 2})
+    }
+    return cli.SweepConfig.from_dict({**raw, **overrides})
+
+
+@pytest.fixture(scope="module")
+def sweep_pool():
+    return cli.build_pool(sweep_config(), 200, 0)
+
+
+@pytest.fixture(scope="module")
+def sweep_gram(sweep_pool):
+    """The shots-sweep train Gram: N=2, n=200, rate 0.05, pinned diagonal."""
+    ideal = kernels.KernelMatrix(sweep_pool.q_train_ideal, kernels.IDEAL, {"num_qubits": 2})
     return kernels.apply_noise(ideal, make_noise(0.05), fix_diagonal=True)
 
 
@@ -505,7 +516,7 @@ class TestArraySampler:
 
         monkeypatch.setattr(rng, "philox_block", restarting)
         calls = forbid_scalar_draws(monkeypatch)
-        got = EntryStreams(4, "shots").binomial(m, np.full(3, p), np.arange(3), np.zeros(3, int))
+        got = EntryStreams(4, "shots", np.arange(3), np.zeros(3, int)).binomial(m, np.full(3, p))
         assert calls[0] == 0 and read == [1, 2]
         monkeypatch.undo()
         for k in range(3):
@@ -558,14 +569,117 @@ class TestArraySampler:
         # temporaries are bounded by the chunk, not by the kernel
         rows, cols = np.triu_indices(200, k=1)
         probs = sweep_gram.matrix[rows, cols]
-        streams = EntryStreams(0, "shots")
+        streams = EntryStreams(0, "shots", rows, cols)
         tracemalloc.start()
         try:
-            streams.binomial(m, probs, rows, cols)
+            streams.binomial(m, probs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, peak
+
+
+class TestCellFamilies:
+    """A sweep cell's one family per role draws every (m, p) point as fresh ones do."""
+
+    POINTS = [(m, p_tilde) for m in (10, 100, 1000) for p_tilde in (0.05, 0.2)]
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_shared_family_matches_fresh_families_and_reference(self, sweep_pool, order):
+        ideal = kernels.KernelMatrix(sweep_pool.q_train_ideal, kernels.IDEAL, {"num_qubits": 2})
+        fid = sweep_pool.q_cross_ideal
+        shots, cross = kernels.shot_streams(0, 200), kernels.cross_streams(0, fid.shape)
+        pick = np.random.default_rng(12)  # the entries checked against the reference
+        rows, cols = np.triu_indices(200, k=1)
+        upper = pick.choice(rows.size, 150, replace=False)
+        upper = list(zip(rows[upper].tolist(), cols[upper].tolist()))
+        flat = pick.choice(fid.size, 150, replace=False)
+        pairs = [divmod(k, fid.shape[1]) for k in flat.tolist()]
+        for m, p_tilde in self.POINTS if order == "forward" else self.POINTS[::-1]:
+            noise = make_noise(p_tilde)
+            noisy = kernels.apply_noise(ideal, noise, fix_diagonal=True)
+            w = kernels.sample_shots(noisy, m, shots)
+            assert w.params["seed"] == 0
+            assert np.array_equal(w.matrix, kernels.sample_shots(noisy, m, 0).matrix)
+            want = shot_means_reference(noisy.matrix, m, 0, "shots", upper)
+            assert [w.matrix[e] for e in upper] == [want[e] for e in upper]
+            c = kernels.sample_cross(fid, noise, 2, m, cross)
+            assert np.array_equal(c, kernels.sample_cross(fid, noise, 2, m, 0))
+            want = shot_means_reference(noise.depolarize(fid, 2), m, 0, "cross", pairs)
+            assert [c[e] for e in pairs] == [want[e] for e in pairs]
+
+    def test_one_round_one_fill_per_role_per_cell(self, monkeypatch):
+        # the entries' first Philox block is made once per cell and role, in
+        # ceil(k / _CHUNK) calls, whatever the cell's shot counts and rates
+        config = sweep_config(shots=[10, 100, 1000, "inf"], noise_rates=[0.0, 0.05])
+        philox, first = rng.philox_block, {"shots": 0, "cross": 0}
+
+        def spy(seed, role, i, j, block=1):
+            if np.any(np.asarray(block) == 1):
+                assert np.ndim(block) == 0
+                first[role] += 1
+            return philox(seed, role, i, j, block)
+
+        monkeypatch.setattr(rng, "philox_block", spy)
+        records = cli._cell_records(config, 200, 0)
+        assert all(r.error is None for r in records)
+        chunks = -(-200 * 199 // 2 // rng._CHUNK), -(-200 * 100 // rng._CHUNK)
+        assert (first["shots"], first["cross"]) == chunks == (5, 5)
+
+    def test_cell_families_are_gone_when_the_cell_returns(self, monkeypatch):
+        refs = {}
+        for name in ("shot_streams", "cross_streams"):
+            def spy(seed, entries, build=getattr(kernels, name)):
+                family = build(seed, entries)
+                refs.setdefault(family.role, []).append(weakref.ref(family))
+                return family
+
+            monkeypatch.setattr(kernels, name, spy)
+        config = sweep_config(train_sizes=[8], test_size=4, shots=[10, 100, "inf"])
+        records = cli._cell_records(config, 8, 0)
+        assert all(r.error is None for r in records)
+        assert {role: len(r) for role, r in refs.items()} == {"shots": 1, "cross": 1}
+        assert [r() for rs in refs.values() for r in rs] == [None, None]
+
+    def test_a_family_of_other_entries_is_rejected(self):
+        probs = np.full((3, 3), 0.5)
+        qt = kernels.KernelMatrix(probs, kernels.NOISY_EXPECTATION, {"fix_diagonal": True})
+        for family, got in [
+            (kernels.shot_streams(0, 3, fixed_diag=False), "6 'shots'"),
+            (kernels.shot_streams(0, 2), "1 'shots'"),
+            (kernels.cross_streams(0, (1, 3)), "3 'cross'"),
+        ]:
+            with pytest.raises(ValueError, match=f"need 3 'shots' streams, got {got}"):
+                kernels.sample_shots(qt, 10, family)
+        with pytest.raises(ValueError, match="need 6 'cross' streams, got 3 'shots'"):
+            kernels.sample_cross(probs[:2], None, 2, 10, kernels.shot_streams(0, 3))
+
+
+class TestShapeCheck:
+    """Both samplers reject a wrongly shaped matrix before any draw, at every m."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(rng, "philox_block", forbidden)
+
+    @pytest.mark.parametrize("m", [1, 10, "inf"])
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4,), (2, 2, 2), ()])
+    def test_sample_shots_needs_a_square_matrix(self, shape, m):
+        qt = kernels.KernelMatrix(np.full(shape, 0.5), kernels.NOISY_EXPECTATION, {})
+        message = re.escape(f"sample_shots needs a square matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            kernels.sample_shots(qt, m, seed=0)
+
+    @pytest.mark.parametrize("m", [1, 10, "inf"])
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3,), ()])
+    def test_sample_cross_needs_a_2d_block(self, shape, m):
+        message = re.escape(f"sample_cross needs a 2-D matrix, got shape {shape}")
+        for noise in (None, make_noise(0.05)):
+            with pytest.raises(ValueError, match=message):
+                kernels.sample_cross(np.full(shape, 0.5), noise, 2, m, seed=0)
 
 
 class TestProbabilityCheck:

@@ -42,11 +42,11 @@ def test_entry_streams_wrap_indices_like_stream():
     p = [0.42, 0.5, 0.001, 0.9, 0.3, 0.7, 0.05]
     for seed in (42, 0, 2**64 - 1):
         for m in (37, 1000):
-            got = EntryStreams(seed, "shots").binomial(m, p, i, j)
+            got = EntryStreams(seed, "shots", i, j).binomial(m, p)
             want = [stream(seed, "shots", a, b).binomial(m, q) for a, b, q in zip(i, j, p)]
             assert got.tolist() == want
     rows, cols = np.array([3, 7]), np.array([2**63 - 1, 0], dtype=np.uint64)
-    got = EntryStreams(5, "cross").binomial(100, [0.4, 0.6], rows, cols)
+    got = EntryStreams(5, "cross", rows, cols).binomial(100, [0.4, 0.6])
     assert got.tolist() == [stream(5, "cross", 3, 2**63 - 1).binomial(100, 0.4),
                             stream(5, "cross", 7, 0).binomial(100, 0.6)]
 
@@ -89,7 +89,7 @@ def test_seeds_outside_the_key_range_are_errors_not_aliases(seed):
     message = re.escape(f"seed must be in [0, 2**64), got {seed}")
     for build in (
         lambda: stream(seed, "pool"),
-        lambda: EntryStreams(seed, "shots"),
+        lambda: EntryStreams(seed, "shots", [0], [0]),
         lambda: philox_block(seed, "cross", [0], [0]),
         lambda: stream_key(seed, "pool"),
     ):
