@@ -45,14 +45,19 @@ class BoundReport:
         return out
 
 
+def _mix(num_qubits: int) -> float:
+    """The factor ``1 + 2^-(N+1)`` of the noise terms on ``N`` qubits."""
+    return 1.0 + 2.0 ** (-(num_qubits + 1))
+
+
 def c2_constant(
     n: int, m: float, p: float, c_q: float, num_qubits: int, delta: float
 ) -> float:
     """The clamped noise constant of the generalization bound."""
-    mix = 1.0 + 2.0 ** (-(num_qubits + 1))
     log_term = math.sqrt(0.5 * math.log(4.0 * n * n / delta))
     sqrt_m = math.sqrt(m)
-    shot_term = sqrt_m * p * mix if p > 0.0 else 0.0  # avoid inf * 0 at m = inf
+    # avoid inf * 0 at m = inf
+    shot_term = sqrt_m * p * _mix(num_qubits) if p > 0.0 else 0.0
     denom = log_term + shot_term
     lead = 0.0 if math.isinf(denom) else (c_q**-2) / denom
     tail = 0.0 if math.isinf(sqrt_m) else (n / sqrt_m) / c_q
@@ -108,7 +113,7 @@ def theorem1_bound(
     if math.isinf(m) and p > 0.0:
         # c2 -> 0, but sqrt(m) c2 -> c_Q^-2 / (p mix) - n / c_Q: the noise
         # floor, positive exactly below breakdown_p
-        limit = c_q**-2 / (p * (1.0 + 2.0 ** (-(num_qubits + 1)))) - n / c_q
+        limit = c_q**-2 / (p * _mix(num_qubits)) - n / c_q
         term_noise = math.sqrt(n / limit) if limit > 0.0 else math.inf
     elif c2 == 0.0:
         term_noise = math.inf
@@ -133,7 +138,7 @@ def theorem1_bound(
 def _breakdown_p(n: int, c_q: float, num_qubits: int) -> float:
     """Effective rate beyond which the noise term is unconditionally infinite:
     p > 1 / (n c_Q (1 + 2^-(N+1)))."""
-    return 1.0 / (n * c_q * (1.0 + 2.0 ** (-(num_qubits + 1))))
+    return 1.0 / (n * c_q * _mix(num_qubits))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ draws them all with the bits of one ``stream(seed, role, i, j).binomial(m,
 p)`` per entry; no entry is drawn from a scalar stream.  Grouped by the
 algorithm numpy's binomial takes, the entries get their Philox4x64-10 blocks
 at once (Salmon et al., SC'11), on which numpy's inversion or BTPE
-(Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) is replayed, each step on
-the entries still live.  Block 1 depends on neither ``m`` nor ``p``: the
-family makes its doubles once, so a sweep cell draws it once per role.
-``log`` and ``exp`` come from ``math``, the C library numpy's binomial calls,
-never from numpy's SIMD versions, which differ from it in the last bit on
-some inputs.
+(Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) is replayed as its C code
+reads, each step a pass over a chunk's arrays masked to the entries it acts
+on.  Block 1 depends on neither ``m`` nor ``p``: the family makes its doubles
+once, so a sweep cell draws it once per role.  ``log`` and ``exp`` come from
+``math``, the C library numpy's binomial calls, never from numpy's SIMD
+versions, which differ from it in the last bit on some inputs.
 """
 from __future__ import annotations
 
@@ -107,18 +107,23 @@ def _mulhilo(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
 
 class EntryStreams:
     """The ``(seed, role, i[k], j[k])`` streams of fixed entries, drawn a kernel
-    at a time; block 1's doubles, read by every draw's round 1, made once."""
+    at a time in masked array passes; block 1's doubles, read by round 1, made once."""
 
     def __init__(self, seed: int, role: str, i, j):
         stream_key(seed, role)  # a bad seed fails here, before any draw
-        self.seed, self.role, self.i, self.j = seed, role, np.asarray(i), np.asarray(j)
-        self._first = _uniforms(seed, role, self.i, self.j, 1)
+        i, j = np.asarray(i), np.asarray(j)
+        if i.ndim != 1 or j.shape != i.shape:
+            raise ValueError(f"i and j must be 1-D of one length, got {i.shape}, {j.shape}")
+        self.seed, self.role, self.i, self.j = seed, role, i, j
+        self._first = _uniforms(seed, role, i, j, 1)
 
     def binomial(self, m: int, p) -> np.ndarray:
         """``stream(seed, role, i[k], j[k]).binomial(m, p[k])`` for every k, as
         int64, ``m`` in ``[1, 2**63 - 1]`` and ``p`` in ``[0, 1]`` (callers check
         both).  Round ``k`` reads block ``k`` of the open entries, by chunks."""
         p, i, j = np.asarray(p, dtype=float).ravel(), self.i, self.j
+        if p.size != i.size:
+            raise ValueError(f"{i.size} entries take {i.size} rates, got {p.size}")
         # BTPE runs when min(p, 1 - p) * m > 30, else inversion; inversion
         # entries first, so all chunks but one run one algorithm
         live = np.argsort(np.minimum(p, 1.0 - p) * float(m) > 30.0, kind="stable")
@@ -162,16 +167,6 @@ def _padded(live: np.ndarray) -> np.ndarray:
     return live | (np.cumsum(~live) <= -np.count_nonzero(live) % _MIN_LIVE)
 
 
-def _cut(live, out, result, at, *state):
-    """``(live, result, at, *state)`` cut on their last axis to the ``_padded``
-    live entries once those are at most half, after ``out[at] = result``."""
-    if 2 * np.count_nonzero(live) > live.size or live.size <= _MIN_LIVE:
-        return (live, result, at, *state)
-    out[at] = result
-    keep = np.flatnonzero(_padded(live))
-    return tuple(a.take(keep, axis=-1) for a in (live, result, at, *state))
-
-
 def _inversion(m: int, p: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.ndarray:
     """numpy's ``random_binomial_inversion`` at each ``todo`` entry; the walk
     starts at ``(1 - p)**m`` as numpy computes it, ``exp(m * log1p(-p))``.  A
@@ -179,20 +174,17 @@ def _inversion(m: int, p: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.nd
     n = float(m)
     mean = n * p
     limit = np.minimum(n, mean + 10.0 * np.sqrt(mean * (1.0 - p) + 1.0)).astype(np.int64)
-    out, at = np.zeros(p.size, dtype=np.int64), np.arange(p.size)
     x = np.zeros(p.size, dtype=float if m <= 2**53 else np.int64)  # m - x + 1 exact
-    walk, x, at, r, bound, u = _cut(todo, out, x, at, p, limit.astype(x.dtype), u4[0])
-    q, u = 1.0 - r, u.copy()  # u is walked down in place
-    px = _libm(math.exp, n * _libm(math.log1p, -r, walk), walk)
-    walk = walk & (u > px)  # not in place: todo is read below
+    bound, q, u = limit.astype(x.dtype), 1.0 - p, u4[0].copy()  # u is walked down in place
+    px = _libm(math.exp, n * _libm(math.log1p, -p, todo), todo)
+    walk = todo & (u > px)
     while walk.any():
         x += walk
         walk &= x <= bound
         np.subtract(u, px, out=u, where=walk)
-        np.divide((m - x + 1) * r * px, x * q, out=px, where=walk)
+        np.divide((m - x + 1) * p * px, x * q, out=px, where=walk)
         walk &= u > px
-        walk, x, at, r, q, bound, u, px = _cut(walk, out, x, at, r, q, bound, u, px)
-    out[at] = x
+    out = x.astype(np.int64)
     restart = todo & (out > limit)
     if restart.any():
         again = _inversion(m, p, u4[1:], restart) if len(u4) > 1 else -1
@@ -203,36 +195,27 @@ def _inversion(m: int, p: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.nd
 def _btpe(m: int, r: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.ndarray:
     """numpy's ``random_binomial_btpe`` for ``r <= 0.5`` at each ``todo`` entry,
     attempts on doubles 0-1 and 2-3; set-up uses only IEEE arithmetic."""
-    n = float(m)
-    out = np.full(r.size, -1, dtype=np.int64)
-    todo, y, at, r, u4 = _cut(todo, out, np.full(r.size, -1.0), np.arange(r.size), r, u4)
-    setup = np.empty((16, r.size))  # one array: one take cuts it
-    _, q, mode, xm, nrq, p1, xl, xr, c, laml, lamr, p2, p3, p4, s, a = setup
-    setup[0], q[:] = r, 1.0 - r
+    n, q = float(m), 1.0 - r
     fm = n * r + r
-    mode[:] = np.floor(fm)
-    nrq[:] = n * r * q
-    p1[:] = np.floor(2.195 * np.sqrt(nrq) - 4.6 * q) + 0.5
-    xm[:] = mode + 0.5
-    xl[:], xr[:] = xm - p1, xm + p1
-    c[:] = 0.134 + 20.5 / (15.3 + mode)
-    a[:] = (fm - xl) / (fm - xl * r)
-    laml[:] = a * (1.0 + a / 2.0)
-    a[:] = (xr - fm) / (xr * q)
-    lamr[:] = a * (1.0 + a / 2.0)
-    p2[:] = p1 * (1.0 + 2.0 * c)
-    p3[:] = p2 + c / laml
-    p4[:] = p3 + c / lamr
-    s[:] = r / q
-    a[:] = s * float((m + 1 + 2**63) % 2**64 - 2**63)  # C's int64 n + 1 wraps
+    mode, nrq = np.floor(fm), n * r * q
+    p1 = np.floor(2.195 * np.sqrt(nrq) - 4.6 * q) + 0.5
+    xm = mode + 0.5
+    xl, xr = xm - p1, xm + p1
+    c = 0.134 + 20.5 / (15.3 + mode)
+    a = (fm - xl) / (fm - xl * r)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    s = r / q
+    a = s * float((m + 1 + 2**63) % 2**64 - 2**63)  # C's int64 n + 1 wraps
+    y = np.full(r.size, -1.0)
     for draw in (0, 2):
-        # Step 10: the triangle accepts at once; the other entries go on alone
-        uu, v = u4[draw] * setup[13], u4[draw + 1]  # p4
-        tri = todo & (uu <= setup[5])  # p1
-        y = np.where(tri, np.floor(setup[3] - setup[5] * v + uu), y)  # xm - p1 v + u
-        todo, y, at, u4, setup = _cut(todo & ~tri, out, y, at, u4, setup)
-        _, _, mode, xm, nrq, p1, xl, xr, c, laml, lamr, p2, p3, p4, s, a = setup
         uu, v = u4[draw] * p4, u4[draw + 1]
+        tri = todo & (uu <= p1)  # Step 10: the triangle accepts at once
+        y, todo = np.where(tri, np.floor(xm - p1 * v + uu), y), todo & ~tri
         log_v = _libm(math.log, v, todo & (uu > p2) & (v > 0.0))  # v == 0 is rejected
         x = xl + (uu - p1) / c
         # Steps 20, 30 and 40: the parallelogram and the two tails
@@ -255,11 +238,9 @@ def _btpe(m: int, r: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.ndarray
         near = tested & ~far
         accept = near & (vk <= _product(a, s, np.where(d > 0.0, mode, mode + d), d, near))
         if far.any():
-            accept |= _step52(m, setup, yk, vk, k, far)
-        y = np.where(accept, yk, y)
-        todo, y, at, u4, setup = _cut(todo & ~accept, out, y, at, u4, setup)
-    out[at] = y
-    return out
+            accept |= _step52(m, r, q, mode, xm, nrq, yk, vk, k, far)
+        y, todo = np.where(accept, yk, y), todo & ~accept
+    return y.astype(np.int64)
 
 
 def _product(a, s, low, d, live) -> np.ndarray:
@@ -284,14 +265,14 @@ def _product(a, s, low, d, live) -> np.ndarray:
     return out
 
 
-def _step52(m: int, setup: np.ndarray, y, v, k, live) -> np.ndarray:
+def _step52(m: int, r, q, mode, xm, nrq, y, v, k, live) -> np.ndarray:
     """BTPE Step 52 at each ``live`` entry, ``y`` being ``k`` from the mode: accept
     when ``A = log(v)`` is below the squeeze, or in it and not above the
     Stirling-series bound.  As in numpy 2.4.6, ``-k * k`` is an int64 product,
     which wraps, and ``z`` and ``w`` are formed from ``n`` as a double."""
     n = float(m)
     keep, accept = np.flatnonzero(_padded(live)), np.zeros(live.size, dtype=bool)
-    r, q, mode, xm, nrq = setup[:5].take(keep, axis=1)
+    r, q, mode, xm, nrq = (a.take(keep) for a in (r, q, mode, xm, nrq))
     y, v, k, live = y.take(keep), v.take(keep), k.take(keep), live.take(keep)
     rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.1666666666666) / nrq + 0.5)
     t = (-k.astype(np.int64) * k.astype(np.int64)) / (2.0 * nrq)

@@ -97,6 +97,31 @@ def test_seeds_outside_the_key_range_are_errors_not_aliases(seed):
             build()
 
 
+@pytest.mark.parametrize("rates", [np.full(5, 0.3), np.full(12, 0.3), 0.3])
+def test_binomial_takes_one_rate_per_entry(rates):
+    # unchecked, 5 rates draw entries 0-4 only, 12 index past the family and
+    # a scalar draws entry 0 alone
+    streams = EntryStreams(3, "shots", np.arange(10), np.zeros(10, dtype=int))
+    message = f"10 entries take 10 rates, got {np.size(rates)}"
+    with pytest.raises(ValueError, match=message):
+        streams.binomial(10, rates)
+
+
+@pytest.mark.parametrize(
+    "i, j, shapes",
+    [
+        (np.arange(4), [0], "(4,), (1,)"),  # unchecked, it broadcasts in round 1 only
+        (np.arange(4), np.arange(5), "(4,), (5,)"),
+        (np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), "(2, 2), (2, 2)"),
+        (3, 4, "(), ()"),
+    ],
+)
+def test_entries_are_two_index_lists_of_one_length(i, j, shapes):
+    message = re.escape(f"i and j must be 1-D of one length, got {shapes}")
+    with pytest.raises(ValueError, match=message):
+        EntryStreams(3, "shots", i, j)
+
+
 def test_seed_must_be_an_integer():
     with pytest.raises(TypeError):
         stream_key(3.0, "pool")
