@@ -177,6 +177,16 @@ def _json_value(value):
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members; a repeated key is an error, not its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     dataset: dict
@@ -234,9 +244,10 @@ class SweepConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "SweepConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        try:  # ValueError: malformed JSON, undecodable bytes or a repeated key
+            text = Path(path).read_text(encoding="utf-8")
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 

@@ -51,7 +51,7 @@ def load_csv(path) -> Dataset:
     mixes the two is rejected.  Errors carry the offending line number.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with linalg.open_text(path) as fh:
         header = fh.readline().strip()
         cols = header.split(",") if header else []
         if len(cols) < 2 or cols[-1] != "label" or cols[:-1] != [

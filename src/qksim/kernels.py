@@ -354,7 +354,7 @@ def load_kernel(path) -> KernelMatrix:
     if sidecar_path.exists():
         try:
             sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or undecodable bytes
             raise ValueError(f"{sidecar_path}: not valid JSON: {exc}") from exc
         if not isinstance(sidecar, dict):
             raise ValueError(f"{sidecar_path}: sidecar must be a JSON object")

@@ -1,7 +1,7 @@
 """Kernel ridge regression with sign-threshold classification.
 
-The classifier solves ``(K + ridge * I) alpha = Y`` for the dual
-coefficients and predicts ``sign(K_cross @ alpha)``, with the tie
+The classifier solves ``(K + ridge * I) alpha = Y`` on K's eigenbasis,
+forming no inverse, and predicts ``sign(K_cross @ alpha)``, with the tie
 ``sign(0) -> +1``.  The squared norm of the implicit primal minimizer is
 ``Y' (K + ridge I)^-1 Y``, exposed as the model-complexity diagnostic.
 """
@@ -69,11 +69,11 @@ def fit_krr(
     y: np.ndarray,
     ridge: float,
 ) -> KernelModel:
-    """Solve the ridge system for the dual coefficients.
+    """Solve the ridge system for the dual coefficients, ``V (V'y / (lam + ridge))``.
 
     The kernel plus ridge must be positive definite; indefinite inputs
     should be calibrated first (or the ridge raised).  A :class:`linalg.Spectrum`
-    argument lends its decomposition.
+    argument lends its decomposition.  No n x n inverse is formed.
     """
     km = linalg.as_matrix(k)
     y = _check_labels(y)
@@ -83,8 +83,7 @@ def fit_krr(
         )
     params = dict(getattr(k, "params", {}) or {})
     params["provenance"] = getattr(k, "provenance", None)
-    dec = linalg.spectrum(k).decomposition
-    alpha = dec.inv_ridge(ridge) @ y
+    alpha = linalg.spectrum(k).decomposition.solve(y, (ridge,))[:, 0]
     return KernelModel(alpha, y.astype(int), ridge, params)
 
 
@@ -153,10 +152,10 @@ def grid_search_rbf(
     """Exhaustive RBF hyperparameter search on a held-out validation set.
 
     Scores the 10 x 18 grid of widths and ridges on one distance table:
-    each width's kernel is decomposed once and solved for all ridges at once,
-    ``alpha = V (V'y / (lam + ridge))``, filling one column of a ridge-major
-    accuracy table.  The first maximum of that table wins; as both grids
-    ascend, ties break toward the smaller ridge, then the smaller gamma.
+    each width's kernel is decomposed once and solved for all ridges at once
+    by :meth:`linalg.EigenDecomposition.solve`, as a fit is, filling one column
+    of a ridge-major accuracy table.  The first maximum of that table wins; as
+    both grids ascend, ties break toward the smaller ridge, then the smaller gamma.
     """
     xtr = np.atleast_2d(np.asarray(x_train, dtype=float))
     ytr = _check_labels(y_train)
@@ -171,9 +170,7 @@ def grid_search_rbf(
     for j, gmul in enumerate(GAMMA_GRID):
         dec = linalg.eig_sym(kernels._rbf_gram_of(d_train, gmul * scale))
         k_val = np.exp(-(gmul * scale) * d_val)  # rbf_cross on the same table
-        shifted = np.stack([dec.shifted(lam) for lam in LAMBDA_GRID], axis=1)
-        v = dec.eigenvectors
-        coef = v @ ((v.T @ ytr)[:, None] / shifted)
+        coef = dec.solve(ytr, LAMBDA_GRID)
         labels = np.where(k_val @ coef >= 0.0, 1, -1)
         table[:, j] = np.mean(labels == yva[:, None], axis=0)
     i, j = np.unravel_index(np.argmax(table), table.shape)

@@ -13,6 +13,7 @@ not depend on it.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,9 +100,12 @@ class EigenDecomposition:
             )
         return shifted
 
-    def inv_ridge(self, ridge: float) -> np.ndarray:
-        """Inverse of ``V diag(lam) V' + ridge * I``; see :func:`inv_ridge`."""
-        return self.reconstruct(1.0 / self.shifted(ridge))
+    def solve(self, y: np.ndarray, ridges: tuple[float, ...]) -> np.ndarray:
+        """``(V diag(lam) V' + r I)^-1 y`` as ``V (V'y / (lam + r))``, one column
+        per ridge ``r``; no n x n matrix is formed."""
+        shifted = np.stack([self.shifted(r) for r in ridges], axis=1)
+        v = self.eigenvectors
+        return v @ ((v.T @ y)[:, None] / shifted)
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
@@ -180,9 +184,11 @@ def inv_ridge(m: np.ndarray | object, ridge: float = 0.0) -> np.ndarray:
     """Inverse of ``m + ridge * I`` through the eigendecomposition.
 
     Raises :class:`SingularMatrixError` when ``lambda_min + ridge`` is not
-    safely positive.
+    safely positive.  The one place an n x n ridge inverse is formed: a fit
+    solves through :meth:`EigenDecomposition.solve` instead.
     """
-    return spectrum(m).decomposition.inv_ridge(ridge)
+    dec = spectrum(m).decomposition
+    return dec.reconstruct(1.0 / dec.shifted(ridge))
 
 
 def spectral_norm(m: np.ndarray | object) -> float:
@@ -254,9 +260,20 @@ def save_matrix_csv(m: np.ndarray | object, path) -> None:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+@contextmanager
+def open_text(path):
+    """``path`` opened as UTF-8 text; an undecodable byte read in the block
+    raises a ValueError that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def load_matrix_csv(path) -> np.ndarray:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.strip()
             if line:

@@ -419,6 +419,25 @@ class TestRepairCarriesTheEigenbasis:
             assert err <= DUAL_RTOL * np.linalg.norm(want.dual_coef)
 
     @pytest.mark.parametrize("name, q, w", equivalence_pairs())
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("ridge", [learner.DEFAULT_QUANTUM_RIDGE, 0.01])
+    def test_fit_matches_the_inverse(self, name, q, w, method, ridge):
+        # the fit solves V (V'y / (lam' + ridge)) on the repair's eigenbasis;
+        # the inverse linalg.inv_ridge forms on that basis gives the same vector
+        # up to rounding, also where a clipped lam' = 0 weights a direction by 1e8
+        y = np.where(np.random.default_rng(len(w)).normal(size=len(w)) >= 0, 1, -1)
+        out = calibrate.repair(calibrate.Spectrum(w, "kernel"), method, DELTA)
+        try:
+            want = linalg.inv_ridge(out, ridge) @ y
+        except linalg.SingularMatrixError:  # "none" on an indefinite W
+            assert failure(learner.fit_krr, out, y, ridge) == failure(
+                linalg.inv_ridge, out, ridge
+            )
+            return
+        got = learner.fit_krr(out, y, ridge).dual_coef
+        assert np.linalg.norm(got - want) <= DUAL_RTOL * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name, q, w", equivalence_pairs())
     @pytest.mark.parametrize("method", calibrate.METHODS)
     def test_carried_spectrum(self, name, q, w, method):
         ws = calibrate.Spectrum(w, "kernel")

@@ -1255,6 +1255,44 @@ class TestExitCodes:
             2, f"runtime error: {sidecar}: {problem}\n"
         )
 
+    @pytest.mark.parametrize("old, new, key", [
+        ('{"dataset"', '{"seeds": [5], "dataset"', "seeds"),
+        ('{"kind": "synthetic"}', '{"kind": "csv", "kind": "synthetic"}', "kind"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_config_key_is_config_error(self, tmp_path, capsys, old, new, key):
+        # these loaded with the last value and the sweep exited 0
+        out = tmp_path / "r.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(output=str(out))).replace(old, new, 1))
+        assert self.main(capsys, "sweep", "--config", str(cfg)) == (
+            1, f"config error: cannot read config {cfg}: repeated key {key!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["config", "data", "matrix", "sidecar"])
+    def test_undecodable_bytes_name_their_file(self, tmp_path, capsys, reader):
+        # each exited 2 with the codec's bare "'utf-8' codec can't decode ...";
+        # a config's bytes are bad input (exit 1), a data file's stay exit 2
+        kernel, data = self.kernel_and_data(tmp_path)
+        out = tmp_path / "o.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(output=str(out))))
+        calibrate = ["calibrate", "--kernel", kernel, "--method", "clip", "--out", str(out)]
+        bad, argv, code, prefix = {
+            "config": (cfg, ["sweep", "--config", str(cfg)], 1,
+                       f"config error: cannot read config {cfg}: "),
+            "data": (Path(data), ["relabel", "--data", data, "--num-qubits", "2",
+                                  "--out", str(out)], 2, f"runtime error: {data}: "),
+            "matrix": (Path(kernel), calibrate, 2, f"runtime error: {kernel}: "),
+            "sidecar": (Path(kernel + ".json"), calibrate, 2,
+                        f"runtime error: {kernel}.json: not valid JSON: "),
+        }[reader]
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        with pytest.raises(UnicodeDecodeError) as decoded:
+            bad.read_bytes().decode("utf-8")
+        assert self.main(capsys, *argv) == (code, f"{prefix}{decoded.value}\n")
+        assert not out.exists()
+
     def test_sweep_without_output_is_config_error(self, tmp_path, capsys):
         assert self.sweep(tmp_path, capsys, small_config()) == (
             1, "config error: no output path (config.output or --out)\n"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qksim import cli, kernels, learner, linalg, qsim
+from qksim import calibrate, cli, kernels, learner, linalg, qsim
 
 from oracles import (
     grid_search_rbf_reference,
@@ -72,6 +72,45 @@ class TestFitKrr:
                 "singular system: lambda_min + ridge = -1.000e-03; "
                 "calibrate the kernel to PSD or increase the ridge"
             )
+
+    @pytest.mark.parametrize("rank, ridge", [(8, 0.3), (8, 1e-8), (3, 1e-3), (3, 1e-8)])
+    def test_dual_coef_matches_the_inverse(self, rank, ridge):
+        # the fit solves V (V'y / (lam + ridge)); the inverse linalg.inv_ridge
+        # forms on the same basis gives the same vector up to rounding, also
+        # where a round-off eigenvalue weights its direction by 1 / ridge
+        rng = np.random.default_rng(rank)
+        b = rng.normal(size=(rank, 8))
+        k = linalg.sym_matrix(b.T @ b / rank)
+        y = np.where(rng.normal(size=8) > 0, 1.0, -1.0)
+        want = linalg.inv_ridge(k, ridge) @ y
+        got = learner.fit_krr(k, y, ridge).dual_coef
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_a_held_decomposition_is_solved_without_a_matrix(self, monkeypatch):
+        # a Spectrum that holds its decomposition, W's own or a repair's
+        # carried one, is fitted with no reconstruct and no decomposition
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(8, 8))
+        psd = linalg.Spectrum(linalg.sym_matrix(b.T @ b / 8))
+        psd.decomposition  # decomposed before the spies are set
+        clipped = calibrate.repair(linalg.sym_matrix(b + b.T), calibrate.CLIP, 0.0)
+        y = np.where(rng.normal(size=8) > 0, 1.0, -1.0)
+        calls = []
+
+        def spy(name, func):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapped
+
+        reconstruct = linalg.EigenDecomposition.reconstruct
+        monkeypatch.setattr(linalg.EigenDecomposition, "reconstruct",
+                            spy("reconstruct", reconstruct))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        for spec in (psd, clipped):
+            learner.fit_krr(spec, y, learner.DEFAULT_QUANTUM_RIDGE)
+        assert calls == []
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
@@ -177,10 +216,11 @@ class TestSpectrumArguments:
         spec = linalg.Spectrum(k)
         gram = kernels.KernelMatrix(k, kernels.IDEAL)
         for ridge in (1e-8, 0.5):
-            inv = linalg.eig_sym(k).inv_ridge(ridge)  # the unshared path
+            alpha = linalg.eig_sym(k).solve(y, (ridge,))[:, 0]  # the unshared path
+            inv = linalg.inv_ridge(k, ridge)
             for arg in (k, gram, spec):
                 assert learner.fit_krr(arg, y, ridge).dual_coef.tobytes() == (
-                    (inv @ y).tobytes()
+                    alpha.tobytes()
                 )
                 assert learner.model_complexity_c1(arg, y, ridge) == float(y @ inv @ y)
 

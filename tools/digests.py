@@ -12,7 +12,8 @@ of this checkout's ``src/``, and its records are written as ``qksim sweep``
 writes them (CSV), with one BLAS thread as in the benchmark's children.  One
 line per pair, ``<workload> <seed> <sha256>``; at the digest seed a note says
 whether it equals the digest ``bench/expected.json`` pins for this platform.
-Diff the output of two checkouts to see that a change keeps every bit.
+Diff the output of two checkouts to see that a change keeps every bit.  The exit
+status is 1 when a pinned digest differs, else 0, so the script can gate a change.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ def main() -> int:
     from qksim import cli
 
     env = bench.environment()
+    differs = False
     for workload, spec in bench.WORKLOADS.items():
         pinned = bench.pinned_digest(workload, env)
         for seed in SEEDS:
@@ -50,8 +52,9 @@ def main() -> int:
             note = ""
             if seed == bench.DIGEST_SEED and pinned is not None:
                 note = "  pinned" if sha == pinned else "  DIFFERS FROM PINNED"
+                differs |= sha != pinned
             print(f"{workload} {seed} {sha}{note}", flush=True)
-    return 0
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
