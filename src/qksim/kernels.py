@@ -349,6 +349,9 @@ def save_kernel(kernel: KernelMatrix, path) -> None:
 def load_kernel(path) -> KernelMatrix:
     path = Path(path)
     matrix = linalg.load_matrix_csv(path)
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: row {int(np.argmax(bad)) + 1} has a non-finite entry")
     sidecar_path = path.with_suffix(path.suffix + ".json")
     provenance, params = IDEAL, {}
     if sidecar_path.exists():

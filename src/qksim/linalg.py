@@ -262,9 +262,9 @@ def save_matrix_csv(m: np.ndarray | object, path) -> None:
 
 @contextmanager
 def open_text(path):
-    """``path`` opened as UTF-8 text; an undecodable byte read in the block
-    raises a ValueError that names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """``path`` opened as UTF-8 text, less a leading byte-order mark; an
+    undecodable byte read in the block raises a ValueError that names the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -34,24 +34,48 @@ def spin_table(num_qubits: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
+_SLAB = 1 << 16  # amplitudes in one slab of the Hadamard wall, sized for the cache
+
+
+def _butterfly(lo: np.ndarray, hi: np.ndarray, diff: np.ndarray) -> None:
+    """H on one qubit's pairs in place: (lo, hi) <- (lo + hi, lo - hi)."""
+    np.subtract(lo, hi, out=diff)
+    lo += hi
+    hi[...] = diff
+
+
 def _hadamard_wall(psi: np.ndarray, num_qubits: int) -> None:
-    """Apply H on every qubit in place: one butterfly per qubit, bit 0 first."""
+    """Apply H on every qubit in place, bit 0 first, then scale by 2^(-N/2).
+
+    Rows go in aligned slabs of ``rows``, the largest power of two with at
+    most ``_SLAB`` amplitudes per slab (two rows if one row is wider).  A
+    qubit whose pairs lie ``rows`` or more apart streams over the array in
+    slabs of pairs; then each slab goes through every nearer qubit and the
+    scale while it is in cache.  Each amplitude gets the same float
+    operations in the same order as from one full-array pass per qubit.
+    """
     dim, cols = psi.shape
-    for q in range(num_qubits):
-        pairs = psi.reshape(1 << q, 2, dim >> (q + 1), cols)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        del diff  # free it before the next qubit allocates its own
-    psi *= 2.0 ** (-num_qubits / 2.0)
+    rows = min(dim, 1 << max(1, (_SLAB // max(cols, 1)).bit_length() - 1))
+    diff = np.empty((rows // 2, cols), dtype=psi.dtype)  # every lo - hi of the wall
+    gaps = [dim >> (q + 1) for q in range(num_qubits)]  # rows between a qubit's pair
+    for gap in (g for g in gaps if g >= rows):
+        for block in psi.reshape(dim // (2 * gap), 2, 2 * gap // rows, rows // 2, cols):
+            for lo, hi in zip(block[0], block[1]):
+                _butterfly(lo, hi, diff)
+    for slab in psi.reshape(dim // rows, rows, cols):
+        for gap in (g for g in gaps if g < rows):
+            pairs = slab.reshape(rows // (2 * gap), 2, gap, cols)
+            _butterfly(pairs[:, 0], pairs[:, 1], diff.reshape(rows // (2 * gap), gap, cols))
+        slab *= 2.0 ** (-num_qubits / 2.0)
 
 
 def feature_states(x_rows: np.ndarray) -> np.ndarray:
     """Encode each row of an (n, N) feature matrix; returns (n, 2^N) amplitudes.
 
     Uses the identity sum_{j<j'} x_j x_j' z_j z_j' = (s^2 - ||x||^2) / 2
-    with s = sum_j x_j z_j, so the phase table costs O(2^N) per row.
+    with s = sum_j x_j z_j, so the phase table costs O(2^N) per row.  The
+    phases are built in place, so while the wall runs no (2^N, n) array but
+    ``phase`` and ``psi`` is alive.
     """
     x = np.atleast_2d(np.asarray(x_rows, dtype=float))
     if x.ndim != 2:
@@ -66,10 +90,15 @@ def feature_states(x_rows: np.ndarray) -> np.ndarray:
     dim = 1 << num_qubits
     z = spin_table(num_qubits).astype(float)
     s = z @ x.T  # (dim, n)
-    theta = s + 0.5 * (s**2 - np.sum(x**2, axis=1)[None, :])
-    del s  # the peak then holds phase, psi and the wall's half-size temporary
-    phase = np.exp(1j * theta)
-    del theta
+    theta = s * s  # s + (s^2 - ||x||^2) / 2, built in place
+    theta -= np.sum(x**2, axis=1)
+    theta *= 0.5
+    theta += s
+    del s
+    phase = np.empty((dim, n), dtype=complex)
+    np.multiply(1j, theta, out=phase)
+    del theta  # the peak then holds phase and psi, and no other (dim, n) array
+    np.exp(phase, out=phase)
     psi = np.full((dim, n), 2.0 ** (-num_qubits / 2.0), dtype=complex)  # H|0...0>
     psi *= phase
     _hadamard_wall(psi, num_qubits)

@@ -1203,6 +1203,19 @@ class TestExitCodes:
                 2, f"runtime error: {ragged}: {error}\n"
             )
 
+    @pytest.mark.parametrize("flag", ["--kernel", "--reference"])
+    def test_non_finite_kernel_entry_names_its_file_and_row(self, tmp_path, capsys, flag):
+        kernel, data = self.kernel_and_data(tmp_path)
+        bad = tmp_path / "bad.csv"
+        argv = ["calibrate", "--kernel", kernel, "--reference", kernel,
+                "--method", "clip", "--out", str(tmp_path / "o.csv")]
+        argv[argv.index(flag) + 1] = str(bad)
+        for text, row in [("1.0,0.5\n0.5,1e400\n", 2), ("\nnan,0.5\n0.5,1.0\n", 1)]:
+            bad.write_text(text)
+            assert self.main(capsys, *argv) == (
+                2, f"runtime error: {bad}: row {row} has a non-finite entry\n"
+            )
+
     def test_bound_without_num_qubits_is_config_error(self, tmp_path, capsys):
         kernel, data = self.kernel_and_data(tmp_path)
         assert self.main(capsys, "bound", "--kernel", kernel, "--data", data) == (

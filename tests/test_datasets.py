@@ -62,6 +62,13 @@ class TestCsvIO:
         with pytest.raises(ValueError, match="label"):
             datasets.load_csv(path)
 
+    def test_a_leading_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbff0,label\n0.5,1\n-2,-1\n")
+        ds = datasets.load_csv(path)
+        assert np.array_equal(ds.features, [[0.5], [-2.0]])
+        assert np.array_equal(ds.labels, [1, -1])
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n")

@@ -510,3 +510,8 @@ class TestMatrixCsv:
         message = r"m\.csv: row 3 has 2 entries, row 1 has 3$"
         with pytest.raises(ValueError, match=message):
             linalg.load_matrix_csv(path)
+
+    def test_a_leading_byte_order_mark_is_not_part_of_the_first_entry(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,0.5\n0.5,1\n")
+        assert np.array_equal(linalg.load_matrix_csv(path), [[1.0, 0.5], [0.5, 1.0]])
