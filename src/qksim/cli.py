@@ -245,7 +245,7 @@ class SweepConfig:
     @classmethod
     def from_json_file(cls, path) -> "SweepConfig":
         try:  # ValueError: malformed JSON, undecodable bytes or a repeated key
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")  # less a byte-order mark
             raw = json.loads(text, object_pairs_hook=_unique_keys)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -390,8 +390,9 @@ class PoolContext:
     geometric_difference: float
 
 
-def _project_features(feats: np.ndarray, num_qubits: int) -> np.ndarray:
-    """PCA-project csv features to ``num_qubits`` columns; fewer is an error."""
+def _csv_features(path, num_qubits: int) -> np.ndarray:
+    """A csv dataset's features, PCA-projected to ``num_qubits`` columns; fewer is an error."""
+    feats = datasets.load_csv(path).features
     if feats.shape[1] > num_qubits:
         return datasets.pca(feats, num_qubits)
     if feats.shape[1] < num_qubits:
@@ -405,8 +406,9 @@ def _load_pool_features(config: SweepConfig, n_pool: int, seed: int) -> np.ndarr
     if config.dataset["kind"] == "synthetic":
         ds = datasets.generate_synthetic(n_pool, config.num_qubits, seed)
         return ds.features
-    ds = datasets.load_csv(config.dataset["path"])
-    feats = _project_features(ds.features, config.num_qubits)
+    feats = config.dataset.get("features")  # run_sweep's, read once
+    if feats is None:
+        feats = _csv_features(config.dataset["path"], config.num_qubits)
     if feats.shape[0] < n_pool:
         raise ConfigError(
             f"csv has {feats.shape[0]} rows, need {n_pool} for this sweep cell"
@@ -601,6 +603,9 @@ def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
 
 
 def run_sweep(config: SweepConfig) -> list[ResultRecord]:
+    if config.dataset["kind"] == "csv":  # read once: a bad file fails the run, not each record
+        feats = _csv_features(config.dataset["path"], config.num_qubits)
+        config = dataclasses.replace(config, dataset=dict(config.dataset, features=feats))
     records = []
     for n in config.train_sizes:
         for seed in config.seeds:
@@ -628,7 +633,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
+    feats = _csv_features(args.data, args.num_qubits)
     gram = kernels.gram_ideal(feats)
     if args.p_tilde > 0.0 or args.shots is not kernels.INF_SHOTS:
         fix_diagonal = not args.sample_diagonal
@@ -693,7 +698,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_relabel(args) -> int:
-    feats = _project_features(datasets.load_csv(args.data).features, args.num_qubits)
+    feats = _csv_features(args.data, args.num_qubits)
     _, _, gamma, labels = _engineer_labels(feats, args.gamma_scale, args.ridge)
     relabel = {"num_qubits": args.num_qubits, "ridge": args.ridge, "gamma": gamma}
     meta = {"relabel": relabel, "source": str(args.data)}

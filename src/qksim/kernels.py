@@ -119,10 +119,14 @@ def gram_ideal(x_rows: np.ndarray) -> KernelMatrix:
     entries in [0, 1].
     """
     x = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    # clip((|o|**2 + (|o|**2).T) / 2, 0, 1) of the overlaps o, bit for bit, fewer arrays
     states = qsim.feature_states(x)
-    overlap = states @ states.conj().T
-    g = np.abs(overlap) ** 2
-    g = np.clip((g + g.T) / 2.0, 0.0, 1.0)
+    g = np.abs(states @ states.conj().T)
+    del states
+    g *= g
+    g = np.add(g, g.T)
+    g /= 2.0
+    np.clip(g, 0.0, 1.0, out=g)
     np.fill_diagonal(g, 1.0)
     return KernelMatrix(
         matrix=g, provenance=IDEAL, params={"num_qubits": x.shape[1]}
@@ -356,7 +360,7 @@ def load_kernel(path) -> KernelMatrix:
     provenance, params = IDEAL, {}
     if sidecar_path.exists():
         try:
-            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8-sig"))
         except ValueError as exc:  # malformed JSON or undecodable bytes
             raise ValueError(f"{sidecar_path}: not valid JSON: {exc}") from exc
         if not isinstance(sidecar, dict):

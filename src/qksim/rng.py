@@ -11,11 +11,13 @@ p)`` per entry; no entry is drawn from a scalar stream.  Grouped by the
 algorithm numpy's binomial takes, the entries get their Philox4x64-10 blocks
 at once (Salmon et al., SC'11), on which numpy's inversion or BTPE
 (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) is replayed as its C code
-reads, each step a pass over a chunk's arrays masked to the entries it acts
-on.  Block 1 depends on neither ``m`` nor ``p``: the family makes its doubles
-once, so a sweep cell draws it once per role.  ``log`` and ``exp`` come from
-``math``, the C library numpy's binomial calls, never from numpy's SIMD
-versions, which differ from it in the last bit on some inputs.
+reads, each step a pass over a chunk's arrays: BTPE's masked to the entries it
+acts on, inversion's unmasked (a stopped walk is never read again), and Step
+50's product one ``reduceat`` fold over each entry's run of terms.  Block 1
+depends on neither ``m`` nor ``p``: the family makes its doubles once, so a
+sweep cell draws it once per role.  ``log`` and ``exp`` come from ``math``, the
+C library numpy's binomial calls, never from numpy's SIMD versions, which
+differ from it in the last bit on some inputs.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bump per round
 _CHUNK = 4096  # entries per array pass; bounds the temporaries' memory
 _MIN_LIVE = 128  # fewest entries gathered into new arrays: 1 KiB of float64
+_PART = 2048  # slots of Step 50's terms laid out at once; bounds their memory
 
 
 def role_tag(role: str) -> int:
@@ -107,7 +110,7 @@ def _mulhilo(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
 
 class EntryStreams:
     """The ``(seed, role, i[k], j[k])`` streams of fixed entries, drawn a kernel
-    at a time in masked array passes; block 1's doubles, read by round 1, made once."""
+    at a time in array passes; block 1's doubles, read by round 1, made once."""
 
     def __init__(self, seed: int, role: str, i, j):
         stream_key(seed, role)  # a bad seed fails here, before any draw
@@ -174,17 +177,17 @@ def _inversion(m: int, p: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.nd
     n = float(m)
     mean = n * p
     limit = np.minimum(n, mean + 10.0 * np.sqrt(mean * (1.0 - p) + 1.0)).astype(np.int64)
-    x = np.zeros(p.size, dtype=float if m <= 2**53 else np.int64)  # m - x + 1 exact
-    bound, q, u = limit.astype(x.dtype), 1.0 - p, u4[0].copy()  # u is walked down in place
+    out, q, u = np.zeros(p.size, dtype=np.int64), 1.0 - p, u4[0].copy()  # u walks down in place
     px = _libm(math.exp, n * _libm(math.log1p, -p, todo), todo)
-    walk = todo & (u > px)
-    while walk.any():
-        x += walk
-        walk &= x <= bound
-        np.subtract(u, px, out=u, where=walk)
-        np.divide((m - x + 1) * p * px, x * q, out=px, where=walk)
-        walk &= u > px
-    out = x.astype(np.int64)
+    walk, x = todo & (u > px), 0  # every walking entry is at x
+    with np.errstate(all="ignore"):  # a stopped walk's u and px, never read again
+        while walk.any():
+            x += 1
+            out += walk
+            walk &= limit >= x
+            u -= px
+            px = (m - x + 1) * p * px / (x * q)  # x and m - x + 1 exact as Python ints
+            walk &= u > px
     restart = todo & (out > limit)
     if restart.any():
         again = _inversion(m, p, u4[1:], restart) if len(u4) > 1 else -1
@@ -219,19 +222,15 @@ def _btpe(m: int, r: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.ndarray
         log_v = _libm(math.log, v, todo & (uu > p2) & (v > 0.0))  # v == 0 is rejected
         x = xl + (uu - p1) / c
         # Steps 20, 30 and 40: the parallelogram and the two tails
-        yk = np.select(
-            [uu <= p2, uu <= p3],
-            [np.floor(x), np.floor(xl + log_v / laml)],
-            np.floor(xr - log_v / lamr),
-        )
-        vk = np.select(
-            [uu <= p2, uu <= p3],
-            [v * c + 1.0 - np.abs(mode - x + 0.5) / p1, v * (uu - p2) * laml],
-            v * (uu - p3) * lamr,
+        para, left = uu <= p2, uu <= p3
+        yk = np.floor(np.where(para, x, np.where(left, xl + log_v / laml, xr - log_v / lamr)))
+        vk = np.where(
+            para, v * c + 1.0 - np.abs(mode - x + 0.5) / p1,
+            np.where(left, v * (uu - p2) * laml, v * (uu - p3) * lamr),
         )
         # rejections: v > 1 in the parallelogram; v == 0 or y off [0, n] in a
         # tail (the left tail never exceeds n and the right never drops below 0)
-        tested = todo & np.where(uu <= p2, vk <= 1.0, (v > 0.0) & (yk >= 0.0) & (yk <= n))
+        tested = todo & np.where(para, vk <= 1.0, (v > 0.0) & (yk >= 0.0) & (yk <= n))
         d = np.where(tested, yk - mode, 0.0)
         k = np.abs(d)
         far = tested & (k > 20.0) & (k < nrq / 2.0 - 1.0)  # Step 52, else Step 50
@@ -246,22 +245,31 @@ def _btpe(m: int, r: np.ndarray, u4: np.ndarray, todo: np.ndarray) -> np.ndarray
 def _product(a, s, low, d, live) -> np.ndarray:
     """BTPE Step 50's ``F`` at each ``live`` entry, 1 elsewhere: the ``|d|`` terms
     ``a / i - s``, ``i`` running up from ``low + 1``, multiplied when ``d > 0``
-    and divided when ``d < 0``, in numpy's order.  Sorted longest first, the
-    entries still multiplying are a prefix, stepped in place."""
-    keep, k = np.flatnonzero(_padded(live)), np.where(live, -np.abs(d), 0.0)
-    order = keep.take(np.argsort(k.take(keep)))
-    k, a, s, low, up = (v.take(order) for v in (k, a, s, low, d > 0.0))
-    f, term, down = np.ones(k.size), np.empty(k.size), ~up
-    for t in range(1, int(-k[:1].sum()) + 1):
-        end = np.searchsorted(k, -t, side="right")  # the entries with |d| >= t
-        fe, te = f[:end], term[:end]
-        np.add(low[:end], t, out=te)
-        np.divide(a[:end], te, out=te)
-        np.subtract(te, s[:end], out=te)
-        np.multiply(fe, te, out=fe, where=up[:end])
-        np.divide(fe, te, out=fe, where=down[:end])
+    and divided when ``d < 0``, in numpy's order.  Each entry's terms lie in one
+    run behind a leading 1.0, which ``reduceat`` folds left to right, exactly;
+    the runs are laid out in parts of about ``_PART`` slots."""
     out = np.ones(d.size)
-    out[order] = f
+    for fold, at in ((np.multiply, live & (d > 0.0)), (np.divide, live & (d < 0.0))):
+        at = np.flatnonzero(at)
+        a_at, s_at, low_at = a.take(at), s.take(at), low.take(at)
+        size = np.abs(d.take(at)).astype(np.int64) + 1
+        end = np.cumsum(size)
+        start, lo = end - size, 0
+        while lo < at.size:  # runs lo to hi - 1, one run at least
+            base = start[lo]
+            hi = max(lo + 1, int(np.searchsorted(end, base + _PART, side="right")))
+            n, first = size[lo:hi], start[lo:hi] - base  # each run's leading slot
+            i = np.arange(end[hi - 1] - base)
+            i -= np.repeat(first, n)  # 0 at the leading slots
+            term = np.repeat(low_at[lo:hi], n)
+            term += i  # low + i, as numpy adds them
+            del i  # two arrays of the part alive at most
+            with np.errstate(divide="ignore"):  # a leading slot's low may be 0
+                np.divide(np.repeat(a_at[lo:hi], n), term, out=term)
+            term -= np.repeat(s_at[lo:hi], n)
+            term[first] = 1.0
+            out[at[lo:hi]] = fold.reduceat(term, first)
+            lo = hi
     return out
 
 

@@ -107,6 +107,41 @@ def feature_states_reference(x_rows: np.ndarray) -> np.ndarray:
     return psi.T
 
 
+def gram_ideal_formula(x_rows: np.ndarray) -> np.ndarray:
+    """``kernels.gram_ideal``'s matrix as one expression per step, each a new
+    array: ``clip((|o|**2 + (|o|**2).T) / 2, 0, 1)`` with a unit diagonal, ``o``
+    the overlaps of the encoded states.  The in-place version must match it bit
+    for bit."""
+    states = qsim.feature_states(np.atleast_2d(np.asarray(x_rows, dtype=float)))
+    g = np.abs(states @ states.conj().T) ** 2
+    g = np.clip((g + g.T) / 2.0, 0.0, 1.0)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def step50_product_loop(a, s, low, d, live) -> np.ndarray:
+    """BTPE Step 50's ``F`` by one pass per term index: sorted longest first,
+    the live entries that still have a term ``t`` are a prefix, whose ``F`` is
+    multiplied (``d > 0``) or divided (``d < 0``) by ``a / (low + t) - s`` in
+    place; 1 elsewhere.  ``rng._product``'s segmented fold must match it bit
+    for bit."""
+    keep, k = np.flatnonzero(live), np.where(live, -np.abs(d), 0.0)
+    order = keep.take(np.argsort(k.take(keep)))
+    k, a, s, low, up = (v.take(order) for v in (k, a, s, low, d > 0.0))
+    f, term, down = np.ones(k.size), np.empty(k.size), ~up
+    for t in range(1, int(-k[:1].sum()) + 1):
+        end = np.searchsorted(k, -t, side="right")  # the entries with |d| >= t
+        fe, te = f[:end], term[:end]
+        np.add(low[:end], t, out=te)
+        np.divide(a[:end], te, out=te)
+        np.subtract(te, s[:end], out=te)
+        np.multiply(fe, te, out=fe, where=up[:end])
+        np.divide(fe, te, out=fe, where=down[:end])
+    out = np.ones(d.size)
+    out[order] = f
+    return out
+
+
 def shot_means_reference(probs: np.ndarray, m: int, seed: int, role: str, entries):
     """Per-entry loop: the mean of ``m`` draws from a fresh ``(seed, role, i, j)``
     stream at each listed ``(i, j)``; unlisted entries stay NaN.  The array

@@ -430,6 +430,40 @@ class TestStagedSweep:
             assert rec.ridge is None and rec.geometric_difference is None
             assert rec.train_accuracy is None
 
+    def test_a_csv_dataset_is_read_and_projected_once_per_sweep(self, tmp_path, monkeypatch):
+        # it was read and PCA-projected in every cell's build_pool
+        ds = datasets.generate_synthetic(30, 3, 3)
+        path = tmp_path / "wide.csv"
+        datasets.save_csv(ds, path)
+        config = cli.SweepConfig.from_dict(small_config(
+            dataset={"kind": "csv", "path": str(path)}, train_sizes=[4, 8], test_size=6,
+        ))
+        want = [cli.build_pool(config, n, seed) for n in (4, 8) for seed in (0, 1)]
+        reads, projections, got = [], [], []
+        load_csv, pca, build_pool = datasets.load_csv, datasets.pca, cli.build_pool
+
+        def spy_load(p):
+            reads.append(p)
+            return load_csv(p)
+
+        def spy_pca(x, k):
+            projections.append(k)
+            return pca(x, k)
+
+        def spy_pool(*args):
+            got.append(build_pool(*args))
+            return got[-1]
+
+        monkeypatch.setattr(datasets, "load_csv", spy_load)
+        monkeypatch.setattr(datasets, "pca", spy_pca)
+        monkeypatch.setattr(cli, "build_pool", spy_pool)
+        records = cli.run_sweep(config)
+        assert (reads, projections) == ([str(path)], [2])
+        assert all(r.error is None for r in records)
+        assert [pool.features.tobytes() for pool in got] == [
+            pool.features.tobytes() for pool in want
+        ]
+
     def test_each_stage_runs_once_where_it_varies(self, monkeypatch):
         calls = {"shots": [], "cross": [], "encoded_cross": [], "c1": [], "q_inv": []}
         sample_shots, sample_cross = kernels.sample_shots, kernels.sample_cross
@@ -1304,6 +1338,30 @@ class TestExitCodes:
         with pytest.raises(UnicodeDecodeError) as decoded:
             bad.read_bytes().decode("utf-8")
         assert self.main(capsys, *argv) == (code, f"{prefix}{decoded.value}\n")
+        assert not out.exists()
+
+    def test_a_config_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # it exited 1 with "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        out = tmp_path / "r.csv"
+        cfg = tmp_path / "cfg.json"
+        raw = small_config(output=str(out), shots=["inf"], noise_rates=[0.0], seeds=[0])
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps(raw).encode("utf-8"))
+        assert self.main(capsys, "sweep", "--config", str(cfg)) == (0, "")
+        assert cli.load_results(out) == cli.run_sweep(cli.SweepConfig.from_dict(raw))
+
+    @pytest.mark.parametrize("dataset", ["undecodable", "missing"])
+    def test_an_unreadable_csv_dataset_ends_the_sweep(self, tmp_path, capsys, dataset):
+        # an undecodable file exited 0, with its error in every record
+        path = tmp_path / "bad.csv"
+        if dataset == "undecodable":
+            datasets.save_csv(datasets.generate_synthetic(20, 2, 3), path)
+            path.write_bytes(b"\xff" + path.read_bytes())
+        out = tmp_path / "r.csv"
+        raw = small_config(dataset={"kind": "csv", "path": str(path)}, output=str(out))
+        code, err = self.sweep(tmp_path, capsys, raw)
+        assert code == 2
+        assert err.startswith("runtime error: ") and str(path) in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_sweep_without_output_is_config_error(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qksim import cli, kernels, rng
 from qksim.rng import EntryStreams, stream
 
-from oracles import gram_density_trace, shot_means_reference
+from oracles import gram_density_trace, gram_ideal_formula, shot_means_reference
 
 
 def make_noise(p_tilde=0.0, layers=8, mixing=kernels.MIX_INVERSE_DIM):
@@ -58,6 +58,13 @@ class TestGramIdeal:
         got = kernels.gram_ideal(x).matrix
         want = gram_density_trace(x)
         assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "num_qubits, rows", [(1, 1), (1, 4), (2, 7), (2, 301), (7, 13), (12, 1), (12, 9)]
+    )
+    def test_in_place_steps_keep_the_formula_bits(self, num_qubits, rows):
+        x = np.random.default_rng(rows).uniform(-2, 2, size=(rows, num_qubits))
+        assert kernels.gram_ideal(x).matrix.tobytes() == gram_ideal_formula(x).tobytes()
 
     def test_psd_and_range(self):
         rng = np.random.default_rng(9)
@@ -479,6 +486,7 @@ def sweep_gram(sweep_pool):
 class TestArraySampler:
     """The array pass draws every entry with its scalar stream's bits."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # stopped walks step unmasked
     @pytest.mark.parametrize("m", [1, 2, 10, 100, 1000, 10**6, 2**53 + 1, 2**63 - 1])
     def test_edge_cases_match_streams(self, m):
         at30 = 30.0 / m  # m p = 30 switches numpy from inversion to BTPE
@@ -497,6 +505,7 @@ class TestArraySampler:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert w[i, j] == stream(6, "shots", i, j).binomial(m, probs[i, j]) / m
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("m, p", [(1000, 0.001), (2**63 - 1, 1e-18)])
     def test_inversion_restarts_match_the_stream(self, monkeypatch, m, p):
         # Binomial(1000, 0.001) walks to X = 15 at most; a uniform past the
@@ -540,6 +549,22 @@ class TestArraySampler:
         blocks = count_blocks(monkeypatch)
         assert_draws_match_streams(m, [p], reps=400)
         assert squeezed[0] > 0 and blocks[0] >= 2
+
+    @pytest.mark.parametrize("m", [61, 62, 75, 100, 137, 200])
+    def test_long_step50_products_match_streams(self, monkeypatch, m):
+        # just above m p = 30, n p q is below 42, so no candidate reaches Step
+        # 52 and a tail candidate's Step 50 product runs over dozens of terms
+        reach, product = [0], rng._product
+
+        def spy(a, s, low, d, live):
+            reach[0] = max(reach[0], int(np.abs(d[live]).max(initial=0.0)))
+            return product(a, s, low, d, live)
+
+        monkeypatch.setattr(rng, "_product", spy)
+        at30 = 30.0 / m
+        probs = [np.nextafter(at30, 1.0)] + [min(at30 * f, 0.5) for f in (1.001, 1.02, 1.1)]
+        assert_draws_match_streams(m, probs + [1.0 - p for p in probs], reps=100)
+        assert reach[0] > 20
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
@@ -767,3 +792,14 @@ class TestKernelIO:
         assert np.array_equal(back.matrix, q.matrix)
         assert back.provenance == kernels.IDEAL
         assert back.params["num_qubits"] == 2
+
+    def test_a_sidecar_byte_order_mark_is_skipped(self, tmp_path):
+        # it failed as "not valid JSON: Unexpected UTF-8 BOM"
+        q = kernels.gram_ideal(np.random.default_rng(21).uniform(-1, 1, size=(3, 2)))
+        noisy = kernels.KernelMatrix(q.matrix, kernels.NOISY_EXPECTATION, {"num_qubits": 2})
+        path = tmp_path / "gram.csv"
+        kernels.save_kernel(noisy, path)
+        sidecar = tmp_path / "gram.csv.json"
+        sidecar.write_bytes(b"\xef\xbb\xbf" + sidecar.read_bytes())
+        back = kernels.load_kernel(path)
+        assert (back.provenance, back.params) == (kernels.NOISY_EXPECTATION, {"num_qubits": 2})

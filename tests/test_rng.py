@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qksim import rng
 from qksim.rng import EntryStreams, philox_block, role_tag, stream, stream_key
+
+from oracles import step50_product_loop
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qksim"
 
@@ -172,3 +175,44 @@ def test_array_draws_take_transcendentals_from_libm():
     )
     assert [f for f in ("np.log", "np.exp", "np.expm1") if f in source] == []
     assert "math.log1p" in source and "math.exp" in source and "math.log" in source
+
+
+def step50_arguments(gen, size, reach):
+    """Random ``rng._product`` arguments as BTPE makes them at ``m`` trials:
+    ``s = r / (1 - r)``, ``a = s (m + 1)``, integral ``d`` in ``[-reach, reach]``
+    with ``y = mode + d >= 0``, and ``low`` the mode above it or ``y`` below it."""
+    m = int(gen.integers(61, gen.choice([200, 10**6])))
+    r = gen.uniform(30.0 / m, 0.5, size)
+    s = r / (1.0 - r)
+    a = s * float(m + 1)
+    mode = np.floor(m * r + r)
+    d = np.maximum(gen.integers(-reach, reach + 1, size).astype(float), -mode)
+    return a, s, np.where(d > 0.0, mode, mode + d), d
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # runs down to y = 0 start at low = 0
+@pytest.mark.parametrize("trial", range(40))
+def test_step50_fold_equals_the_term_loop(trial):
+    gen = np.random.default_rng(trial)
+    size = int(gen.choice([0, 1, 2, 7, 129, 300, 4096]))
+    a, s, low, d = step50_arguments(gen, size, int(gen.choice([0, 1, 5, 40, 300])))
+    d[gen.random(size) < 0.1] = 0.0  # a live entry with no term keeps F = 1
+    live = gen.random(size) < gen.choice([0.0, 0.3, 1.0])
+    got = rng._product(a, s, low, d, live)
+    assert got.tobytes() == step50_product_loop(a, s, low, d, live).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_step50_run_longer_than_a_part_is_folded_whole(sign):
+    # a run that fills more than one part is laid out alone, in one part;
+    # m = 10**6 and r = 0.1 put the mode at 100000
+    a, s = np.full(50, 10**6 + 1) / 9.0, np.full(50, 1.0 / 9.0)
+    d = np.random.default_rng(5).integers(-30, 31, 50).astype(float)
+    d[[0, 17, 49]] = sign * (rng._PART + 500), -sign * 2 * rng._PART, sign * rng._PART
+    low = np.where(d > 0.0, 1e5, 1e5 + d)
+    live = np.ones(50, dtype=bool)
+    got = rng._product(a, s, low, d, live)
+    assert got.tobytes() == step50_product_loop(a, s, low, d, live).tobytes()
+    assert np.all(got[[0, 17, 49]] != 1.0)
+
