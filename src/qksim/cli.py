@@ -402,19 +402,19 @@ def _csv_features(path, num_qubits: int) -> np.ndarray:
     return feats
 
 
-def _load_pool_features(config: SweepConfig, n_pool: int, seed: int) -> np.ndarray:
+def _load_pool_features(config: SweepConfig, n_pool: int, seed: int, csv_rows=None):
+    """A cell's pool: synthetic rows, or rows of a csv dataset's ``csv_rows``."""
     if config.dataset["kind"] == "synthetic":
         ds = datasets.generate_synthetic(n_pool, config.num_qubits, seed)
         return ds.features
-    feats = config.dataset.get("features")  # run_sweep's, read once
-    if feats is None:
-        feats = _csv_features(config.dataset["path"], config.num_qubits)
-    if feats.shape[0] < n_pool:
+    if csv_rows is None:
+        raise TypeError("a csv dataset's rows are read once per sweep and passed in")
+    if csv_rows.shape[0] < n_pool:
         raise ConfigError(
-            f"csv has {feats.shape[0]} rows, need {n_pool} for this sweep cell"
+            f"csv has {csv_rows.shape[0]} rows, need {n_pool} for this sweep cell"
         )
-    perm = stream(seed, "pool").permutation(feats.shape[0])
-    return feats[np.sort(perm[:n_pool])]
+    perm = stream(seed, "pool").permutation(csv_rows.shape[0])
+    return csv_rows[np.sort(perm[:n_pool])]
 
 
 def _engineer_labels(feats: np.ndarray, gamma_scale: float, ridge: float):
@@ -426,13 +426,13 @@ def _engineer_labels(feats: np.ndarray, gamma_scale: float, ridge: float):
     return q_all, k_all, gamma, labels
 
 
-def build_pool(config: SweepConfig, n: int, seed: int) -> PoolContext:
+def build_pool(config: SweepConfig, n: int, seed: int, csv_rows=None) -> PoolContext:
     """Pooled features, engineered labels, split, ideal kernels, diagnostics.
 
     The ideal train kernel and cross block are sliced from the pool's Gram
     matrix, so no row is encoded twice."""
     n_pool = n + config.test_size
-    feats = _load_pool_features(config, n_pool, seed)
+    feats = _load_pool_features(config, n_pool, seed, csv_rows)
     q_all, k_all, _, labels = _engineer_labels(
         feats, config.relabel_gamma_scale, config.ridge
     )
@@ -489,7 +489,7 @@ def _sampled_kernel(
 
 def _quantum_record(
     config: SweepConfig, cell: dict, point: dict,
-    n: int, m, p_tilde: float, method: str, seed: int,
+    n: int, m, p_tilde: float, method: str, seed: int, csv_rows=None,
 ) -> ResultRecord:
     """One record, its fields filled in order; ``cell`` keeps the stages of its
     (train size, seed) cell and ``point`` those of its (shots, noise rate)."""
@@ -503,7 +503,7 @@ def _quantum_record(
         seed=seed,
     )
     try:
-        pool = _once(cell, "pool", build_pool, config, n, seed)
+        pool = _once(cell, "pool", build_pool, config, n, seed, csv_rows)
         rec.ridge = config.ridge
         rec.geometric_difference = pool.geometric_difference
         y_train, num_qubits = pool.y_train, config.num_qubits
@@ -555,7 +555,9 @@ def _quantum_record(
     return rec
 
 
-def _rbf_record(config: SweepConfig, cell: dict, n: int, seed: int) -> ResultRecord:
+def _rbf_record(
+    config: SweepConfig, cell: dict, n: int, seed: int, csv_rows=None
+) -> ResultRecord:
     rec = ResultRecord(
         kind=RBF_BASELINE,
         n=n,
@@ -564,7 +566,7 @@ def _rbf_record(config: SweepConfig, cell: dict, n: int, seed: int) -> ResultRec
         seed=seed,
     )
     try:
-        pool = _once(cell, "pool", build_pool, config, n, seed)
+        pool = _once(cell, "pool", build_pool, config, n, seed, csv_rows)
         rec.geometric_difference = pool.geometric_difference
         x_train = pool.features[pool.train_idx]
         y_train = pool.y_train
@@ -587,7 +589,7 @@ def _rbf_record(config: SweepConfig, cell: dict, n: int, seed: int) -> ResultRec
     return rec
 
 
-def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
+def _cell_records(config: SweepConfig, n: int, seed: int, csv_rows=None) -> list[ResultRecord]:
     """All records of one (train size, seed) cell, on one memo for the cell
     and a fresh one per (m, p); the RBF baseline shares the cell's pool."""
     cell, records = {}, []
@@ -596,20 +598,20 @@ def _cell_records(config: SweepConfig, n: int, seed: int) -> list[ResultRecord]:
             point = {}
             for method in config.methods:
                 records.append(
-                    _quantum_record(config, cell, point, n, m, p_tilde, method, seed)
+                    _quantum_record(config, cell, point, n, m, p_tilde, method, seed, csv_rows)
                 )
-    records.append(_rbf_record(config, cell, n, seed))
+    records.append(_rbf_record(config, cell, n, seed, csv_rows))
     return records
 
 
 def run_sweep(config: SweepConfig) -> list[ResultRecord]:
+    csv_rows = None
     if config.dataset["kind"] == "csv":  # read once: a bad file fails the run, not each record
-        feats = _csv_features(config.dataset["path"], config.num_qubits)
-        config = dataclasses.replace(config, dataset=dict(config.dataset, features=feats))
+        csv_rows = _csv_features(config.dataset["path"], config.num_qubits)
     records = []
     for n in config.train_sizes:
         for seed in config.seeds:
-            records.extend(_cell_records(config, n, seed))
+            records.extend(_cell_records(config, n, seed, csv_rows))
     records.sort(key=ResultRecord.sort_key)
     return records
 

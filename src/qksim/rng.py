@@ -247,17 +247,20 @@ def _product(a, s, low, d, live) -> np.ndarray:
     ``a / i - s``, ``i`` running up from ``low + 1``, multiplied when ``d > 0``
     and divided when ``d < 0``, in numpy's order.  Each entry's terms lie in one
     run behind a leading 1.0, which ``reduceat`` folds left to right, exactly;
-    the runs are laid out in parts of about ``_PART`` slots."""
+    the runs are laid out in parts of about ``_PART`` slots.  No array here is
+    under 1 KiB (see ``_padded``): fewer than ``_MIN_LIVE`` runs are padded
+    with runs of no term, and a part holds ``_MIN_LIVE`` runs at least (or all)."""
     out = np.ones(d.size)
-    for fold, at in ((np.multiply, live & (d > 0.0)), (np.divide, live & (d < 0.0))):
-        at = np.flatnonzero(at)
+    for fold, run in ((np.multiply, live & (d > 0.0)), (np.divide, live & (d < 0.0))):
+        at = np.flatnonzero(_padded(run) if np.count_nonzero(run) < _MIN_LIVE else run)
         a_at, s_at, low_at = a.take(at), s.take(at), low.take(at)
-        size = np.abs(d.take(at)).astype(np.int64) + 1
+        size = (np.abs(d.take(at)) * run.take(at)).astype(np.int64) + 1  # padding: 1.0
         end = np.cumsum(size)
         start, lo = end - size, 0
-        while lo < at.size:  # runs lo to hi - 1, one run at least
+        while lo < at.size:  # runs lo to hi - 1, leaving none or _MIN_LIVE at least
             base = start[lo]
-            hi = max(lo + 1, int(np.searchsorted(end, base + _PART, side="right")))
+            hi = lo + max(_MIN_LIVE, int(np.searchsorted(end, base + _PART, side="right")) - lo)
+            hi = at.size if at.size - hi < _MIN_LIVE else hi
             n, first = size[lo:hi], start[lo:hi] - base  # each run's leading slot
             i = np.arange(end[hi - 1] - base)
             i -= np.repeat(first, n)  # 0 at the leading slots
@@ -268,7 +271,7 @@ def _product(a, s, low, d, live) -> np.ndarray:
                 np.divide(np.repeat(a_at[lo:hi], n), term, out=term)
             term -= np.repeat(s_at[lo:hi], n)
             term[first] = 1.0
-            out[at[lo:hi]] = fold.reduceat(term, first)
+            out[at[lo:hi]] *= fold.reduceat(term, first)  # 1.0 * F is F
             lo = hi
     return out
 

@@ -376,8 +376,8 @@ class TestStagedSweep:
     def test_failed_matrix_check_fails_at_calibration(self, monkeypatch, corrupt):
         build_pool, sample_shots = cli.build_pool, kernels.sample_shots
 
-        def bad_pool(config, n, seed):
-            pool = build_pool(config, n, seed)
+        def bad_pool(*args):
+            pool = build_pool(*args)
             pool.q_train_ideal[0, 1] = np.nan if corrupt == "reference-nan" else 0.25
             return pool
 
@@ -438,7 +438,10 @@ class TestStagedSweep:
         config = cli.SweepConfig.from_dict(small_config(
             dataset={"kind": "csv", "path": str(path)}, train_sizes=[4, 8], test_size=6,
         ))
-        want = [cli.build_pool(config, n, seed) for n in (4, 8) for seed in (0, 1)]
+        rows = cli._csv_features(path, config.num_qubits)
+        want = [cli.build_pool(config, n, seed, rows) for n in (4, 8) for seed in (0, 1)]
+        with pytest.raises(TypeError, match="read once per sweep"):
+            cli.build_pool(config, 4, 0)  # no cell reads the file on its own
         reads, projections, got = [], [], []
         load_csv, pca, build_pool = datasets.load_csv, datasets.pca, cli.build_pool
 
@@ -584,8 +587,8 @@ class TestStagedSweep:
             sampled.append(out.matrix.copy())
             return out
 
-        def spy_pool(config, n, seed):
-            pool = build_pool(config, n, seed)
+        def spy_pool(*args):
+            pool = build_pool(*args)
             references.append(pool.q_train_ideal.tobytes())
             return pool
 

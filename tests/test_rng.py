@@ -205,14 +205,15 @@ def test_step50_fold_equals_the_term_loop(trial):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_step50_run_longer_than_a_part_is_folded_whole(sign):
-    # a run that fills more than one part is laid out alone, in one part;
-    # m = 10**6 and r = 0.1 put the mode at 100000
-    a, s = np.full(50, 10**6 + 1) / 9.0, np.full(50, 1.0 / 9.0)
-    d = np.random.default_rng(5).integers(-30, 31, 50).astype(float)
-    d[[0, 17, 49]] = sign * (rng._PART + 500), -sign * 2 * rng._PART, sign * rng._PART
+    # a part takes _MIN_LIVE runs at least, however many slots they fill, and
+    # leaves none or _MIN_LIVE at least; m = 10**6 and r = 0.1 put the mode at 100000
+    size, part = 3 * rng._MIN_LIVE + 5, rng._PART
+    a, s = np.full(size, 10**6 + 1) / 9.0, np.full(size, 1.0 / 9.0)
+    d = np.random.default_rng(5).integers(-30, 31, size).astype(float)
+    long = [0, 17, 2 * rng._MIN_LIVE, size - 1]
+    d[long] = sign * (part + 500), -sign * 2 * part, sign * part, sign * 3 * part
     low = np.where(d > 0.0, 1e5, 1e5 + d)
-    live = np.ones(50, dtype=bool)
+    live = np.ones(size, dtype=bool)
     got = rng._product(a, s, low, d, live)
     assert got.tobytes() == step50_product_loop(a, s, low, d, live).tobytes()
-    assert np.all(got[[0, 17, 49]] != 1.0)
-
+    assert np.all(got[long] != 1.0)
