@@ -177,16 +177,6 @@ def _json_value(value):
     return value
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's members; a repeated key is an error, not its last value."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"repeated key {key!r}")
-        out[key] = value
-    return out
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     dataset: dict
@@ -244,11 +234,10 @@ class SweepConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "SweepConfig":
-        try:  # ValueError: malformed JSON, undecodable bytes or a repeated key
-            text = Path(path).read_text(encoding="utf-8-sig")  # less a byte-order mark
-            raw = json.loads(text, object_pairs_hook=_unique_keys)
+        try:  # a ValueError's message quotes read_json's reason, not its path again
+            raw = linalg.read_json(path)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ConfigError(f"cannot read config {path}: {exc.__cause__ or exc}") from exc
         return cls.from_dict(raw)
 
 
@@ -344,35 +333,40 @@ def emit_results(records: list[ResultRecord], path, fmt: str = "csv") -> None:
 def _parse_cell(name: str, text):
     if text in ("", None):
         return None
-    if name in ("kind", "method", "error", "m"):
-        if name == "m" and text != "inf":
-            return int(text)
+    if name in ("kind", "method", "error") or name == "m" and text == "inf":
         return text
     if name == "passed_lemma":
         return text is True or text == "true"
-    if name in ("n", "n_test", "seed"):
+    if name in ("n", "n_test", "seed", "m"):
         return int(text)
     return float(text)  # also parses "inf", "-inf" and "nan"
 
 
 def load_results(path) -> list[ResultRecord]:
+    """Records as ``emit_results`` wrote them; any other header or row is an error."""
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with linalg.open_text(path, newline="") as fh:  # a quoted cell keeps its "\r"
         text = fh.read()
-    records = []
     if path.suffix == ".json" or text.lstrip().startswith("["):
-        for row in json.loads(text):
-            records.append(
-                ResultRecord(
-                    **{name: _parse_cell(name, row.get(name)) for name in RESULT_FIELDS}
-                )
-            )
-        return records
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
-    header = rows[0]
-    for cells in rows[1:]:
-        kwargs = {name: _parse_cell(name, cell) for name, cell in zip(header, cells)}
-        records.append(ResultRecord(**kwargs))
+        rows = linalg.read_json(path)
+        if not isinstance(rows, list):
+            raise ValueError(f"{path}: not a JSON list of records")
+    else:
+        try:
+            header, *rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r] or [[]]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if header != RESULT_FIELDS:
+            raise ValueError(f"{path}: header is not the results header")
+        rows = [dict(zip(header, c)) if len(c) == len(header) else c for c in rows]
+    records = []
+    for r, row in enumerate(rows, start=1):
+        if not isinstance(row, dict) or row.keys() != set(RESULT_FIELDS):
+            raise ValueError(f"{path}: row {r} does not have the results header's fields")
+        try:
+            records.append(ResultRecord(**{k: _parse_cell(k, row[k]) for k in RESULT_FIELDS}))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: row {r}: {exc}") from None
     return records
 
 
@@ -397,7 +391,7 @@ def _csv_features(path, num_qubits: int) -> np.ndarray:
         return datasets.pca(feats, num_qubits)
     if feats.shape[1] < num_qubits:
         raise ConfigError(
-            f"csv has {feats.shape[1]} features, fewer than num_qubits={num_qubits}"
+            f"{path}: csv has {feats.shape[1]} features, fewer than num_qubits={num_qubits}"
         )
     return feats
 
@@ -668,13 +662,18 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def _kernel_and_data(args):
+    """``--kernel`` and ``--data``; a kernel that is not n x n for n data rows is an error."""
+    gram, ds = kernels.load_kernel(args.kernel), datasets.load_csv(args.data)
+    if ds.n != gram.dim:
+        raise ConfigError(f"kernel is {gram.dim}x{gram.dim} but data has {ds.n} rows")
+    return gram, ds
+
+
 def _cmd_train(args) -> int:
     if bool(args.cross) != bool(args.test_data):
         raise ConfigError("--cross and --test-data must be given together")
-    gram = kernels.load_kernel(args.kernel)
-    ds = datasets.load_csv(args.data)
-    if ds.n != gram.dim:
-        raise ConfigError(f"kernel is {gram.dim}x{gram.dim} but data has {ds.n} rows")
+    gram, ds = _kernel_and_data(args)
     if args.cross:
         cross = linalg.load_matrix_csv(args.cross)
         test_ds = datasets.load_csv(args.test_data)
@@ -683,8 +682,6 @@ def _cmd_train(args) -> int:
                 f"cross kernel is {cross.shape[0]}x{cross.shape[1]} but test data "
                 f"has {test_ds.n} rows and kernel is {gram.dim}x{gram.dim}"
             )
-        if not np.all(np.isfinite(cross)):
-            raise ConfigError(f"cross kernel {args.cross} has non-finite entries")
     y = ds.labels.astype(float)
     model = learner.fit_krr(gram, y, args.ridge)
     _, pred = learner.predict(model, gram.matrix)
@@ -710,8 +707,7 @@ def _cmd_relabel(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    gram = kernels.load_kernel(args.kernel)
-    ds = datasets.load_csv(args.data)
+    gram, ds = _kernel_and_data(args)
     num_qubits = args.num_qubits or gram.params.get("num_qubits")
     if num_qubits is None:
         raise ConfigError("pass --num-qubits (kernel sidecar lacks it)")

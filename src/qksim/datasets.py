@@ -9,6 +9,7 @@ per-split label assignments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,21 +35,21 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _parse_label(token: str, line_no: int) -> float:
+def _parse_label(token: str, where: str) -> float:
     try:
         value = float(token)
     except ValueError as exc:
-        raise ValueError(f"line {line_no}: label {token!r} is not numeric") from exc
+        raise ValueError(f"{where}: label {token!r} is not numeric") from exc
     if value in (-1.0, 0.0, 1.0):
         return value
-    raise ValueError(f"line {line_no}: unknown label value {token!r}")
+    raise ValueError(f"{where}: unknown label value {token!r}")
 
 
 def load_csv(path) -> Dataset:
     """Read a dataset with header ``f0,...,f{d-1},label``.
 
     Labels must parse to +/-1, or to 0/1, which remap to -1/+1; a file that
-    mixes the two is rejected.  Errors carry the offending line number.
+    mixes the two is rejected, as is a non-finite feature.  Errors name the path and line.
     """
     path = Path(path)
     with linalg.open_text(path) as fh:
@@ -65,23 +66,23 @@ def load_csv(path) -> Dataset:
         labels: list[int] = []
         first = None  # (value, line, token) of the first 0 or -1 label
         for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
+            line, where = line.strip(), f"{path}: line {line_no}"
             if not line:
                 continue
             tokens = line.split(",")
             if len(tokens) != d + 1:
-                raise ValueError(
-                    f"line {line_no}: expected {d + 1} fields, got {len(tokens)}"
-                )
+                raise ValueError(f"{where}: expected {d + 1} fields, got {len(tokens)}")
             try:
                 feats.append([float(tok) for tok in tokens[:-1]])
             except ValueError as exc:
-                raise ValueError(f"line {line_no}: malformed feature value") from exc
-            value = _parse_label(tokens[-1], line_no)
+                raise ValueError(f"{where}: malformed feature value") from exc
+            if not all(map(math.isfinite, feats[-1])):  # nan, inf or an overflow
+                raise ValueError(f"{where}: non-finite feature value")
+            value = _parse_label(tokens[-1], where)
             if value != 1.0:  # a 0 or a -1 fixes the file's label convention
                 first = first or (value, line_no, tokens[-1])
                 if value != first[0]:
-                    raise ValueError(f"line {line_no}: label {tokens[-1]!r} mixes 0/1 "
+                    raise ValueError(f"{where}: label {tokens[-1]!r} mixes 0/1 "
                                      f"and +/-1 labels (line {first[1]}: {first[2]!r})")
             labels.append(1 if value == 1.0 else -1)  # 0/1 labels remap to -1/+1
     if not feats:

@@ -353,16 +353,10 @@ def save_kernel(kernel: KernelMatrix, path) -> None:
 def load_kernel(path) -> KernelMatrix:
     path = Path(path)
     matrix = linalg.load_matrix_csv(path)
-    bad = ~np.isfinite(matrix).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{path}: row {int(np.argmax(bad)) + 1} has a non-finite entry")
     sidecar_path = path.with_suffix(path.suffix + ".json")
     provenance, params = IDEAL, {}
     if sidecar_path.exists():
-        try:
-            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8-sig"))
-        except ValueError as exc:  # malformed JSON or undecodable bytes
-            raise ValueError(f"{sidecar_path}: not valid JSON: {exc}") from exc
+        sidecar = linalg.read_json(sidecar_path)
         if not isinstance(sidecar, dict):
             raise ValueError(f"{sidecar_path}: sidecar must be a JSON object")
         provenance = sidecar.get("provenance", IDEAL)

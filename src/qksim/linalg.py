@@ -13,6 +13,7 @@ not depend on it.
 """
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -261,14 +262,33 @@ def save_matrix_csv(m: np.ndarray | object, path) -> None:
 
 
 @contextmanager
-def open_text(path):
+def open_text(path, newline=None):
     """``path`` opened as UTF-8 text, less a leading byte-order mark; an
     undecodable byte read in the block raises a ValueError that names the file."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members; a repeated key is an error, not its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def read_json(path):
+    """JSON as UTF-8 less a byte-order mark; bad text or a repeated key names the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -289,4 +309,8 @@ def load_matrix_csv(path) -> np.ndarray:
                 rows.append(row)
     if not rows:
         raise ValueError(f"empty matrix file: {path}")
-    return np.asarray(rows, dtype=float)
+    matrix = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: row {int(np.argmax(bad)) + 1} has a non-finite entry")
+    return matrix

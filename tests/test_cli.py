@@ -903,6 +903,92 @@ class TestEmitResults:
         assert header[:7] == ["kind", "n", "n_test", "m", "p_tilde", "method", "seed"]
 
 
+class TestLoadResults:
+    """``load_results`` reads back what ``emit_results`` writes, and nothing else."""
+
+    RECORDS = [
+        cli.ResultRecord(kind=cli.QUANTUM, n=3, n_test=2, m=10, p_tilde=0.0,
+                         method="clip", seed=4, c1=math.nan, error="a, b"),
+        cli.ResultRecord(kind=cli.RBF_BASELINE, n=3, n_test=2, method="rbf-grid",
+                         seed=4, gamma=0.5, test_accuracy=0.5),
+    ]
+
+    def emit(self, tmp_path, fmt):
+        path = tmp_path / f"r.{fmt}"
+        cli.emit_results(self.RECORDS, path, fmt)
+        return path
+
+    @staticmethod
+    def rejects(path, message):
+        with pytest.raises(ValueError) as got:
+            cli.load_results(path)
+        assert str(got.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, fmt):
+        # a csv file failed with "unexpected keyword argument '\ufeffkind'",
+        # a json one with "Unexpected UTF-8 BOM"
+        path = self.emit(tmp_path, fmt)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert_same_records(cli.load_results(path), self.RECORDS)
+
+    def test_a_short_csv_row_names_the_path_and_row(self, tmp_path):
+        # it read back with seed = 0 and method = None
+        path = self.emit(tmp_path, "csv")
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:5])
+        path.write_text("\n".join(lines) + "\n")
+        self.rejects(path, "row 2 does not have the results header's fields")
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_a_json_row_with_other_fields_names_the_path_and_row(self, tmp_path, change):
+        # a missing field read back as its default, an unknown one was ignored
+        path = self.emit(tmp_path, "json")
+        rows = json.loads(path.read_text())
+        if change == "drop":
+            del rows[1]["seed"]
+        else:
+            rows[1]["extra"] = 1
+        path.write_text(json.dumps(rows))
+        self.rejects(path, "row 2 does not have the results header's fields")
+
+    @pytest.mark.parametrize("header", [
+        "kind,n", ",".join(cli.RESULT_FIELDS + ["extra"]), ",".join(cli.RESULT_FIELDS[::-1]),
+    ], ids=["short", "unknown-column", "reordered"])
+    def test_another_csv_header_is_rejected(self, tmp_path, header):
+        path = self.emit(tmp_path, "csv")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        self.rejects(path, "header is not the results header")
+
+    def test_an_empty_csv_file_is_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("")
+        self.rejects(path, "header is not the results header")
+
+    def test_a_repeated_json_key_is_rejected(self, tmp_path):
+        path = self.emit(tmp_path, "json")
+        path.write_text(path.read_text().replace('"seed": 4', '"seed": 4, "seed": 5', 1))
+        self.rejects(path, "not valid JSON: repeated key 'seed'")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "rbf"}', "not a JSON list of records"),
+        ("[1]", "row 1 does not have the results header's fields"),
+    ])
+    def test_json_that_is_not_a_list_of_records_is_rejected(self, tmp_path, text, message):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        self.rejects(path, message)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_bad_cell_names_the_path_and_row(self, tmp_path, fmt):
+        path = self.emit(tmp_path, fmt)
+        cell = {"csv": ",10,", "json": '"m": 10'}[fmt]
+        bad = {"csv": ",ten,", "json": '"m": "ten"'}[fmt]
+        path.write_text(path.read_text().replace(cell, bad, 1))
+        self.rejects(path, "row 1: invalid literal for int() with base 10: 'ten'")
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         config = cli.SweepConfig.from_dict(small_config())
@@ -1039,13 +1125,16 @@ class TestCommands:
             command, "--data", str(data), "--num-qubits", "4", "--out", str(out),
         ])
         assert code == 1
-        assert "config error: csv has 2 features, fewer than num_qubits=4" in (
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: {data}: csv has 2 features, fewer than num_qubits=4\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda cells: ["nan"] + cells[1:], "matrix has non-finite entries"),
+        # a non-finite feature ended in the PCA's path-less
+        # "matrix has non-finite entries"
+        (lambda cells: ["nan"] + cells[1:], "line 3: non-finite feature value"),
+        (lambda cells: ["1e400"] + cells[1:], "line 3: non-finite feature value"),
         (lambda cells: cells[:2], "line 3: expected 4 fields, got 2"),
         (lambda cells: cells[:-1] + ["0"],
          "line 5: label '-1' mixes 0/1 and +/-1 labels (line 3: '0')"),
@@ -1060,7 +1149,7 @@ class TestCommands:
             "relabel", "--data", str(data), "--num-qubits", "2", "--out", str(out),
         ])
         assert code == 2
-        assert capsys.readouterr().err == f"runtime error: {message}\n"
+        assert capsys.readouterr().err == f"runtime error: {data}: {message}\n"
         assert not out.exists()
 
     def test_runs_as_python_module(self):
@@ -1172,6 +1261,14 @@ class TestExitCodes:
             1, "config error: kernel is 12x12 but data has 10 rows\n"
         )
 
+    def test_bound_size_mismatch_is_config_error(self, tmp_path, capsys):
+        # it exited 2 with "runtime error: labels must have length 4"
+        kernel, data = self.kernel_and_data(tmp_path, n_kernel=4, n_data=6)
+        argv = ["bound", "--kernel", kernel, "--data", data, "--num-qubits", "2"]
+        assert self.main(capsys, *argv) == (
+            1, "config error: kernel is 4x4 but data has 6 rows\n"
+        )
+
     def test_calibrate_reference_size_mismatch_is_config_error(self, tmp_path, capsys):
         kernel, _ = self.kernel_and_data(tmp_path, n_kernel=12)
         reference = tmp_path / "q.csv"
@@ -1207,18 +1304,6 @@ class TestExitCodes:
         assert self.main(capsys, *argv) == (1, f"config error: {message}\n")
         assert not out.exists()
 
-    def test_train_cross_non_finite_is_config_error(self, tmp_path, capsys):
-        kernel, data = self.kernel_and_data(tmp_path, n_kernel=6, n_data=6)
-        cross = tmp_path / "cross.csv"
-        linalg.save_matrix_csv(np.full((6, 6), np.nan), cross)
-        out = tmp_path / "model.json"
-        argv = ["train", "--kernel", kernel, "--data", data, "--cross", str(cross),
-                "--test-data", data, "--out", str(out)]
-        assert self.main(capsys, *argv) == (
-            1, f"config error: cross kernel {cross} has non-finite entries\n"
-        )
-        assert not out.exists()
-
     @pytest.mark.parametrize("flag", ["--kernel", "--reference", "--cross"])
     def test_ragged_matrix_csv_names_its_file_and_row(self, tmp_path, capsys, flag):
         kernel, data = self.kernel_and_data(tmp_path)
@@ -1240,18 +1325,27 @@ class TestExitCodes:
                 2, f"runtime error: {ragged}: {error}\n"
             )
 
-    @pytest.mark.parametrize("flag", ["--kernel", "--reference"])
+    @pytest.mark.parametrize("flag", ["--kernel", "--reference", "--cross"])
     def test_non_finite_kernel_entry_names_its_file_and_row(self, tmp_path, capsys, flag):
-        kernel, data = self.kernel_and_data(tmp_path)
+        # a non-finite --cross exited 1 with "cross kernel <path> has non-finite
+        # entries"; every matrix flag now shares load_matrix_csv's rule
+        kernel, data = self.kernel_and_data(tmp_path, n_kernel=2, n_data=2)
         bad = tmp_path / "bad.csv"
-        argv = ["calibrate", "--kernel", kernel, "--reference", kernel,
-                "--method", "clip", "--out", str(tmp_path / "o.csv")]
-        argv[argv.index(flag) + 1] = str(bad)
+        out = tmp_path / "o.csv"
+        argv = {
+            "--kernel": ["calibrate", "--kernel", str(bad), "--method", "clip",
+                         "--out", str(out)],
+            "--reference": ["calibrate", "--kernel", kernel, "--reference", str(bad),
+                            "--method", "clip", "--out", str(out)],
+            "--cross": ["train", "--kernel", kernel, "--data", data, "--cross",
+                        str(bad), "--test-data", data, "--out", str(out)],
+        }[flag]
         for text, row in [("1.0,0.5\n0.5,1e400\n", 2), ("\nnan,0.5\n0.5,1.0\n", 1)]:
             bad.write_text(text)
             assert self.main(capsys, *argv) == (
                 2, f"runtime error: {bad}: row {row} has a non-finite entry\n"
             )
+            assert not out.exists()
 
     def test_bound_without_num_qubits_is_config_error(self, tmp_path, capsys):
         kernel, data = self.kernel_and_data(tmp_path)

@@ -53,7 +53,7 @@ class TestCsvIO:
         with pytest.raises(ValueError) as got:
             datasets.load_csv(path)
         assert str(got.value) == (
-            f"line {line}: label {token!r} mixes 0/1 and +/-1 labels ({first})"
+            f"{path}: line {line}: label {token!r} mixes 0/1 and +/-1 labels ({first})"
         )
 
     def test_unknown_label_value(self, tmp_path):

@@ -803,3 +803,19 @@ class TestKernelIO:
         sidecar.write_bytes(b"\xef\xbb\xbf" + sidecar.read_bytes())
         back = kernels.load_kernel(path)
         assert (back.provenance, back.params) == (kernels.NOISY_EXPECTATION, {"num_qubits": 2})
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"provenance": "ideal", "provenance": "shot-sampled", "params": {}}',
+         "provenance"),
+        ('{"provenance": "ideal", "params": {"num_qubits": 2, "num_qubits": 9}}',
+         "num_qubits"),
+    ], ids=["top-level", "nested"])
+    def test_a_repeated_sidecar_key_names_the_sidecar(self, tmp_path, text, key):
+        # the sidecar loaded with the key's last value
+        path = tmp_path / "gram.csv"
+        kernels.save_kernel(kernels.gram_ideal(np.zeros((2, 2))), path)
+        sidecar = tmp_path / "gram.csv.json"
+        sidecar.write_text(text)
+        with pytest.raises(ValueError) as got:
+            kernels.load_kernel(path)
+        assert str(got.value) == f"{sidecar}: not valid JSON: repeated key {key!r}"

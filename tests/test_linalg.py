@@ -225,6 +225,19 @@ def test_no_module_compares_bytes():
     assert _references(("tobytes",)) == []
 
 
+def test_only_linalg_reads_a_file():
+    # linalg.open_text and read_json decode every input file: UTF-8 less a
+    # byte-order mark, the path in every decoding error, no repeated JSON key.
+    # KernelModel.from_json parses text it is handed; the other opens write.
+    assert sorted(_references(("read_text", "read_bytes", "loads", "load"))) == [
+        "learner.py: from_json", "linalg.py: read_json",
+    ]
+    assert sorted(_references(("open",))) == [
+        "cli.py: emit_results", "datasets.py: save_csv", "linalg.py: open_text",
+        "linalg.py: read_json", "linalg.py: save_matrix_csv",
+    ]
+
+
 def test_only_linalg_inverts_a_ridge_system():
     # linalg.inv_ridge is the one ridge inverse, and its singular error names
     # the remedy; a second copy elsewhere would drift from it
