@@ -330,20 +330,24 @@ def emit_results(records: list[ResultRecord], path, fmt: str = "csv") -> None:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
-def _parse_cell(name: str, text):
-    if text in ("", None):
-        return None
-    if name in ("kind", "method", "error") or name == "m" and text == "inf":
-        return text
-    if name == "passed_lemma":
-        return text is True or text == "true"
-    if name in ("n", "n_test", "seed", "m"):
+def _parse_cell(name: str, text: str):
+    """A cell's value from the text ``emit_results`` writes for it in CSV;
+    any other text is an error."""
+    if name in ("kind", "passed_lemma"):
+        options = (QUANTUM, RBF_BASELINE) if name == "kind" else ("true", "false", "")
+        text = _choice(options)(name, text)
+    if name in ("n", "n_test", "seed") or name == "m" and text not in ("", "inf"):
         return int(text)
+    if name == "passed_lemma" and text:
+        return text == "true"
+    if name in ("kind", "method", "error", "m") or not text:
+        return text or None
     return float(text)  # also parses "inf", "-inf" and "nan"
 
 
 def load_results(path) -> list[ResultRecord]:
-    """Records as ``emit_results`` wrote them; any other header or row is an error."""
+    """Records as ``emit_results`` wrote them; any other header or row is an error.
+    A JSON value is read as the text ``emit_results`` writes for it in CSV."""
     path = Path(path)
     with linalg.open_text(path, newline="") as fh:  # a quoted cell keeps its "\r"
         text = fh.read()
@@ -364,7 +368,8 @@ def load_results(path) -> list[ResultRecord]:
         if not isinstance(row, dict) or row.keys() != set(RESULT_FIELDS):
             raise ValueError(f"{path}: row {r} does not have the results header's fields")
         try:
-            records.append(ResultRecord(**{k: _parse_cell(k, row[k]) for k in RESULT_FIELDS}))
+            cells = {k: _parse_cell(k, _format_cell(row[k])) for k in RESULT_FIELDS}
+            records.append(ResultRecord(**cells))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: row {r}: {exc}") from None
     return records
@@ -388,7 +393,10 @@ def _csv_features(path, num_qubits: int) -> np.ndarray:
     """A csv dataset's features, PCA-projected to ``num_qubits`` columns; fewer is an error."""
     feats = datasets.load_csv(path).features
     if feats.shape[1] > num_qubits:
-        return datasets.pca(feats, num_qubits)
+        try:
+            return datasets.pca(feats, num_qubits)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if feats.shape[1] < num_qubits:
         raise ConfigError(
             f"{path}: csv has {feats.shape[1]} features, fewer than num_qubits={num_qubits}"

@@ -359,8 +359,12 @@ def load_kernel(path) -> KernelMatrix:
         sidecar = linalg.read_json(sidecar_path)
         if not isinstance(sidecar, dict):
             raise ValueError(f"{sidecar_path}: sidecar must be a JSON object")
-        provenance = sidecar.get("provenance", IDEAL)
-        params = sidecar.get("params", {})
+        if sidecar.keys() != {"provenance", "params"}:
+            raise ValueError(f"{sidecar_path}: sidecar keys must be 'provenance' "
+                             f"and 'params', got {sorted(sidecar)}")
+        provenance, params = sidecar["provenance"], sidecar["params"]
+        if not isinstance(provenance, str):
+            raise ValueError(f"{sidecar_path}: provenance must be a string")
         if not isinstance(params, dict):
             raise ValueError(f"{sidecar_path}: params must be a JSON object")
     return KernelMatrix(matrix=matrix, provenance=provenance, params=params)

@@ -43,25 +43,15 @@ def as_matrix(m: np.ndarray | object) -> np.ndarray:
 
 
 def sym_matrix(entries: np.ndarray) -> np.ndarray:
-    """Build a symmetric matrix by mirroring the upper triangle.
-
-    Rejects non-square or non-finite input.  The result satisfies
-    ``entries[i, j] == entries[j, i]`` exactly.
-    """
-    a = np.asarray(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    out = np.triu(a)
-    out += np.triu(a, 1).T
+    """A square product's upper triangle, mirrored: ``out[i, j] == out[j, i]``
+    exactly.  It checks nothing; :func:`check_symmetric` is the one matrix check."""
+    out = np.triu(entries)
+    out += np.triu(entries, 1).T
     return out
 
 
 def check_symmetric(m: np.ndarray | object, name: str = "matrix") -> np.ndarray:
-    """Validate a symmetric matrix with finite entries; returns float64 view."""
+    """The one matrix check: square, finite and symmetric; returns a float64 view."""
     a = as_matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")

@@ -988,6 +988,39 @@ class TestLoadResults:
         path.write_text(path.read_text().replace(cell, bad, 1))
         self.rejects(path, "row 1: invalid literal for int() with base 10: 'ten'")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 2.7, "invalid literal for int() with base 10: '2.7000000000000002'"),
+        ("seed", True, "invalid literal for int() with base 10: 'true'"),
+        ("n_test", None, "invalid literal for int() with base 10: ''"),
+        ("passed_lemma", "yes",
+         "passed_lemma must be one of ['true', 'false', ''], got 'yes'"),
+        ("kind", 5, "kind must be one of ['quantum', 'rbf'], got '5'"),
+    ])
+    def test_a_json_value_is_read_as_its_csv_text(self, tmp_path, field, value, message):
+        # these read back as 2, 1, None, False and 5
+        path = self.emit(tmp_path, "json")
+        rows = json.loads(path.read_text())
+        rows[1][field] = value
+        path.write_text(json.dumps(rows))
+        self.rejects(path, f"row 2: {message}")
+
+    @pytest.mark.parametrize("field, text, message", [
+        ("passed_lemma", "yes",
+         "passed_lemma must be one of ['true', 'false', ''], got 'yes'"),
+        ("kind", "foo", "kind must be one of ['quantum', 'rbf'], got 'foo'"),
+    ])
+    def test_a_csv_cell_outside_its_texts_names_the_path_and_row(
+        self, tmp_path, field, text, message
+    ):
+        # these read back as False and "foo"
+        path = self.emit(tmp_path, "csv")
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[cli.RESULT_FIELDS.index(field)] = text
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        self.rejects(path, f"row 1: {message}")
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -1378,12 +1411,16 @@ class TestExitCodes:
         ("{bad", "not valid JSON: "),  # then the parser's own text
         ('["ideal"]', "sidecar must be a JSON object"),
         ('{"provenance": "ideal", "params": [2]}', "params must be a JSON object"),
-    ], ids=["not-json", "list", "params-list"])
+        ('{"provenance": "ideal", "pbrams": {"num_qubits": 2}}',
+         "sidecar keys must be 'provenance' and 'params', got ['pbrams', 'provenance']"),
+        ('{"provenance": 7, "params": {"num_qubits": 2}}', "provenance must be a string"),
+    ], ids=["not-json", "list", "params-list", "misspelt-params", "provenance-number"])
     def test_malformed_sidecar_names_its_file(
         self, tmp_path, capsys, command, text, problem
     ):
         # these ended in the JSON parser's text or in "'list' object has no
-        # attribute 'get'", naming no file
+        # attribute 'get'", naming no file; a misspelt params loaded as {} and
+        # a provenance of 7 as itself, and both commands exited 0
         kernel, data = self.kernel_and_data(tmp_path)
         sidecar = Path(kernel + ".json")
         sidecar.write_text(text, encoding="utf-8")
@@ -1398,6 +1435,37 @@ class TestExitCodes:
         assert self.main(capsys, command, "--kernel", kernel, *extra) == (
             2, f"runtime error: {sidecar}: {problem}\n"
         )
+
+    @staticmethod
+    def pca_failures(tmp_path):
+        """A one-row and a rank-1 3-feature dataset, and the PCA error of each at 2 qubits."""
+        one_row = tmp_path / "one-row.csv"
+        datasets.save_csv(datasets.Dataset(np.array([[0.1, 0.2, 0.3]]), np.array([1])),
+                          one_row)
+        rank_one = tmp_path / "rank-one.csv"
+        feats = np.outer(np.linspace(-1.0, 1.0, 20), [1.0, 0.5, -0.5])
+        datasets.save_csv(datasets.Dataset(feats, np.array([1, -1] * 10)), rank_one)
+        return [
+            (one_row, "target_dim must be in [1, 1], got 2"),
+            (rank_one, "data rank is 1, cannot extract 2 components"),
+        ]
+
+    def test_relabel_pca_errors_name_the_dataset(self, tmp_path, capsys):
+        # these exited 2 naming no file
+        out = tmp_path / "out.csv"
+        for data, problem in self.pca_failures(tmp_path):
+            argv = ["relabel", "--data", str(data), "--num-qubits", "2", "--out", str(out)]
+            assert self.main(capsys, *argv) == (2, f"runtime error: {data}: {problem}\n")
+            assert not out.exists()
+
+    def test_sweep_pca_errors_name_the_dataset(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        for data, problem in self.pca_failures(tmp_path):
+            raw = small_config(dataset={"kind": "csv", "path": str(data)}, output=str(out))
+            assert self.sweep(tmp_path, capsys, raw) == (
+                2, f"runtime error: {data}: {problem}\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize("old, new, key", [
         ('{"dataset"', '{"seeds": [5], "dataset"', "seeds"),

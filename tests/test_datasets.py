@@ -120,6 +120,18 @@ class TestPca:
         with pytest.raises(ValueError, match="rank"):
             datasets.pca(base, 2)
 
+    def test_an_overflowing_covariance_is_rejected_by_eig_sym(self):
+        # sym_matrix checks nothing; eig_sym's check_symmetric rejects the
+        # infinite covariance
+        x = np.array([[1e200, 0.0, 1.0], [-1e200, 1.0, 0.0], [0.0, 2.0, 2.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^matrix has non-finite entries$"
+        ) as got:
+            datasets.pca(x, 2)
+        assert [entry.name for entry in got.traceback[-2:]] == [
+            "eig_sym", "check_symmetric",
+        ]
+
 
 class TestSynthetic:
     def test_same_seed_identical(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qksim import cli, kernels, rng
+from qksim import cli, kernels, linalg, rng
 from qksim.rng import EntryStreams, stream
 
 from oracles import gram_density_trace, gram_ideal_formula, shot_means_reference
@@ -819,3 +819,28 @@ class TestKernelIO:
         with pytest.raises(ValueError) as got:
             kernels.load_kernel(path)
         assert str(got.value) == f"{sidecar}: not valid JSON: repeated key {key!r}"
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"provenance": "ideal", "pbrams": {"num_qubits": 2}}',
+         "sidecar keys must be 'provenance' and 'params', got ['pbrams', 'provenance']"),
+        ('{"provenance": "ideal"}',
+         "sidecar keys must be 'provenance' and 'params', got ['provenance']"),
+        ('{}', "sidecar keys must be 'provenance' and 'params', got []"),
+        ('{"provenance": null, "params": {}}', "provenance must be a string"),
+        ('{"provenance": ["ideal"], "params": {}}', "provenance must be a string"),
+    ], ids=["misspelt", "no-params", "empty", "null", "list"])
+    def test_a_sidecar_holds_exactly_a_provenance_and_params(self, tmp_path, text, problem):
+        # a missing or misspelt params loaded as {}, any provenance as itself
+        path = tmp_path / "gram.csv"
+        kernels.save_kernel(kernels.gram_ideal(np.zeros((2, 2))), path)
+        sidecar = tmp_path / "gram.csv.json"
+        sidecar.write_text(text)
+        with pytest.raises(ValueError) as got:
+            kernels.load_kernel(path)
+        assert str(got.value) == f"{sidecar}: {problem}"
+
+    def test_a_kernel_without_a_sidecar_is_ideal(self, tmp_path):
+        path = tmp_path / "gram.csv"
+        linalg.save_matrix_csv(np.eye(2), path)
+        back = kernels.load_kernel(path)
+        assert (back.provenance, back.params) == (kernels.IDEAL, {})
