@@ -33,6 +33,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -287,28 +288,28 @@ def _format_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return f"{float(value):.17g}"  # also "inf", "-inf" and "nan"
 
 
 def _json_cell(value):
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isinf(v) or math.isnan(v):
-            return _format_cell(v)
-        return v
-    if isinstance(value, np.integer):
-        return int(value)
+    """A non-finite float as its CSV text, which JSON cannot hold; anything else as is."""
+    if isinstance(value, float) and (math.isinf(value) or math.isnan(value)):
+        return _format_cell(value)
     return value
 
 
 def emit_results(records: list[ResultRecord], path, fmt: str = "csv") -> None:
-    """Write records with a fixed header order and 17-significant-digit reals."""
+    """Write records with a fixed header order and 17-significant-digit reals,
+    all or nothing: a temporary file beside ``path`` replaces it when complete."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format: {fmt!r}")
     path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        if fmt == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            if fmt == "csv":
                 writer = csv.writer(fh, lineterminator="\n")
                 # a lone "\r" is left unquoted, and csv.reader ends the row there
                 quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
@@ -316,33 +317,36 @@ def emit_results(records: list[ResultRecord], path, fmt: str = "csv") -> None:
                 for rec in records:
                     row = [_format_cell(getattr(rec, name)) for name in RESULT_FIELDS]
                     (quoted if any("\r" in c for c in row) else writer).writerow(row)
-        elif fmt == "json":
-            rows = [
-                {name: _json_cell(getattr(rec, name)) for name in RESULT_FIELDS}
-                for rec in records
-            ]
-            path.write_text(
-                json.dumps(rows, indent=2, sort_keys=False) + "\n", encoding="utf-8"
-            )
-        else:
-            raise ValueError(f"unknown format: {fmt!r}")
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+            else:
+                rows = [{name: _json_cell(getattr(rec, name)) for name in RESULT_FIELDS}
+                        for rec in records]
+                fh.write(json.dumps(rows, indent=2, sort_keys=False) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:  # the reason names the target, not the temporary file
+        reason = OSError(exc.errno, exc.strerror, str(path)) if exc.filename else exc
+        raise OSError(f"cannot write results to {path}: {reason}") from exc
+    finally:
+        with contextlib.suppress(OSError):  # gone once replaced
+            os.remove(tmp)
 
 
 def _parse_cell(name: str, text: str):
     """A cell's value from the text ``emit_results`` writes for it in CSV;
-    any other text is an error."""
+    any other text, such as ``1_0``, ``+0`` or `` 1 ``, is an error."""
     if name in ("kind", "passed_lemma"):
         options = (QUANTUM, RBF_BASELINE) if name == "kind" else ("true", "false", "")
-        text = _choice(options)(name, text)
+        _choice(options)(name, text)
     if name in ("n", "n_test", "seed") or name == "m" and text not in ("", "inf"):
-        return int(text)
-    if name == "passed_lemma" and text:
-        return text == "true"
-    if name in ("kind", "method", "error", "m") or not text:
-        return text or None
-    return float(text)  # also parses "inf", "-inf" and "nan"
+        value = int(text)
+    elif name == "passed_lemma" and text:
+        value = text == "true"
+    elif name in ("kind", "method", "error", "m") or not text:
+        value = text or None
+    else:
+        value = float(text)  # also parses "inf", "-inf" and "nan"
+    if _format_cell(value) != text:
+        raise ValueError(f"{name} {text!r} should read {_format_cell(value)!r}")
+    return value
 
 
 def load_results(path) -> list[ResultRecord]:

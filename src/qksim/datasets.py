@@ -123,8 +123,9 @@ def pca(features: np.ndarray, target_dim: int) -> np.ndarray:
         raise ValueError(
             f"target_dim must be in [1, {min(n, d)}], got {target_dim}"
         )
-    centered = x - np.mean(x, axis=0)
-    cov = linalg.sym_matrix(centered.T @ centered / max(n - 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # eig_sym's check reports it
+        centered = x - np.mean(x, axis=0)
+        cov = linalg.sym_matrix(centered.T @ centered / max(n - 1, 1))
     dec = linalg.eig_sym(cov)
     rank = int(np.sum(dec.eigenvalues > 1e-12 * max(float(dec.eigenvalues[0]), 1e-30)))
     if target_dim > rank:

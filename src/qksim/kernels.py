@@ -143,34 +143,18 @@ def apply_noise(
     """
     if q.provenance != IDEAL:
         raise ValueError(f"apply_noise expects an ideal kernel, got {q.provenance!r}")
-    num_qubits = q.params["num_qubits"]
-    p = noise.rate
-    mixed = noise.depolarize(q.matrix, num_qubits)
+    mixed = noise.depolarize(q.matrix, q.params["num_qubits"])
     if fix_diagonal:
         np.fill_diagonal(mixed, 1.0)
     params = dict(q.params)
     params.update(
         p_tilde=noise.rate_per_layer,
         layers=noise.layers,
-        p=p,
+        p=noise.rate,
         mixing=noise.mixing,
         fix_diagonal=fix_diagonal,
     )
-    if noise.mixing == MIX_HALF_INVERSE_DIM:
-        params["entry_bound_ok"] = bool(
-            entrywise_noise_bound_ok(q.matrix, mixed, p, num_qubits)
-        )
     return KernelMatrix(matrix=mixed, provenance=NOISY_EXPECTATION, params=params)
-
-
-def entrywise_noise_bound_ok(
-    q: np.ndarray, q_noisy: np.ndarray, p: float, num_qubits: int
-) -> bool:
-    """Check |q - q_noisy| <= p * (q + 2^-(N+1)) on every off-diagonal entry."""
-    bound = p * (q + 2.0 ** (-(num_qubits + 1)))
-    gap = np.abs(q - q_noisy)
-    off = ~np.eye(q.shape[0], dtype=bool)
-    return bool(np.all(gap[off] <= bound[off] + 1e-12))
 
 
 def sample_shots(qt: KernelMatrix, m, seed: int | EntryStreams) -> KernelMatrix:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,17 @@ def small_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def run_qksim(argv, **kwargs):
+    """``python -m qksim *argv`` in a child interpreter on this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-B", "-m", "qksim", *argv],
+        env=env, capture_output=True, text=True, timeout=120, **kwargs,
+    )
 
 
 class TestSweepConfig:
@@ -966,6 +978,11 @@ class TestLoadResults:
         path.write_text("")
         self.rejects(path, "header is not the results header")
 
+    def test_a_field_over_the_csv_field_limit_is_rejected(self, tmp_path):
+        path = self.emit(tmp_path, "csv")
+        path.write_text(path.read_text().replace("a, b", "a" * 131073, 1))
+        self.rejects(path, "field larger than field limit (131072)")
+
     def test_a_repeated_json_key_is_rejected(self, tmp_path):
         path = self.emit(tmp_path, "json")
         path.write_text(path.read_text().replace('"seed": 4', '"seed": 4, "seed": 5', 1))
@@ -995,9 +1012,11 @@ class TestLoadResults:
         ("passed_lemma", "yes",
          "passed_lemma must be one of ['true', 'false', ''], got 'yes'"),
         ("kind", 5, "kind must be one of ['quantum', 'rbf'], got '5'"),
+        ("n", "1_0", "n '1_0' should read '10'"),
+        ("test_accuracy", " 0.5", "test_accuracy ' 0.5' should read '0.5'"),
     ])
     def test_a_json_value_is_read_as_its_csv_text(self, tmp_path, field, value, message):
-        # these read back as 2, 1, None, False and 5
+        # these read back as 2, 1, None, False, 5, 10 and 0.5
         path = self.emit(tmp_path, "json")
         rows = json.loads(path.read_text())
         rows[1][field] = value
@@ -1008,11 +1027,17 @@ class TestLoadResults:
         ("passed_lemma", "yes",
          "passed_lemma must be one of ['true', 'false', ''], got 'yes'"),
         ("kind", "foo", "kind must be one of ['quantum', 'rbf'], got 'foo'"),
+        ("n", "1_0", "n '1_0' should read '10'"),
+        ("seed", "+0", "seed '+0' should read '0'"),
+        ("train_accuracy", " 1 ", "train_accuracy ' 1 ' should read '1'"),
+        ("p_tilde", "0.0", "p_tilde '0.0' should read '0'"),
+        ("m", "010", "m '010' should read '10'"),
     ])
     def test_a_csv_cell_outside_its_texts_names_the_path_and_row(
         self, tmp_path, field, text, message
     ):
-        # these read back as False and "foo"
+        # these read back as False, "foo", 10, 0, 1.0, 0.0 and 10, and the
+        # file re-emitted as if it had never been edited
         path = self.emit(tmp_path, "csv")
         lines = path.read_text().splitlines()
         cells = lines[1].split(",")
@@ -1171,6 +1196,7 @@ class TestCommands:
         (lambda cells: cells[:2], "line 3: expected 4 fields, got 2"),
         (lambda cells: cells[:-1] + ["0"],
          "line 5: label '-1' mixes 0/1 and +/-1 labels (line 3: '0')"),
+        (lambda cells: cells[:-1] + ["x"], "line 3: label 'x' is not numeric"),
     ])
     def test_relabel_bad_row_is_runtime_error(self, tmp_path, capsys, corrupt, message):
         data = self.write_dataset(tmp_path, d=3)
@@ -1185,14 +1211,30 @@ class TestCommands:
         assert capsys.readouterr().err == f"runtime error: {data}: {message}\n"
         assert not out.exists()
 
-    def test_runs_as_python_module(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "qksim", "check", "--help"],
-            env=env, capture_output=True, text=True, timeout=60,
+    def test_relabel_of_a_header_without_rows_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,f2,label\n")
+        out = tmp_path / "out.csv"
+        argv = ["relabel", "--data", str(data), "--num-qubits", "2", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"runtime error: {data}: no data rows\n"
+        assert not out.exists()
+
+    def test_an_overflowing_covariance_prints_one_line(self, tmp_path):
+        # numpy's two RuntimeWarning lines came first; a child process shows
+        # stderr as a user sees it, outside pytest's warning capture
+        (tmp_path / "big.csv").write_text(
+            "f0,f1,f2,label\n1e200,0.5,0.1,1\n0.2,0.3,0.4,-1\n0.9,0.1,0.7,1\n"
         )
+        argv = ["relabel", "--data", "big.csv", "--num-qubits", "2", "--out", "o.csv"]
+        done = run_qksim(argv, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (
+            2, "runtime error: big.csv: matrix has non-finite entries\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["big.csv"]
+
+    def test_runs_as_python_module(self):
+        done = run_qksim(["check", "--help"])
         assert done.returncode == 0, done.stderr
         assert "--trials" in done.stdout
 
@@ -1528,6 +1570,42 @@ class TestExitCodes:
         assert err.startswith("runtime error: ") and str(path) in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("dataset, message", [
+        ([], 'dataset must be {"kind": "synthetic"|"csv", ...}'),
+        ({"kind": "hdf5"}, 'dataset must be {"kind": "synthetic"|"csv", ...}'),
+        ({"kind": "csv"}, "csv dataset needs a path"),
+    ])
+    def test_a_dataset_without_a_known_kind_or_path_is_config_error(
+        self, tmp_path, capsys, dataset, message
+    ):
+        out = tmp_path / "r.csv"
+        raw = small_config(dataset=dataset, output=str(out))
+        assert self.sweep(tmp_path, capsys, raw) == (1, f"config error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failed_results_write_keeps_the_old_file(self, tmp_path, capsys, fmt):
+        # under a 2 KiB file-size limit the sweep left 2048 bytes of the new
+        # file where a good results file was
+        out = tmp_path / f"r.{fmt}"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(output=str(out))))
+        argv = ["sweep", "--config", str(cfg), "--format", fmt]
+        assert self.main(capsys, *argv, "--seed", "0") == (0, "")
+        old = out.read_bytes()
+        assert self.main(capsys, *argv) == (0, "") and out.stat().st_size > 2048
+        out.write_bytes(old)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048))
+
+        done = run_qksim(argv, preexec_fn=limit)
+        assert (done.returncode, done.stderr) == (
+            2, f"runtime error: cannot write results to {out}: [Errno 27] File too large\n"
+        )
+        assert out.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", out.name]
 
     def test_sweep_without_output_is_config_error(self, tmp_path, capsys):
         assert self.sweep(tmp_path, capsys, small_config()) == (

@@ -126,12 +126,28 @@ class TestApplyNoise:
             qt = kernels.apply_noise(q, noise, fix_diagonal=False)
             assert np.min(np.linalg.eigvalsh(qt.matrix)) >= -1e-9
 
-    def test_entrywise_bound_recorded_for_half_constant(self):
-        rng = np.random.default_rng(8)
-        q = kernels.gram_ideal(rng.uniform(-1, 1, size=(5, 2)))
-        noise = make_noise(0.1, layers=2, mixing=kernels.MIX_HALF_INVERSE_DIM)
-        qt = kernels.apply_noise(q, noise)
-        assert qt.params["entry_bound_ok"] is True
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        num_qubits=st.integers(1, 4),
+        rows=st.integers(2, 8),
+        p_tilde=st.floats(0.0, 1.0),
+        layers=st.integers(1, 12),
+        fix_diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_entrywise_bound_for_half_constant(
+        self, num_qubits, rows, p_tilde, layers, fix_diagonal, seed
+    ):
+        # the paper's entrywise bound |q~ - q| <= p (q + 2^-(N+1)) holds on
+        # every entry of the bound-side mixture, pinned diagonal or not
+        x = np.random.default_rng(seed).uniform(-1, 1, size=(rows, num_qubits))
+        q = kernels.gram_ideal(x)
+        noise = make_noise(p_tilde, layers=layers, mixing=kernels.MIX_HALF_INVERSE_DIM)
+        qt = kernels.apply_noise(q, noise, fix_diagonal=fix_diagonal)
+        bound = noise.rate * (q.matrix + 2.0 ** (-(num_qubits + 1)))
+        assert np.all(np.abs(qt.matrix - q.matrix) <= bound + 1e-12)
+        assert qt.params == dict(num_qubits=num_qubits, p_tilde=p_tilde, layers=layers,
+                                 p=noise.rate, mixing=noise.mixing, fix_diagonal=fix_diagonal)
 
     def test_wrong_provenance_rejected(self):
         rng = np.random.default_rng(9)
