@@ -21,8 +21,11 @@ Output records are sorted by coordinate and serialize byte-identically.
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  Each config
 value and flag is judged by its input rule alone before any data file is read;
 a flag's text reaches its rule as the value a JSON config would hold there.
-A failed coordinate is a record carrying its error text, with exit 0; exit 2
-means no results were written.  Everything is pinned by the config and seeds.
+A failed coordinate is a record carrying its error text, with exit 0.  Each
+output file is written all or nothing (``linalg.create_text``): a failed write
+exits 2 and leaves the old file; a file and its sidecar are renamed in turn once
+both are complete; a symlinked target becomes a regular file; the target's
+directory must be writable.  Everything is pinned by the config and seeds.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -302,13 +304,12 @@ def _json_cell(value):
 
 def emit_results(records: list[ResultRecord], path, fmt: str = "csv") -> None:
     """Write records with a fixed header order and 17-significant-digit reals,
-    all or nothing: a temporary file beside ``path`` replaces it when complete."""
+    all or nothing (``linalg.create_text``)."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format: {fmt!r}")
     path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with linalg.create_text(path, newline="") as fh:
             if fmt == "csv":
                 writer = csv.writer(fh, lineterminator="\n")
                 # a lone "\r" is left unquoted, and csv.reader ends the row there
@@ -321,13 +322,8 @@ def emit_results(records: list[ResultRecord], path, fmt: str = "csv") -> None:
                 rows = [{name: _json_cell(getattr(rec, name)) for name in RESULT_FIELDS}
                         for rec in records]
                 fh.write(json.dumps(rows, indent=2, sort_keys=False) + "\n")
-        os.replace(tmp, path)
-    except OSError as exc:  # the reason names the target, not the temporary file
-        reason = OSError(exc.errno, exc.strerror, str(path)) if exc.filename else exc
-        raise OSError(f"cannot write results to {path}: {reason}") from exc
-    finally:
-        with contextlib.suppress(OSError):  # gone once replaced
-            os.remove(tmp)
+    except OSError as exc:
+        raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
 def _parse_cell(name: str, text: str):
@@ -702,7 +698,8 @@ def _cmd_train(args) -> int:
         _, test_pred = learner.predict(model, cross)
         summary["test_accuracy"] = learner.accuracy(test_pred, test_ds.labels)
     if args.out:
-        Path(args.out).write_text(model.to_json() + "\n", encoding="utf-8")
+        with linalg.create_text(args.out) as fh:
+            fh.write(model.to_json() + "\n")
         summary["model"] = str(args.out)
     print(json.dumps(summary, indent=2))
     return 0
@@ -811,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--kernel", required=True)
     p_bound.add_argument("--data", required=True)
     p_bound.add_argument("--num-qubits", default=None)
-    p_bound.add_argument("--ridge", default=0.0)
+    p_bound.add_argument("--ridge", default=learner.DEFAULT_QUANTUM_RIDGE)
     p_bound.add_argument("--delta", default=0.05)
     p_bound.set_defaults(func=_cmd_bound)
 

@@ -98,17 +98,13 @@ def save_csv(ds: Dataset, path, meta: dict | None = None) -> None:
 
     A JSON sidecar records provenance when ``meta`` is given.
     """
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with linalg.create_text(path) as fh:
         fh.write(",".join([f"f{k}" for k in range(ds.dim)] + ["label"]) + "\n")
         for row, label in zip(ds.features, ds.labels):
-            fh.write(
-                ",".join(f"{v:.17g}" for v in row) + f",{int(label)}\n"
-            )
-    if meta is not None:
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+            fh.write(",".join(f"{v:.17g}" for v in row) + f",{int(label)}\n")
+        if meta is not None:  # both files are complete before either rename
+            with linalg.create_text(f"{path}.json") as side:
+                side.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def pca(features: np.ndarray, target_dim: int) -> np.ndarray:

@@ -21,7 +21,6 @@ a seed, or the family its entries' builder makes, which a sweep cell keeps.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -326,12 +325,8 @@ def geometric_difference(
 
 def save_kernel(kernel: KernelMatrix, path) -> None:
     """Matrix as CSV plus a JSON sidecar with provenance and parameters."""
-    path = Path(path)
-    linalg.save_matrix_csv(kernel.matrix, path)
     sidecar = {"provenance": kernel.provenance, "params": kernel.params}
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    linalg.save_matrix_csv(kernel.matrix, path, sidecar)
 
 
 def load_kernel(path) -> KernelMatrix:

@@ -14,9 +14,11 @@ not depend on it.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -243,12 +245,36 @@ def inverse_perturbation_check(
     )
 
 
-def save_matrix_csv(m: np.ndarray | object, path) -> None:
-    """One row per line, comma-separated, 17 significant digits."""
-    a = as_matrix(m)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(a):
+@contextmanager
+def create_text(path, newline=None):
+    """``path`` written as UTF-8 text, all or nothing: a temporary file beside it
+    replaces it when the block completes and is removed when it fails, and an
+    error on that file names ``path``.  It is line-buffered, so a writer nested
+    in the block renames its file after every line written before it."""
+    path = Path(path)
+    tmp = str(path.parent / f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline, buffering=1) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        with suppress(OSError):  # gone once replaced
+            os.remove(tmp)
+
+
+def save_matrix_csv(m: np.ndarray | object, path, sidecar: dict | None = None) -> None:
+    """One row per line, comma-separated, 17 significant digits; a ``sidecar``
+    goes to ``<path>.json``, and both files are complete before either rename."""
+    with create_text(path) as fh:
+        for row in np.atleast_2d(as_matrix(m)):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        if sidecar is not None:
+            with create_text(f"{path}.json") as side:
+                side.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 @contextmanager

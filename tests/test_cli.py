@@ -1262,6 +1262,20 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["m"] == 100
         assert report["c1"] > 0
+        # the default ridge was 0, and an ideal kernel with more rows than 4^N
+        # has rank at most 4^N: every such N=2 kernel failed as a singular system
+        (tmp_path / "wide").mkdir()
+        data = self.write_dataset(tmp_path / "wide", n=24)
+        ideal = tmp_path / "wide" / "q.csv"
+        cli.main(["kernel", "--data", str(data), "--num-qubits", "2",
+                  "--out", str(ideal)])
+        capsys.readouterr()
+        assert cli.main([
+            "bound", "--kernel", str(ideal), "--data", str(data),
+            "--shots", "100", "--p-tilde", "0.01",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == 24 and report["c1"] > 0
 
     def test_check_command(self, capsys):
         assert cli.main(["check", "--trials", "50", "--seed", "0"]) == 0
@@ -1606,6 +1620,44 @@ class TestExitCodes:
         )
         assert out.read_bytes() == old
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", out.name]
+
+    @pytest.mark.parametrize("command, rows, old, new", [
+        ("kernel", 24, [], ["--p-tilde", "0.01", "--shots", "100"]),
+        # a 12 x 12 matrix fits in one write buffer: its sidecar must not be
+        # replaced before the matrix has reached its temporary file
+        ("calibrate", 12, ["--method", "none"], ["--method", "nearest", "--delta", "0.5"]),
+        ("relabel", 24, [], ["--gamma-scale", "2"]),
+        ("train", 24, [], ["--ridge", "0.01"]),
+    ])
+    def test_a_failed_write_keeps_every_old_file(
+        self, tmp_path, capsys, command, rows, old, new
+    ):
+        # under a 512-byte file-size limit each command left the first 512
+        # bytes of its new output where a good file was
+        kernel, data = self.kernel_and_data(tmp_path, rows, rows)
+        out = str(tmp_path / "out")
+        argv = {
+            "kernel": ["kernel", "--data", data, "--num-qubits", "2", "--out", out],
+            "calibrate": ["calibrate", "--kernel", kernel, "--out", out],
+            "relabel": ["relabel", "--data", data, "--num-qubits", "2", "--out", out],
+            "train": ["train", "--kernel", kernel, "--data", data, "--out", out],
+        }[command]
+        outputs = [out] if command == "train" else [out, out + ".json"]
+        assert self.main(capsys, *argv, *new) == (0, "")
+        written = [Path(f).read_bytes() for f in outputs]
+        assert len(written[0]) > 512
+        assert self.main(capsys, *argv, *old) == (0, "")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert all(before[Path(f).name] != w for f, w in zip(outputs, written))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (512, 512))
+
+        done = run_qksim([*argv, *new], preexec_fn=limit)
+        assert (done.returncode, done.stderr) == (
+            2, "runtime error: [Errno 27] File too large\n"
+        )
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     def test_sweep_without_output_is_config_error(self, tmp_path, capsys):
         assert self.sweep(tmp_path, capsys, small_config()) == (

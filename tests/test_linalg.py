@@ -220,14 +220,19 @@ def test_no_module_compares_bytes():
 def test_only_linalg_reads_a_file():
     # linalg.open_text and read_json decode every input file: UTF-8 less a
     # byte-order mark, the path in every decoding error, no repeated JSON key.
-    # KernelModel.from_json parses text it is handed; the other opens write.
+    # KernelModel.from_json parses text it is handed; create_text writes.
     assert sorted(_references(("read_text", "read_bytes", "loads", "load"))) == [
         "learner.py: from_json", "linalg.py: read_json",
     ]
     assert sorted(_references(("open",))) == [
-        "cli.py: emit_results", "datasets.py: save_csv", "linalg.py: open_text",
-        "linalg.py: read_json", "linalg.py: save_matrix_csv",
+        "linalg.py: create_text", "linalg.py: open_text", "linalg.py: read_json",
     ]
+
+
+def test_only_linalg_writes_a_file():
+    # linalg.create_text writes every output file all or nothing; a file
+    # written in place is cut short when the write fails
+    assert _references(("write_text", "write_bytes")) == []
 
 
 def test_only_boundary_owners_check_finiteness():
@@ -531,3 +536,42 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_bytes(b"\xef\xbb\xbf1,0.5\n0.5,1\n")
         assert np.array_equal(linalg.load_matrix_csv(path), [[1.0, 0.5], [0.5, 1.0]])
+
+
+class TestCreateText:
+    def test_a_failed_block_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="stop"):
+            with linalg.create_text(path) as fh:
+                fh.write("new\n")
+                raise RuntimeError("stop")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    @pytest.mark.parametrize("target, errno", [("missing/f.txt", 2), ("dir", 21)])
+    def test_an_error_names_the_target_not_the_temporary_file(
+        self, tmp_path, monkeypatch, target, errno
+    ):
+        # a missing directory fails the open, a directory at the target the rename
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(OSError) as info:
+            with linalg.create_text(target) as fh:
+                fh.write("new\n")
+        assert (info.value.errno, info.value.filename) == (errno, target)
+        assert str(info.value).endswith(f": {target!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_a_failed_sidecar_keeps_the_old_matrix_and_is_named(self, tmp_path, monkeypatch):
+        # the sidecar's error passes through the matrix's writer unrenamed
+        monkeypatch.chdir(tmp_path)
+        linalg.save_matrix_csv(np.eye(2), "m.csv")
+        old = Path("m.csv").read_bytes()
+        Path("m.csv.json").mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            linalg.save_matrix_csv(2 * np.eye(2), "m.csv", {"provenance": "ideal"})
+        assert info.value.filename == "m.csv.json"
+        assert Path("m.csv").read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.csv.json"]

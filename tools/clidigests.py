@@ -8,8 +8,10 @@ Run from the repository root:
 The list covers the command line end to end: ``kernel`` exact, with shots
 and noise, and with the ``half-inverse-dim`` mixing; ``calibrate
 --reference``; ``train --out``; ``relabel``; ``bound``; ``check --trials 20``;
-a csv-dataset sweep written as CSV and as JSON; and four failures (a bad flag,
-a bad config, an undecodable dataset and a malformed kernel sidecar).  Each
+a csv-dataset sweep written as CSV and as JSON; and five failures (a bad flag,
+a bad config, an undecodable dataset, a malformed kernel sidecar and a kernel
+written into a missing directory, whose message must name the target, not a
+temporary file that differs from run to run).  Each
 command runs in this process through ``qksim.cli.main`` on the ``qksim`` of
 this checkout's ``src/``, with one BLAS thread, in a temporary directory that
 holds one fixed 24 x 4 dataset drawn from ``rng.stream``.  Every path is
@@ -69,6 +71,7 @@ COMMANDS = [
                             "--num-qubits", "2", "--out", "bad.csv"]),
     ("malformed-sidecar", ["calibrate", "--kernel", "sidecar.csv",
                            "--method", "clip", "--out", "bad.csv"]),
+    ("failed-write", ["kernel", *DATA, "--out", "missing/q.csv"]),
 ]
 
 
