@@ -424,7 +424,7 @@ def _engineer_labels(feats: np.ndarray, gamma_scale: float, ridge: float):
     q_all = linalg.Spectrum(kernels.gram_ideal(feats), "quantum kernel")
     gamma = learner.rbf_gamma_unit(feats, gamma_scale)
     k_all = linalg.Spectrum(kernels.rbf_gram(feats, gamma), "classical kernel")
-    labels = datasets.relabel_for_advantage(q_all, k_all, ridge=ridge)
+    labels = datasets.relabel_for_advantage(q_all, k_all, ridge, rank=4 ** feats.shape[1])
     return q_all, k_all, gamma, labels
 
 

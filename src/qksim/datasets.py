@@ -140,10 +140,23 @@ def generate_synthetic(n: int, d: int, seed: int) -> Dataset:
     return Dataset(features=feats, labels=np.ones(n, dtype=int))
 
 
+def _advantage_scores(q, k, ridge: float, rank: int | None) -> np.ndarray:
+    """``sqrt(Q) v`` for the top eigenvector ``v`` of ``sqrt(Q) K^-1 sqrt(Q)``,
+    found in Q's top ``rank`` eigenvectors (all when ``rank`` is None)."""
+    dec = q.decomposition
+    u, s = dec.eigenvectors[:, :rank], linalg.psd_roots(dec.eigenvalues)[:rank]
+    kd = k.decomposition
+    b = kd.eigenvectors.T @ u  # U in K's eigenbasis
+    core = linalg.sym_matrix(s[:, None] * (b.T @ (b / kd.shifted(ridge)[:, None])) * s)
+    v = linalg._fix_column_signs(u @ linalg.eig_sym(core).eigenvectors[:, :1])[:, 0]
+    return u @ (s * (u.T @ v))
+
+
 def relabel_for_advantage(
     q_all: linalg.Spectrum | np.ndarray | object,
     k_all: linalg.Spectrum | np.ndarray | object,
     ridge: float = 0.0,
+    rank: int | None = None,
 ) -> np.ndarray:
     """Engineer +/-1 labels that favor the quantum kernel.
 
@@ -151,6 +164,11 @@ def relabel_for_advantage(
     continuous maximizer of the complexity ratio), forms the score vector
     ``sqrt(Q) v``, and thresholds at its median: strictly above -> +1,
     otherwise -1.  A :class:`linalg.Spectrum` argument lends its decomposition.
+
+    ``rank`` bounds rank Q (``4**N`` for N qubits: Q is a Gram matrix of 4^N-dim
+    real vectors), so ``v`` is found in Q's top ``min(rank, n)`` eigenvectors.
+    Q's eigenvalues past them are round-off of exact zeros: dropping them moves
+    the scores by round-off, far inside the gap at the median that labels read.
 
     The output is balanced: the +1/-1 counts differ by at most one.  When
     median ties would break the balance, tied entries are promoted to +1
@@ -160,10 +178,7 @@ def relabel_for_advantage(
     k = linalg.spectrum(k_all, "classical kernel")
     if q.matrix.shape != k.matrix.shape:
         raise ValueError(f"kernel shape mismatch: {q.matrix.shape} vs {k.matrix.shape}")
-    root_q = linalg.mat_sqrt_psd(q)
-    core = linalg.sym_matrix(root_q @ linalg.inv_ridge(k, ridge) @ root_q)
-    v = linalg.eig_sym(core).eigenvectors[:, 0]
-    scores = root_q @ v
+    scores = _advantage_scores(q, k, ridge, rank)
 
     n = scores.shape[0]
     med = float(np.median(scores))

@@ -157,20 +157,21 @@ def spectrum(m: np.ndarray | object, name: str = "matrix") -> Spectrum:
     return m if isinstance(m, Spectrum) else Spectrum(m, name)
 
 
-def mat_sqrt_psd(m: np.ndarray | object) -> np.ndarray:
-    """Symmetric square root of a PSD matrix.
-
-    Eigenvalues in ``[-1e-9 * lambda_max, 0)`` are clamped to zero;
-    anything below that raises :class:`NotPSDError`.
-    """
-    dec = spectrum(m).decomposition
-    lam = dec.eigenvalues
+def psd_roots(lam: np.ndarray) -> np.ndarray:
+    """Roots of a PSD matrix's descending eigenvalues; those in ``[-1e-9 *
+    lambda_max, 0)`` are clamped to zero, and one below raises :class:`NotPSDError`."""
     lam_max = max(float(lam[0]), 0.0)
     if float(lam[-1]) < -PSD_CLAMP_REL * lam_max:
         raise NotPSDError(
             f"matrix is not PSD: lambda_min={lam[-1]:.3e}, lambda_max={lam[0]:.3e}"
         )
-    return dec.reconstruct(np.sqrt(np.clip(lam, 0.0, None)))
+    return np.sqrt(np.clip(lam, 0.0, None))
+
+
+def mat_sqrt_psd(m: np.ndarray | object) -> np.ndarray:
+    """Symmetric square root of a PSD matrix; :func:`psd_roots` checks it."""
+    dec = spectrum(m).decomposition
+    return dec.reconstruct(psd_roots(dec.eigenvalues))
 
 
 def inv_ridge(m: np.ndarray | object, ridge: float = 0.0) -> np.ndarray:

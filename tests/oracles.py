@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from qksim import bounds, calibrate, cli, datasets, kernels, learner, linalg, qsim, rng
+from qksim import bounds, calibrate, cli, kernels, learner, linalg, qsim, rng
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -228,6 +228,20 @@ def grid_search_rbf_reference(x_train, y_train, x_val, y_val):
     return best
 
 
+def relabel_reference(q, k, ridge):
+    """Engineered labels and their scores ``sqrt(Q) v``, for the top eigenvector
+    ``v`` of the n x n core ``sqrt(Q) K^-1 sqrt(Q)`` formed from the full square
+    root and ridge inverse: +1 on the n // 2 largest scores, ties broken by
+    index, -1 on the rest."""
+    root_q = linalg.mat_sqrt_psd(q)
+    core = linalg.sym_matrix(root_q @ linalg.inv_ridge(k, ridge) @ root_q)
+    scores = root_q @ linalg.eig_sym(core).eigenvectors[:, 0]
+    n = scores.size
+    labels = -np.ones(n, dtype=int)
+    labels[np.lexsort((np.arange(n), -scores))[: n // 2]] = 1
+    return labels, scores
+
+
 def pool_labels_reference(config, n, seed):
     """A cell's engineered labels and geometric difference from bare pool
     matrices, so that relabelling and the ratio each check and decompose the
@@ -237,7 +251,7 @@ def pool_labels_reference(config, n, seed):
     gamma = config.relabel_gamma_scale / (feats.shape[1] * var)
     q = kernels.gram_ideal(feats).matrix
     k = kernels.rbf_gram(feats, gamma).matrix
-    labels = datasets.relabel_for_advantage(q, k, ridge=config.ridge)
+    labels, _ = relabel_reference(q, k, config.ridge)
     geo = kernels.geometric_difference(k, q, labels.astype(float), config.ridge)
     return labels, geo
 

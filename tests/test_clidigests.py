@@ -31,7 +31,7 @@ def test_two_runs_agree_and_a_changed_message_changes_one_line(tmp_path):
     outputs = [run.communicate(timeout=120) for run in runs]
     assert [(run.returncode, err) for run, (_, err) in zip(runs, outputs)] == [(0, "")] * 3
     first, second, changed = (out.splitlines() for out, _ in outputs)
-    assert first == second and len(first) == 15
+    assert first == second and len(first) == 16
     differ = [(a.split(), b.split()) for a, b in zip(first, changed) if a != b]
     assert len(differ) == 1
     (name, *before), (_, *after) = differ[0]

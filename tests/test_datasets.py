@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qksim import datasets, kernels, linalg
+from qksim import cli, datasets, kernels, learner, linalg
 from qksim.rng import stream
 
-from oracles import covariance_eigensolve
+from oracles import covariance_eigensolve, relabel_reference
 
 
 class TestCsvIO:
@@ -190,21 +190,12 @@ class TestRelabel:
         assert labels.tolist() == [1, 1, 1, 1, -1, -1, -1, -1]
 
     def test_median_ties_are_promoted_by_score_then_index(self, monkeypatch):
-        # scores = sqrt(I) v = v for the top eigenvector v of the core matrix;
-        # median 0.25 leaves two entries above it, so two of the -1 entries
-        # are promoted: the tied 0.25s at indices 2 and 4, not index 1 (0.1)
-        # before them nor the tied index 6 after them
+        # the scores are v; median 0.25 leaves two entries above it, so two
+        # of the -1 entries are promoted: the tied 0.25s at indices 2 and 4,
+        # not index 1 (0.1) before them nor the tied index 6 after them
         v = np.array([0.5, 0.1, 0.25, -0.5, 0.25, 0.0, 0.25, 0.75])
-        eig_sym = linalg.eig_sym
-
-        def core_with_top_vector_v(m):
-            if isinstance(m, linalg.Spectrum):  # Q's and K's own decompositions
-                return eig_sym(m)
-            return linalg.EigenDecomposition(np.ones(1), v[:, None])
-
-        monkeypatch.setattr(linalg, "eig_sym", core_with_top_vector_v)
-        q = linalg.Spectrum(np.eye(8))
-        labels = datasets.relabel_for_advantage(q, linalg.Spectrum(np.eye(8)))
+        monkeypatch.setattr(datasets, "_advantage_scores", lambda *args: v)
+        labels = datasets.relabel_for_advantage(np.eye(8), np.eye(8))
         assert labels.tolist() == [1, -1, 1, -1, 1, -1, -1, 1]
 
     def test_rayleigh_dominance_over_random_directions(self):
@@ -241,6 +232,94 @@ class TestRelabel:
                 y = base[rng.permutation(40)].astype(float)
                 ratios.append(kernels.geometric_difference(k, q, y, ridge))
             assert g_star >= np.median(ratios), seed
+
+
+def error_of(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestRelabelInQsEigenbasis:
+    """Relabelling in Q's top ``min(4^N, n)`` eigenvectors against the n x n
+    core matrix of ``oracles.relabel_reference``."""
+
+    CASES = [
+        (num_qubits, n, seed, ridge)
+        for num_qubits in (1, 2, 3)
+        for n in (4**num_qubits - 1, 4**num_qubits, 4**num_qubits + 1, 3 * 4**num_qubits)
+        for seed in (0, 1, 2)
+        for ridge in (1e-8, 1e-3)
+    ] + [(12, 40, 0, 1e-8), (12, 40, 1, 1e-3)]
+
+    @pytest.mark.parametrize("num_qubits, n, seed, ridge", CASES)
+    def test_labels_equal_and_scores_agree_inside_the_margin(self, num_qubits, n, seed, ridge):
+        feats = datasets.generate_synthetic(n, num_qubits, seed).features
+        q = linalg.Spectrum(kernels.gram_ideal(feats))
+        k = linalg.Spectrum(kernels.rbf_gram(feats, learner.rbf_gamma_unit(feats, 1.0)))
+        want, ref = relabel_reference(q.matrix, k.matrix, ridge)
+        got = datasets.relabel_for_advantage(q, k, ridge, rank=4**num_qubits)
+        assert got.tolist() == want.tolist()
+        scores = datasets._advantage_scores(q, k, ridge, 4**num_qubits)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(scores - ref)) <= 1e-8 * scale
+        # the labels split the scores between the n//2-th and next largest;
+        # a change below half that gap cannot move a label
+        top = np.sort(ref)[::-1]
+        assert top[n // 2 - 1] - top[n // 2] > 2e-8 * scale
+
+    @pytest.mark.parametrize("rank", [None, 1, 4])
+    def test_errors_read_as_the_reference_s(self, rank):
+        # the PSD check covers all n eigenvalues of Q, also those past rank
+        not_psd = np.diag([1.0, 0.5, 0.0, -0.5])
+        singular = np.diag([1.0, 1.0, 1.0, 0.0])
+        for q, k, ridge, kind in [(not_psd, np.eye(4), 1e-8, linalg.NotPSDError),
+                                  (np.eye(4), singular, 0.0, linalg.SingularMatrixError),
+                                  (np.eye(4), np.eye(4), -1.0, ValueError)]:
+            want = error_of(lambda: relabel_reference(q, k, ridge))
+            assert want[0] is kind
+            assert error_of(
+                lambda: datasets.relabel_for_advantage(q, k, ridge, rank=rank)
+            ) == want
+
+    def test_a_cell_decomposes_nothing_larger_than_4_to_the_n(self, monkeypatch):
+        # an N=2 cell with a 24-row pool: relabelling decomposes Q's and K's
+        # own Spectrums and one 16 x 16 core, and forms no n x n root or inverse
+        config = cli.SweepConfig.from_dict(dict(
+            dataset={"kind": "synthetic"}, num_qubits=2, train_sizes=[16],
+            test_size=8, shots=["inf"], noise_rates=[0.0], methods=["clip"], seeds=[0],
+        ))
+        relabel, pool, sizes, refused = datasets.relabel_for_advantage, [], [], []
+
+        def spy_relabel(q_all, k_all, *args, **kwargs):
+            pool.extend([q_all.matrix, k_all.matrix])
+            try:
+                return relabel(q_all, k_all, *args, **kwargs)
+            finally:
+                pool.append(None)  # relabelling is over
+
+        def spy_decomposition(fn):
+            def spy(a, *args, **kwargs):
+                if pool and pool[-1] is not None and not any(a is m for m in pool):
+                    sizes.append(a.shape)
+                return fn(a, *args, **kwargs)
+            return spy
+
+        def refuse(name, fn):
+            def spy(*args, **kwargs):
+                if pool and pool[-1] is not None:
+                    refused.append(name)
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(datasets, "relabel_for_advantage", spy_relabel)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy_decomposition(getattr(np.linalg, name)))
+        for name in ("inv_ridge", "mat_sqrt_psd"):
+            monkeypatch.setattr(linalg, name, refuse(name, getattr(linalg, name)))
+        cli.build_pool(config, 16, 0)
+        assert len(pool) == 3 and pool[0].shape == (24, 24)
+        assert (sizes, refused) == ([(16, 16)], [])
 
 
 class TestSplit:

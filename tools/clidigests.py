@@ -7,7 +7,9 @@ Run from the repository root:
 
 The list covers the command line end to end: ``kernel`` exact, with shots
 and noise, and with the ``half-inverse-dim`` mixing; ``calibrate
---reference``; ``train --out``; ``relabel``; ``bound``; ``check --trials 20``;
+--reference``; ``train --out``; ``relabel`` at 2 qubits and at 3 (whose rank
+bound 4^3 = 64 exceeds the 24 rows, so both sides of relabelling's
+``min(rank, n)`` run); ``bound``; ``check --trials 20``;
 a csv-dataset sweep written as CSV and as JSON; and five failures (a bad flag,
 a bad config, an undecodable dataset, a malformed kernel sidecar and a kernel
 written into a missing directory, whose message must name the target, not a
@@ -59,6 +61,8 @@ COMMANDS = [
     ("train-out", ["train", "--kernel", "wc.csv", "--data", "data.csv",
                    "--out", "model.json"]),
     ("relabel", ["relabel", *DATA, "--out", "relabeled.csv"]),
+    ("relabel-full-rank", ["relabel", "--data", "data.csv", "--num-qubits", "3",
+                           "--out", "relabeled3.csv"]),
     ("bound", ["bound", "--kernel", "q.csv", "--data", "relabeled.csv",
                "--ridge", "0.001", "--shots", "100", "--p-tilde", "0.01"]),
     ("check", ["check", "--trials", "20"]),
