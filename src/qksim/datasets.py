@@ -162,35 +162,23 @@ def relabel_for_advantage(
 
     Takes the top eigenvector ``v`` of ``sqrt(Q) K^-1 sqrt(Q)`` (the
     continuous maximizer of the complexity ratio), forms the score vector
-    ``sqrt(Q) v``, and thresholds at its median: strictly above -> +1,
-    otherwise -1.  A :class:`linalg.Spectrum` argument lends its decomposition.
+    ``sqrt(Q) v``, and labels its top half: the ``n // 2`` largest scores
+    are +1, ties broken by index, and the rest -1.  So the labels are
+    balanced, as in Huang et al.'s split at the median score.  A
+    :class:`linalg.Spectrum` argument lends its decomposition.
 
     ``rank`` bounds rank Q (``4**N`` for N qubits: Q is a Gram matrix of 4^N-dim
     real vectors), so ``v`` is found in Q's top ``min(rank, n)`` eigenvectors.
     Q's eigenvalues past them are round-off of exact zeros: dropping them moves
-    the scores by round-off, far inside the gap at the median that labels read.
-
-    The output is balanced: the +1/-1 counts differ by at most one.  When
-    median ties would break the balance, tied entries are promoted to +1
-    in score order (index order among exact ties).
+    the scores by round-off, far inside the gap at the split that labels read.
     """
     q = linalg.spectrum(q_all, "quantum kernel")
     k = linalg.spectrum(k_all, "classical kernel")
     if q.matrix.shape != k.matrix.shape:
         raise ValueError(f"kernel shape mismatch: {q.matrix.shape} vs {k.matrix.shape}")
     scores = _advantage_scores(q, k, ridge, rank)
-
-    n = scores.shape[0]
-    med = float(np.median(scores))
-    labels = np.where(scores > med, 1, -1).astype(int)
-    want_plus = n // 2
-    short = want_plus - int(np.sum(labels == 1))
-    if short > 0:
-        # degenerate ties at the median: promote the largest scores first
-        candidates = [i for i in range(n) if labels[i] == -1]
-        candidates.sort(key=lambda i: (-scores[i], i))
-        for i in candidates[:short]:
-            labels[i] = 1
+    labels = -np.ones(scores.size, dtype=int)
+    labels[np.argsort(-scores, kind="stable")[: scores.size // 2]] = 1
     return labels
 
 

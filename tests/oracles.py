@@ -242,6 +242,24 @@ def relabel_reference(q, k, ridge):
     return labels, scores
 
 
+def median_labels_reference(scores):
+    """Labels by a split at the median score: strictly above -> +1, the rest
+    -1, then tied entries promoted to +1 in (score descending, index) order
+    until n // 2 entries are +1."""
+    n = scores.shape[0]
+    med = float(np.median(scores))
+    labels = np.where(scores > med, 1, -1).astype(int)
+    want_plus = n // 2
+    short = want_plus - int(np.sum(labels == 1))
+    if short > 0:
+        # degenerate ties at the median: promote the largest scores first
+        candidates = [i for i in range(n) if labels[i] == -1]
+        candidates.sort(key=lambda i: (-scores[i], i))
+        for i in candidates[:short]:
+            labels[i] = 1
+    return labels
+
+
 def pool_labels_reference(config, n, seed):
     """A cell's engineered labels and geometric difference from bare pool
     matrices, so that relabelling and the ratio each check and decompose the

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qksim import cli, datasets, kernels, learner, linalg
 from qksim.rng import stream
 
-from oracles import covariance_eigensolve, relabel_reference
+from oracles import covariance_eigensolve, median_labels_reference, relabel_reference
 
 
 class TestCsvIO:
@@ -161,14 +163,29 @@ def pool_kernels(n_pool=16, seed=0):
     return ds, q, k
 
 
+# integer levels, +/-0.0, floats adjacent to 1.0 and huge scores: two middle
+# scores of +/-1e308 overflow the median to +/-inf
+SCORE_LEVELS = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.nextafter(1.0, 0.0),
+                np.nextafter(1.0, 2.0), -1e300, 1e300, -1e308, 1e308]
+
+
+def tied_scores():
+    """Score vectors of 1 to 64 entries drawn from 1 to 5 of ``SCORE_LEVELS``,
+    so that most of them tie."""
+    levels = st.lists(st.sampled_from(SCORE_LEVELS), min_size=1, max_size=5)
+    return st.tuples(st.integers(1, 64), levels).flatmap(
+        lambda size_levels: st.lists(st.sampled_from(size_levels[1]),
+                                     min_size=size_levels[0], max_size=size_levels[0]))
+
+
 class TestRelabel:
-    def test_median_threshold_example(self):
-        # scores (0.3, -0.2, 0.5, 0.1): median 0.2 -> (+1, -1, +1, -1)
+    def test_median_threshold_example(self, monkeypatch):
+        # scores (0.3, -0.2, 0.5, 0.1): the top two, 0.5 and 0.3, lie above
+        # the median 0.2 -> (+1, -1, +1, -1)
         scores = np.array([0.3, -0.2, 0.5, 0.1])
-        med = np.median(scores)
-        assert med == pytest.approx(0.2)
-        labels = np.where(scores > med, 1, -1)
-        assert np.array_equal(labels, [1, -1, 1, -1])
+        monkeypatch.setattr(datasets, "_advantage_scores", lambda *args: scores)
+        labels = datasets.relabel_for_advantage(np.eye(4), np.eye(4))
+        assert labels.tolist() == [1, -1, 1, -1]
 
     def test_balance(self):
         for seed in range(10):
@@ -183,20 +200,41 @@ class TestRelabel:
 
     def test_median_ties_are_promoted_in_index_order(self):
         # Q = I and a diagonal K give the exact score vector e_3 (the smallest
-        # k): the seven zeros tie at the median 0, and the first three by index
-        # join index 3 on +1
+        # k): the seven zeros tie, and the first three by index join index 3
+        # in the top half
         k = np.diag([3.0, 2.0, 5.0, 1.5, 4.0, 6.0, 2.5, 7.0])
         labels = datasets.relabel_for_advantage(np.eye(8), k, ridge=0.0)
         assert labels.tolist() == [1, 1, 1, 1, -1, -1, -1, -1]
 
     def test_median_ties_are_promoted_by_score_then_index(self, monkeypatch):
-        # the scores are v; median 0.25 leaves two entries above it, so two
-        # of the -1 entries are promoted: the tied 0.25s at indices 2 and 4,
-        # not index 1 (0.1) before them nor the tied index 6 after them
+        # the scores are v; the top half is the two entries above 0.25 and
+        # the first two of the three tied 0.25s, at indices 2 and 4: not
+        # index 1 (0.1) before them nor the tied index 6 after them
         v = np.array([0.5, 0.1, 0.25, -0.5, 0.25, 0.0, 0.25, 0.75])
         monkeypatch.setattr(datasets, "_advantage_scores", lambda *args: v)
         labels = datasets.relabel_for_advantage(np.eye(8), np.eye(8))
         assert labels.tolist() == [1, -1, 1, -1, 1, -1, -1, 1]
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(tied_scores())
+    def test_top_half_equals_the_median_split(self, values):
+        # ties at the median, +/-0.0, adjacent floats and a median that
+        # overflows to +inf all take the reference's promotion path
+        scores, eye = np.array(values), np.eye(len(values))
+        with np.errstate(over="ignore"):
+            assume(np.median(scores) > -np.inf)  # see the test below
+            want = median_labels_reference(scores)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datasets, "_advantage_scores", lambda *args: scores)
+            assert datasets.relabel_for_advantage(eye, eye).tolist() == want.tolist()
+
+    def test_a_median_that_overflows_to_minus_inf_still_splits_in_half(self, monkeypatch):
+        # the median of two -1e308s overflows to -inf, every score lies above
+        # it, and the median split labels both +1; the top half is one entry
+        scores = np.array([-1e308, -1e308])
+        monkeypatch.setattr(datasets, "_advantage_scores", lambda *args: scores)
+        labels = datasets.relabel_for_advantage(np.eye(2), np.eye(2))
+        assert labels.tolist() == [1, -1]
 
     def test_rayleigh_dominance_over_random_directions(self):
         # the continuous score vector beats 10^4 random unit directions

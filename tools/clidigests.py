@@ -6,11 +6,14 @@ Run from the repository root:
     python3 tools/clidigests.py > after.txt
 
 The list covers the command line end to end: ``kernel`` exact, with shots
-and noise, and with the ``half-inverse-dim`` mixing; ``calibrate
---reference``; ``train --out``; ``relabel`` at 2 qubits and at 3 (whose rank
+and noise, with the ``half-inverse-dim`` mixing, and with shots on a sampled
+diagonal (``--sample-diagonal``); ``calibrate`` with ``--reference`` and
+without it; ``train --out`` and ``train`` with ``--cross`` and
+``--test-data``; ``relabel`` at 2 qubits and at 3 (whose rank
 bound 4^3 = 64 exceeds the 24 rows, so both sides of relabelling's
 ``min(rank, n)`` run); ``bound``; ``check --trials 20``;
-a csv-dataset sweep written as CSV and as JSON; and five failures (a bad flag,
+a csv-dataset sweep written as CSV and as JSON, and one whose seeds
+``--seed`` overrides; and five failures (a bad flag,
 a bad config, an undecodable dataset, a malformed kernel sidecar and a kernel
 written into a missing directory, whose message must name the target, not a
 temporary file that differs from run to run).  Each
@@ -56,10 +59,16 @@ COMMANDS = [
                       "--seed", "3", "--out", "w.csv"]),
     ("kernel-half-inverse-dim", ["kernel", *DATA, "--p-tilde", "0.01",
                                  "--mixing", "half-inverse-dim", "--out", "h.csv"]),
+    ("kernel-sample-diagonal", ["kernel", *DATA, "--shots", "100", "--sample-diagonal",
+                                "--out", "s.csv"]),
     ("calibrate-reference", ["calibrate", "--kernel", "w.csv", "--method", "clip",
                              "--reference", "q.csv", "--out", "wc.csv"]),
+    ("calibrate-flip", ["calibrate", "--kernel", "w.csv", "--method", "flip",
+                        "--out", "wf.csv"]),
     ("train-out", ["train", "--kernel", "wc.csv", "--data", "data.csv",
                    "--out", "model.json"]),
+    ("train-cross", ["train", "--kernel", "wc.csv", "--data", "data.csv",
+                     "--cross", "q.csv", "--test-data", "data.csv"]),
     ("relabel", ["relabel", *DATA, "--out", "relabeled.csv"]),
     ("relabel-full-rank", ["relabel", "--data", "data.csv", "--num-qubits", "3",
                            "--out", "relabeled3.csv"]),
@@ -69,6 +78,8 @@ COMMANDS = [
     ("sweep-csv", ["sweep", "--config", "sweep.json", "--out", "results.csv"]),
     ("sweep-json", ["sweep", "--config", "sweep.json", "--format", "json",
                     "--out", "results.json"]),
+    ("sweep-seed", ["sweep", "--config", "sweep.json", "--seed", "1",
+                    "--out", "results-seed1.csv"]),
     ("bad-flag", ["kernel", *DATA, "--shots", "1.5", "--out", "bad.csv"]),
     ("bad-config", ["sweep", "--config", "bad-config.json", "--out", "bad.csv"]),
     ("unreadable-dataset", ["relabel", "--data", "undecodable.csv",
