@@ -44,16 +44,6 @@ class KernelModel:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "KernelModel":
-        raw = json.loads(text)
-        return cls(
-            dual_coef=np.asarray(raw["dual_coef"], dtype=float),
-            train_labels=np.asarray(raw["train_labels"], dtype=int),
-            ridge=float(raw["ridge"]),
-            params=raw.get("params", {}),
-        )
-
 
 def _check_labels(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)

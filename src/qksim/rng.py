@@ -7,13 +7,13 @@ order, or in parallel, with bitwise identical results.
 
 An ``EntryStreams`` family is bound to its entries, and its ``binomial``
 draws them all with the bits of one ``stream(seed, role, i, j).binomial(m,
-p)`` per entry; no entry is drawn from a scalar stream.  Grouped by the
-algorithm numpy's binomial takes, the entries get their Philox4x64-10 blocks
-at once (Salmon et al., SC'11), on which numpy's inversion or BTPE
-(Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) is replayed as its C code
-reads, each step a pass over a chunk's arrays: BTPE's masked to the entries it
-acts on, inversion's unmasked (a stopped walk is never read again), and Step
-50's product one ``reduceat`` fold over each entry's run of terms.  Block 1
+p)`` per entry; no entry is drawn from a scalar stream.  The entries split
+into two groups by the algorithm numpy's binomial takes, inversion or BTPE
+(Kachitvichyanukul & Schmeiser, CACM 31(2), 1988), and each group's is
+replayed on its Philox4x64-10 blocks (Salmon et al., SC'11) as its C code
+reads, each step a pass over a chunk of one group: BTPE's masked to the
+entries still attempting, inversion's unmasked (a stopped walk is never read
+again), and Step 50's product one ``reduceat`` fold per run of terms.  Block 1
 depends on neither ``m`` nor ``p``: the family makes its doubles once, so a
 sweep cell draws it once per role.  ``log`` and ``exp`` come from ``math``, the
 C library numpy's binomial calls, never from numpy's SIMD versions, which
@@ -123,23 +123,25 @@ class EntryStreams:
     def binomial(self, m: int, p) -> np.ndarray:
         """``stream(seed, role, i[k], j[k]).binomial(m, p[k])`` for every k, as
         int64, ``m`` in ``[1, 2**63 - 1]`` and ``p`` in ``[0, 1]`` (callers check
-        both).  Round ``k`` reads block ``k`` of the open entries, by chunks."""
+        both).  Round ``k`` of a group reads block ``k`` of its open entries."""
         p, i, j = np.asarray(p, dtype=float).ravel(), self.i, self.j
         if p.size != i.size:
             raise ValueError(f"{i.size} entries take {i.size} rates, got {p.size}")
-        # BTPE runs when min(p, 1 - p) * m > 30, else inversion; inversion
-        # entries first, so all chunks but one run one algorithm
-        live = np.argsort(np.minimum(p, 1.0 - p) * float(m) > 30.0, kind="stable")
-        x, block = np.full(p.size, -1, dtype=np.int64), 1  # -1 while open
-        while live.size:
-            for start in range(0, live.size, _CHUNK):
-                at = live[start : start + _CHUNK]
-                u = self._first[:, at] if block == 1 else _uniforms(
-                    self.seed, self.role, i[at], j[at], block
-                )
-                draws = _round(m, p[at], u)
-                x[at] = draws if block == 1 else np.where(x[at] < 0, draws, x[at])
-            live, block = live[_padded(x[live] < 0)], block + 1
+        x = np.full(p.size, -1, dtype=np.int64)  # -1 while open
+        btpe = np.minimum(p, 1.0 - p) * float(m) > 30.0  # numpy's rule, else inversion
+        for draw, live in ((_inversion, np.flatnonzero(~btpe)), (_btpe, np.flatnonzero(btpe))):
+            block = 1  # a group's rounds and chunks all run its one algorithm
+            while live.size:
+                for start in range(0, live.size, _CHUNK):
+                    at = live[start : start + _CHUNK]
+                    u = self._first[:, at] if block == 1 else _uniforms(
+                        self.seed, self.role, i[at], j[at], block
+                    )
+                    q = p[at]
+                    r = np.where(q > 0.5, 1.0 - q, q)  # numpy draws at rate min(p, 1 - p)
+                    got = draw(m, r, u, np.ones(at.size, dtype=bool))  # -1 where u runs out
+                    x[at] = got if block == 1 else np.where(x[at] < 0, got, x[at])
+                live, block = live[_padded(x[live] < 0)], block + 1
         return np.where(p > 0.5, m - x, x)  # as numpy does: X drawn at rate 1 - p
 
 
@@ -150,18 +152,6 @@ def _uniforms(seed: int, role: str, i: np.ndarray, j: np.ndarray, block) -> np.n
     for at in (slice(s, s + _CHUNK) for s in range(0, i.size, _CHUNK)):
         out[:, at] = philox_block(seed, role, i[at], j[at], block) >> 11
     return np.multiply(out, 2.0**-53, out=out)
-
-
-def _round(m: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """numpy's binomial draw at rate ``min(p, 1 - p)`` on each entry's four
-    doubles ``u``, -1 where they run out: inversion's first four walks, BTPE's
-    first two attempts.  At rate 0.5 BTPE is valid wherever it runs (m > 60)."""
-    r = np.where(p > 0.5, 1.0 - p, p)
-    btpe = r * float(m) > 30.0
-    draws = 0 if btpe.all() else _inversion(m, r, u, ~btpe)
-    if btpe.any():
-        draws = np.where(btpe, _btpe(m, np.where(btpe, r, 0.5), u, btpe), draws)
-    return draws
 
 
 def _padded(live: np.ndarray) -> np.ndarray:

@@ -582,6 +582,34 @@ class TestArraySampler:
         assert_draws_match_streams(m, probs + [1.0 - p for p in probs], reps=100)
         assert reach[0] > 20
 
+    def test_each_algorithm_sees_only_its_own_entries(self, monkeypatch):
+        # two groups of more than a chunk each, interleaved: no pass of one
+        # algorithm holds the other's entries or a stand-in rate, in round 1
+        # or in the BTPE group's round 2
+        m, seen = 100, {"_inversion": [], "_btpe": []}
+
+        def spy(name, step):
+            def wrapper(m, r, u4, todo):
+                seen[name].append(r.copy())
+                return step(m, r, u4, todo)
+
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(rng, name, spy(name, getattr(rng, name)))
+        size = rng._CHUNK + 500
+        draw = np.random.default_rng(5).uniform
+        p = np.concatenate([draw(0.19, 0.21, size), draw(0.44, 0.46, size)])
+        p[::3] = 1.0 - p[::3]  # numpy draws these at rate 1 - p
+        p = np.random.default_rng(6).permutation(p)
+        assert_draws_match_streams(m, p, reps=1)
+        r = np.minimum(p, 1.0 - p)
+        own = r[r * m > 30.0]
+        assert own.size == size and 0.5 not in p
+        assert all(np.all(rates * m <= 30.0) for rates in seen["_inversion"])
+        assert all(np.isin(rates, own).all() for rates in seen["_btpe"])
+        assert len(seen["_btpe"]) > -(-size // rng._CHUNK)  # round 2 ran
+
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
         m=st.one_of(st.integers(1, 3000), st.integers(1, 2**63 - 1)),
@@ -597,7 +625,7 @@ class TestArraySampler:
     )
     def test_property_one_call_mixes_both_algorithms(self, m, data):
         # entries that run inversion and BTPE, and finish at different
-        # attempts, share every masked pass of one call
+        # attempts, are drawn by one call, each group in passes of its own
         at30 = 30.0 / m  # m p = 30 switches numpy from inversion to BTPE
         near30 = st.floats(0.9 * at30, min(1.1 * at30, 0.5))
         rate = st.one_of(

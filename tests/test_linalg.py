@@ -222,9 +222,9 @@ def test_no_module_compares_bytes():
 def test_only_linalg_reads_a_file():
     # linalg.open_text and read_json decode every input file: UTF-8 less a
     # byte-order mark, the path in every decoding error, no repeated JSON key.
-    # KernelModel.from_json parses text it is handed; create_text writes.
+    # create_text opens the files it writes.
     assert sorted(_references(("read_text", "read_bytes", "loads", "load"))) == [
-        "learner.py: from_json", "linalg.py: read_json",
+        "linalg.py: read_json",
     ]
     assert sorted(_references(("open",))) == [
         "linalg.py: create_text", "linalg.py: open_text", "linalg.py: read_json",
